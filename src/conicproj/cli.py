@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, altschemes, io, polysos
+from . import __version__, io, polysos
 from .cones import (
     BlockPoint,
     ConeSpec,
@@ -25,17 +25,16 @@ from .cones import (
     NumericalError,
 )
 from .dualproj import (
+    _SOLVERS,
+    PROJECTION_METHODS,
     ProjectionProblem,
     nearest_correlation,
     rescale_correlation,
-    solve_fixed_metric,
-    solve_quasi_newton,
-    solve_ssnewton,
+    solve_projection,
 )
 from .regsolver import (
     LinearConicProblem,
     RegParams,
-    residuals,
     solve_regularized,
     solve_simple,
 )
@@ -53,15 +52,6 @@ EXIT_CODES = {
     SUSPECTED_INFEASIBLE: 3,
 }
 EXIT_INPUT_ERROR = 4
-
-_PROJ_METHODS = (
-    "quasi_newton",
-    "fixed_metric",
-    "ssnewton",
-    "dykstra",
-    "admm",
-    "alternating",
-)
 
 
 def main(argv=None) -> int:
@@ -105,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("project", help="project a point onto K intersect {Ax=b}")
     sp.add_argument("input", help="problem file (.dat-s or native .json)")
     sp.add_argument("--center", help="point to project (matrix file or JSON blocks); default 0")
-    sp.add_argument("--method", choices=_PROJ_METHODS, default="quasi_newton")
+    sp.add_argument("--method", choices=PROJECTION_METHODS, default="quasi_newton")
     sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--max-iter", type=int, default=None)
     sp.add_argument("--beta", type=float, default=1.0, help="ADM splitting parameter")
@@ -120,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("nearcorr", help="nearest correlation matrix")
     sp.add_argument("input", help="dense symmetric matrix file")
-    sp.add_argument("--method", choices=_PROJ_METHODS, default="ssnewton")
+    sp.add_argument("--method", choices=PROJECTION_METHODS, default="ssnewton")
     sp.add_argument("--tol", type=float, default=None, help="default 1e-7 * n")
     sp.add_argument("--max-iter", type=int, default=None)
     sp.add_argument(
@@ -168,16 +158,16 @@ def _solver_flags(sp, tol, max_outer):
     sp.add_argument("--solver", choices=("simple", "regularized"), default="simple")
     sp.add_argument(
         "--inner",
-        choices=("fixed_metric", "quasi_newton", "ssnewton"),
-        default="quasi_newton",
+        choices=tuple(_SOLVERS),
+        default=RegParams.inner,
         help="inner engine for --solver regularized",
     )
     sp.add_argument("--tol", type=float, default=tol)
-    sp.add_argument("--t0", type=float, default=1.0)
-    sp.add_argument("--eps0", type=float, default=1e-4)
-    sp.add_argument("--decay", type=float, default=3.0)
+    sp.add_argument("--t0", type=float, default=RegParams.t0)
+    sp.add_argument("--eps0", type=float, default=RegParams.eps0)
+    sp.add_argument("--decay", type=float, default=RegParams.decay)
     sp.add_argument("--max-outer", type=int, default=max_outer)
-    sp.add_argument("--max-inner", type=int, default=300)
+    sp.add_argument("--max-inner", type=int, default=RegParams.max_inner)
     sp.add_argument("--adapt-t", action="store_true")
 
 
@@ -270,11 +260,32 @@ def _run_conic(args, problem: LinearConicProblem):
     return solve_regularized(problem, params)
 
 
-def _write_solution(args, payload: dict) -> None:
+def _finish(args, report: dict, solution: dict) -> int:
+    """Write the solution file (if asked for), emit the report and return
+    the exit code."""
     if getattr(args, "solution_out", None):
         with open(args.solution_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+            json.dump(solution, fh, sort_keys=True, indent=2)
             fh.write("\n")
+    _emit(args, report)
+    return EXIT_CODES[report["status"]]
+
+
+def _finish_conic(args, problem, trip, rep, objective, extra=None) -> int:
+    report = _report(
+        args,
+        args.solver,
+        _dims(problem.cone, problem.m),
+        rep,
+        objective=objective,
+        extra=extra,
+    )
+    solution = {
+        "p": io.blockpoint_to_json(trip.p),
+        "y": trip.y.tolist(),
+        "u": io.blockpoint_to_json(trip.u),
+    }
+    return _finish(args, report, solution)
 
 
 # ---------------------------------------------------------------------------
@@ -311,66 +322,27 @@ def _cmd_project(args) -> int:
 
     problem = ProjectionProblem(c=center, eq=eq, cone=cone, ineq=ineq)
     tol = problem.default_tol() if args.tol is None else args.tol
-    dual_engines = {
-        "fixed_metric": solve_fixed_metric,
-        "quasi_newton": solve_quasi_newton,
-        "ssnewton": solve_ssnewton,
-    }
-    extra = {}
-    y = None
-    if args.method in dual_engines:
-        kwargs = {"tol": tol}
-        if args.max_iter is not None:
-            kwargs["max_iter"] = args.max_iter
-        x, d, rep = dual_engines[args.method](problem, **kwargs)
-        extra["theta"] = rep.objective
-        y = d
-    else:
-        two = altschemes.TwoSetProblem.from_projection(problem)
-        kwargs = {"tol": tol}
-        if args.max_iter is not None:
-            kwargs["max_iter"] = args.max_iter
-        if args.method == "dykstra":
-            x, rep = altschemes.dykstra(two, **kwargs)
-        elif args.method == "admm":
-            x, rep = altschemes.admm_projection(two, beta=args.beta, **kwargs)
-        else:
-            x, rep = altschemes.alternating_projections(two, **kwargs)
+    x, d, rep = solve_projection(
+        problem, args.method, tol, args.max_iter, beta=args.beta
+    )
     distance_sq = 0.5 * (x - center).dot(x - center)
+    extra = {} if d is None else {"theta": rep.objective}
     report = _report(
         args, args.method, _dims(cone, eq.m + (ineq.m if ineq else 0)), rep,
         objective=distance_sq, extra=extra,
     )
     sol = {"x": io.blockpoint_to_json(x)}
-    if y is not None:
-        sol["y"] = y.y.tolist()
-        if y.z.size:
-            sol["z"] = y.z.tolist()
-    _write_solution(args, sol)
-    _emit(args, report)
-    return EXIT_CODES[rep.status]
+    if d is not None:
+        sol["y"] = d.y.tolist()
+        if d.z.size:
+            sol["z"] = d.z.tolist()
+    return _finish(args, report, sol)
 
 
 def _cmd_solve(args) -> int:
     problem = _load_conic_problem(args.input)
     trip, rep = _run_conic(args, problem)
-    report = _report(
-        args,
-        args.solver,
-        _dims(problem.cone, problem.m),
-        rep,
-        objective=rep.objective,
-    )
-    _write_solution(
-        args,
-        {
-            "p": io.blockpoint_to_json(trip.p),
-            "y": trip.y.tolist(),
-            "u": io.blockpoint_to_json(trip.u),
-        },
-    )
-    _emit(args, report)
-    return EXIT_CODES[rep.status]
+    return _finish_conic(args, problem, trip, rep, rep.objective)
 
 
 def _cmd_nearcorr(args) -> int:
@@ -390,9 +362,7 @@ def _cmd_nearcorr(args) -> int:
         objective=distance_sq,
         extra={"max_diag_error": float(np.max(np.abs(np.diag(x) - 1.0)))},
     )
-    _write_solution(args, {"x": x.tolist()})
-    _emit(args, report)
-    return EXIT_CODES[rep.status]
+    return _finish(args, report, {"x": x.tolist()})
 
 
 def _cmd_sos_check(args) -> int:
@@ -400,24 +370,10 @@ def _cmd_sos_check(args) -> int:
     problem = polysos.build_sos_feasibility(poly, args.degree)
     trip, rep = _run_conic(args, problem)
     dual_obj = float(problem.b @ trip.y)
-    report = _report(
-        args,
-        args.solver,
-        _dims(problem.cone, problem.m),
-        rep,
-        objective=rep.objective,
+    return _finish_conic(
+        args, problem, trip, rep, rep.objective,
         extra={"dual_objective": dual_obj, "degree": args.degree},
     )
-    _write_solution(
-        args,
-        {
-            "p": io.blockpoint_to_json(trip.p),
-            "y": trip.y.tolist(),
-            "u": io.blockpoint_to_json(trip.u),
-        },
-    )
-    _emit(args, report)
-    return EXIT_CODES[rep.status]
 
 
 def _cmd_polymin(args) -> int:
@@ -427,24 +383,10 @@ def _cmd_polymin(args) -> int:
     bound = offset - rep.objective
     gram = np.asarray(trip.p.blocks[0])
     lam_min = float(np.linalg.eigvalsh(gram)[0])
-    report = _report(
-        args,
-        args.solver,
-        _dims(problem.cone, problem.m),
-        rep,
-        objective=bound,
+    return _finish_conic(
+        args, problem, trip, rep, bound,
         extra={"offset": offset, "gram_min_eigenvalue": lam_min},
     )
-    _write_solution(
-        args,
-        {
-            "p": io.blockpoint_to_json(trip.p),
-            "y": trip.y.tolist(),
-            "u": io.blockpoint_to_json(trip.u),
-        },
-    )
-    _emit(args, report)
-    return EXIT_CODES[rep.status]
 
 
 def _cmd_theta(args) -> int:
@@ -452,28 +394,28 @@ def _cmd_theta(args) -> int:
     problem = polysos.build_theta(graph)
     trip, rep = _run_conic(args, problem)
     theta = -rep.objective  # stored as min <-J, X>
-    report = _report(
-        args,
-        args.solver,
-        _dims(problem.cone, problem.m),
-        rep,
-        objective=theta,
+    return _finish_conic(
+        args, problem, trip, rep, theta,
         extra={
             "theta": theta,
             "num_vertices": graph.num_vertices,
             "num_edges": graph.num_edges,
         },
     )
-    _write_solution(
-        args,
-        {
-            "p": io.blockpoint_to_json(trip.p),
-            "y": trip.y.tolist(),
-            "u": io.blockpoint_to_json(trip.u),
-        },
-    )
-    _emit(args, report)
-    return EXIT_CODES[rep.status]
+
+
+def _thread_count() -> int:
+    """Worker threads for ``gen --count``: CONIC_PROJ_THREADS, default 1."""
+    raw = os.environ.get("CONIC_PROJ_THREADS", "1") or "1"
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0  # reported below, as any value under 1
+    if workers < 1:
+        raise InputError(
+            f"CONIC_PROJ_THREADS must be an integer >= 1, got {raw!r}"
+        )
+    return workers
 
 
 def _cmd_gen(args) -> int:
@@ -481,6 +423,7 @@ def _cmd_gen(args) -> int:
         raise InputError("gen sos/polymin requires --seed")
     if args.count < 1:
         raise InputError("--count must be >= 1")
+    workers = _thread_count()
 
     def one(index: int) -> dict:
         # per-instance seeds derived by the documented split rule seed + i
@@ -521,7 +464,6 @@ def _cmd_gen(args) -> int:
             fh.write(payload)
         return info
 
-    workers = int(os.environ.get("CONIC_PROJ_THREADS", "1") or "1")
     if args.count > 1 and workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import altschemes
 from .cones import (
     AffineMap,
     BlockPoint,
@@ -58,6 +59,7 @@ __all__ = [
     "solve_fixed_metric",
     "solve_quasi_newton",
     "solve_ssnewton",
+    "solve_projection",
     "nearest_correlation",
     "correlation_problem",
     "rescale_correlation",
@@ -197,31 +199,47 @@ _WOLFE_C2 = 0.9
 _WOLFE_TRIALS = 40
 
 
-def _wolfe(phi, f0, slope0, alpha0=1.0):
+def _wolfe(phi, f0, slope0, gnorm0, alpha0=1.0):
     """Weak Wolfe search on a descent direction by expansion + bisection.
 
-    ``phi(alpha)`` returns (f, slope, payload).  Returns
-    (alpha, f, payload, ok, best) where ``best`` is the lowest trial seen,
-    used as a fallback when the search fails (e.g. at the floating-point
-    floor of f, where the Armijo test turns into coin flipping).
+    ``phi(alpha)`` returns (f, slope, gnorm, payload), gnorm being the
+    gradient norm at the trial.  Returns (alpha, payload, ok, fallback).
+    When the search fails, which happens at the floating-point floor of f
+    where the Armijo test turns into coin flipping, it falls back to the
+    trial of lowest f if that is below f0, else to the trial of lowest
+    gradient norm if that is below ``gnorm0`` and gives back no more than
+    rounding noise in f; ``fallback`` is then True.  ``ok`` is False when
+    neither exists.
     """
     lo, hi = 0.0, np.inf
     alpha = alpha0
-    best = None  # (alpha, f, payload)
+    best = None  # lowest f: (f, alpha, payload)
+    lowest_grad = None  # lowest gradient norm: (gnorm, f, alpha, payload)
     for _ in range(_WOLFE_TRIALS):
-        f, slope, payload = phi(alpha)
-        if np.isfinite(f) and (best is None or f < best[1]):
-            best = (alpha, f, payload)
+        f, slope, gnorm, payload = phi(alpha)
+        if np.isfinite(f) and (best is None or f < best[0]):
+            best = (f, alpha, payload)
+        if lowest_grad is None or gnorm < lowest_grad[0]:
+            lowest_grad = (gnorm, f, alpha, payload)
         if not np.isfinite(f) or f > f0 + _WOLFE_C1 * alpha * slope0:
             hi = alpha
         elif slope < _WOLFE_C2 * slope0:
             lo = alpha
         else:
-            return alpha, f, payload, True, best
+            return alpha, payload, True, False
         alpha = 2.0 * lo if hi == np.inf else 0.5 * (lo + hi)
         if alpha == 0.0:
             break
-    return None, None, None, False, best
+    if best is not None and best[0] < f0:
+        return best[1], best[2], True, True
+    floor = f0 + 1e-12 * (1.0 + abs(f0))
+    if (
+        lowest_grad is not None
+        and lowest_grad[0] < gnorm0
+        and lowest_grad[1] <= floor
+    ):
+        return lowest_grad[2], lowest_grad[3], True, True
+    return None, None, False, False
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +301,20 @@ def solve_fixed_metric(
 # limited-memory quasi-Newton
 
 
-class _Lbfgs:
-    """Two-loop recursion over at most ``memory`` curvature pairs."""
+_LBFGS_MEMORY = 10
 
-    def __init__(self, memory=10, pairs=None):
-        self.memory = memory
+
+class _Lbfgs:
+    """Two-loop recursion over at most ``_LBFGS_MEMORY`` curvature pairs."""
+
+    def __init__(self, pairs=None):
         self.pairs = list(pairs) if pairs else []
 
     def push(self, s, yv):
         sy = float(s @ yv)
         if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(yv):
             self.pairs.append((s, yv, sy))
-            if len(self.pairs) > self.memory:
+            if len(self.pairs) > _LBFGS_MEMORY:
                 self.pairs.pop(0)
 
     def direction(self, grad):
@@ -314,28 +334,6 @@ class _Lbfgs:
         return q
 
 
-class _DenseBfgs:
-    """Dense inverse-Hessian BFGS update, for small dual dimensions."""
-
-    def __init__(self, m):
-        self.h = np.eye(m)
-
-    def push(self, s, yv):
-        sy = float(s @ yv)
-        if sy <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(yv):
-            return
-        hy = self.h @ yv
-        self.h += (
-            np.outer(s, s) * ((sy + yv @ hy) / sy**2)
-            - (np.outer(hy, s) + np.outer(s, hy)) / sy
-        )
-
-    def direction(self, grad):
-        return -(self.h @ grad)
-
-    pairs = ()
-
-
 def _kkt_residual(gy, gz, z):
     if gz is None or gz.size == 0:
         return float(np.linalg.norm(gy))
@@ -348,14 +346,11 @@ def solve_quasi_newton(
     problem: ProjectionProblem,
     tol: float | None = None,
     max_iter: int = 1000,
-    memory: int = 10,
-    dense: bool = False,
     y0=None,
     z0=None,
     carry_state: dict | None = None,
-    record_iterates: bool = False,
 ):
-    """Maximize theta by (limited-memory) BFGS with a weak Wolfe search.
+    """Maximize theta by limited-memory BFGS with a weak Wolfe search.
 
     Inequality multipliers are kept feasible by clamping z to the orthant
     after each accepted step; curvature pairs are skipped whenever the clamp
@@ -370,12 +365,7 @@ def solve_quasi_newton(
         v[:me] = np.asarray(y0, dtype=float)
     if z0 is not None and mi:
         v[me:] = np.maximum(np.asarray(z0, dtype=float), 0.0)
-
-    if dense and me + mi <= 500:
-        model = _DenseBfgs(me + mi)
-    else:
-        pairs = carry_state.get("pairs") if carry_state else None
-        model = _Lbfgs(memory, pairs)
+    model = _Lbfgs(carry_state.get("pairs") if carry_state else None)
 
     evals = 0
 
@@ -395,10 +385,6 @@ def solve_quasi_newton(
     for k in range(max_iter + 1):
         theta, gy, gz, x = payload
         crit = _kkt_residual(gy, gz, v[me:] if mi else None)
-        if record_iterates:
-            report.iterate_history.append(
-                BlockPoint.from_vector(problem.cone, x)
-            )
         report.residual_history.append(crit)
         report.iterations = k
         if crit <= tol:
@@ -410,39 +396,23 @@ def solve_quasi_newton(
         d = model.direction(gf)
         slope = float(gf @ d)
         if slope >= 0.0:  # stale curvature; restart from steepest ascent
-            model = _Lbfgs(memory) if isinstance(model, _Lbfgs) else model
+            model = _Lbfgs()
             d = -gf
             slope = float(gf @ d)
 
-        lowest_grad = [None]  # best trial by gradient norm, for stalls
-
-        def phi(alpha, _v=v, _d=d, _lg=lowest_grad):
+        def phi(alpha, _v=v, _d=d):
             fa, ga, pl = fg(_v + alpha * _d)
-            gn = float(np.linalg.norm(ga))
-            if _lg[0] is None or gn < _lg[0][0]:
-                _lg[0] = (gn, alpha, fa, ga, pl)
-            return fa, float(ga @ _d), (fa, ga, pl)
+            return fa, float(ga @ _d), float(np.linalg.norm(ga)), (fa, ga, pl)
 
-        alpha, fa, data, ok, best = _wolfe(phi, f, slope)
+        alpha, data, ok, fallback = _wolfe(
+            phi, f, slope, float(np.linalg.norm(gf))
+        )
         if not ok:
-            # the Armijo test turns to noise at the floating-point floor of
-            # f; accept progress in value, else in gradient norm (without
-            # giving back more than rounding noise in f)
-            floor = f + 1e-12 * (1.0 + abs(f))
-            if best is not None and best[1] < f:
-                alpha, data = best[0], best[2]
-            elif (
-                lowest_grad[0] is not None
-                and lowest_grad[0][0] < float(np.linalg.norm(gf))
-                and lowest_grad[0][2] <= floor
-            ):
-                gn, alpha, fa, ga, pl = lowest_grad[0]
-                data = (fa, ga, pl)
-            else:
-                status = NUMERICAL_FAILURE
-                report.message = "Wolfe line search failed to make progress"
-                break
-            model = _Lbfgs(memory) if isinstance(model, _Lbfgs) else model
+            status = NUMERICAL_FAILURE
+            report.message = "Wolfe line search failed to make progress"
+            break
+        if fallback:
+            model = _Lbfgs()
         f_new, gf_new, payload_new = data
         v_new = v + alpha * d
         clamped = False
@@ -456,7 +426,7 @@ def solve_quasi_newton(
             model.push(v_new - v, gf_new - gf)
         v, f, gf, payload = v_new, f_new, gf_new, payload_new
 
-    if carry_state is not None and isinstance(model, _Lbfgs):
+    if carry_state is not None:
         carry_state["pairs"] = model.pairs
 
     theta, gy, gz, x = payload
@@ -556,15 +526,16 @@ def _pcg(apply_h, g, precond_diag, eta, cap):
     return d, cap, False
 
 
+# the probing Jacobi preconditioner loops over the rows in Python; beyond
+# this many rows CG runs unpreconditioned
+_JACOBI_MAX_ROWS = 2000
+
+
 def solve_ssnewton(
     problem: ProjectionProblem,
     tol: float | None = None,
     max_iter: int = 200,
-    cg_cap: int | None = None,
-    precond: str = "jacobi",
-    precond_limit: int = 2000,
     y0=None,
-    record_iterates: bool = False,
 ):
     """Semismooth Newton-CG ascent on theta (equality constraints only).
 
@@ -580,7 +551,6 @@ def solve_ssnewton(
     ws = _Workspace(problem)
     m = problem.m_eq
     tol = problem.default_tol() if tol is None else float(tol)
-    cg_cap = 2 * m if cg_cap is None else int(cg_cap)
     y = np.zeros(m) if y0 is None else np.array(y0, dtype=float)
 
     report = SolveReport()
@@ -596,10 +566,6 @@ def solve_ssnewton(
     theta, g, _, x, infos = fg(y, want_info=True)
     for k in range(max_iter + 1):
         gnorm = float(np.linalg.norm(g))
-        if record_iterates:
-            report.iterate_history.append(
-                BlockPoint.from_vector(problem.cone, x)
-            )
         report.residual_history.append(gnorm)
         report.iterations = k
         if gnorm <= tol:
@@ -613,12 +579,12 @@ def solve_ssnewton(
             jac = cone_jacobian_apply(ws.cone, infos, lifted)
             return ws.t * ws.eq.apply_vec(jac)
 
-        if precond == "jacobi" and m <= precond_limit:
+        if m <= _JACOBI_MAX_ROWS:
             pd = np.maximum(_hessian_diagonal(ws, infos), 1e-8)
         else:
             pd = np.ones(m)
         eta = min(0.1, np.sqrt(gnorm))
-        d, cg_iters, breakdown = _pcg(apply_h, g, pd, eta, cg_cap)
+        d, cg_iters, breakdown = _pcg(apply_h, g, pd, eta, 2 * m)
         report.inner_iterations += cg_iters
         if breakdown:
             report.gradient_fallbacks += 1
@@ -626,30 +592,20 @@ def solve_ssnewton(
             d = g / pd
             report.gradient_fallbacks += 1
 
-        lowest_grad = [None]
-
-        def phi(alpha, _y=y, _d=d, _lg=lowest_grad):
+        def phi(alpha, _y=y, _d=d):
             th, gg, _, xx, inf = fg(_y + alpha * _d, want_info=True)
-            gn = float(np.linalg.norm(gg))
-            if _lg[0] is None or gn < _lg[0][0]:
-                _lg[0] = (gn, alpha, (th, gg, xx, inf))
-            return -th, float(-gg @ _d), (th, gg, xx, inf)
+            return (
+                -th,
+                float(-gg @ _d),
+                float(np.linalg.norm(gg)),
+                (th, gg, xx, inf),
+            )
 
-        alpha, _, data, ok, best = _wolfe(phi, -theta, float(-g @ d))
+        alpha, data, ok, _ = _wolfe(phi, -theta, float(-g @ d), gnorm)
         if not ok:
-            floor = -theta + 1e-12 * (1.0 + abs(theta))
-            if best is not None and best[1] < -theta:
-                alpha, data = best[0], best[2]
-            elif (
-                lowest_grad[0] is not None
-                and lowest_grad[0][0] < float(np.linalg.norm(g))
-                and -lowest_grad[0][2][0] <= floor
-            ):
-                _, alpha, data = lowest_grad[0]
-            else:
-                status = NUMERICAL_FAILURE
-                report.message = "line search failed along the Newton direction"
-                break
+            status = NUMERICAL_FAILURE
+            report.message = "line search failed along the Newton direction"
+            break
         theta, g, x, infos = data
         y = y + alpha * d
 
@@ -686,11 +642,44 @@ def correlation_problem(c) -> ProjectionProblem:
     )
 
 
+# the one table of dual engines: regsolver and the CLI take the engine names
+# from it, and solve_projection looks engines up in it at call time
 _SOLVERS = {
     "fixed_metric": solve_fixed_metric,
     "quasi_newton": solve_quasi_newton,
     "ssnewton": solve_ssnewton,
 }
+PROJECTION_METHODS = (*_SOLVERS, "dykstra", "admm", "alternating")
+
+
+def solve_projection(
+    problem: ProjectionProblem,
+    method: str,
+    tol: float,
+    max_iter: int | None = None,
+    beta: float = 1.0,
+):
+    """Project by one of ``PROJECTION_METHODS``: a dual engine, or a
+    geometric scheme (``beta`` is the ADM splitting parameter).
+
+    Returns (x, dual point, report); the dual point is None for the
+    geometric schemes, which carry no multipliers.
+    """
+    kwargs = {"tol": tol}
+    if max_iter is not None:
+        kwargs["max_iter"] = max_iter
+    if method in _SOLVERS:
+        return _SOLVERS[method](problem, **kwargs)
+    if method not in PROJECTION_METHODS:
+        raise InputError(f"unknown projection method {method!r}")
+    two = altschemes.TwoSetProblem.from_projection(problem)
+    if method == "dykstra":
+        x, rep = altschemes.dykstra(two, **kwargs)
+    elif method == "admm":
+        x, rep = altschemes.admm_projection(two, beta=beta, **kwargs)
+    else:
+        x, rep = altschemes.alternating_projections(two, **kwargs)
+    return x, None, rep
 
 
 def nearest_correlation(
@@ -698,41 +687,19 @@ def nearest_correlation(
     method: str = "ssnewton",
     tol: float | None = None,
     max_iter: int | None = None,
-    record_iterates: bool = False,
 ):
     """Nearest correlation matrix to ``c`` (unit diagonal, PSD).
 
-    ``method`` is one of fixed_metric / quasi_newton / ssnewton (dual
-    engines) or dykstra / admm / alternating (geometric schemes).  Default
-    tolerance is the ||grad theta|| <= 1e-7 n rule.  Returns the projected
-    matrix and the solve report; apply :func:`rescale_correlation` when an
-    exactly-unit diagonal is required.
+    ``method`` is one of ``PROJECTION_METHODS``: fixed_metric /
+    quasi_newton / ssnewton (dual engines) or dykstra / admm / alternating
+    (geometric schemes).  Default tolerance is the ||grad theta|| <= 1e-7 n
+    rule.  Returns the projected matrix and the solve report; apply
+    :func:`rescale_correlation` when an exactly-unit diagonal is required.
     """
     problem = correlation_problem(c)
     n = problem.cone.psd_dims[0]
     tol = 1e-7 * n if tol is None else float(tol)
-    if method in _SOLVERS:
-        kwargs = {"tol": tol, "record_iterates": record_iterates}
-        if max_iter is not None:
-            kwargs["max_iter"] = max_iter
-        x, _, rep = _SOLVERS[method](problem, **kwargs)
-    elif method in ("dykstra", "admm", "alternating"):
-        from . import altschemes
-
-        two = altschemes.TwoSetProblem.from_projection(problem)
-        kwargs = {"tol": tol, "record_iterates": record_iterates}
-        if max_iter is not None:
-            kwargs["max_iter"] = max_iter
-        if method == "dykstra":
-            x, rep = altschemes.dykstra(two, **kwargs)
-        elif method == "admm":
-            kwargs.pop("record_iterates")
-            x, rep = altschemes.admm_projection(two, **kwargs)
-        else:
-            kwargs.pop("record_iterates")
-            x, rep = altschemes.alternating_projections(two, **kwargs)
-    else:
-        raise InputError(f"unknown nearest-correlation method {method!r}")
+    x, _, rep = solve_projection(problem, method, tol, max_iter)
     return np.array(x.blocks[0]), rep
 
 

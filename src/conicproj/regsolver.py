@@ -14,15 +14,18 @@ so the overall stopping test is the pair of scaled infeasibilities
 
     max{ ||A p - b|| / (1 + ||b||),  ||A'y - u - c|| / (1 + ||c||) }.
 
-``solve_simple`` is the one-inner-iteration scheme: the y-step maximizes
-the augmented dual Lagrangian exactly (AA^T factorized once), and the cone
-projection yields the new p and u as by-products.
+Both solvers run one outer loop and differ only in its step.
+``solve_regularized`` steps by ``prox_eval`` with a dual engine as inner
+solver; ``solve_simple`` is the one-inner-iteration scheme, whose step is
+the exact y-step maximizing the augmented dual Lagrangian (AA^T factorized
+once) followed by one cone projection that yields the new p and u as
+by-products.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from .cones import (
     gram_factorize,
 )
 from .dualproj import (
+    _SOLVERS,
     ProjectionProblem,
     solve_fixed_metric,
     solve_quasi_newton,
@@ -60,7 +64,18 @@ __all__ = [
     "gram_factorize",
 ]
 
-INNER_SOLVERS = ("fixed_metric", "quasi_newton", "ssnewton", "one_iteration")
+INNER_SOLVERS = (*_SOLVERS, "one_iteration")
+
+# prox-parameter balancing (``adapt_t``): when one scaled residual exceeds
+# _T_BAND times the other, t is divided (primal dominates) or multiplied
+# (dual dominates) by _T_SCALE and clamped to [_T_MIN, _T_MAX]; the first
+# change may come after _T_PERIOD outer iterations, and the waiting period
+# doubles after each change
+_T_BAND = 10.0
+_T_SCALE = 2.0
+_T_MIN = 1e-4
+_T_MAX = 1e4
+_T_PERIOD = 10
 
 
 @dataclass(frozen=True)
@@ -91,33 +106,27 @@ class LinearConicProblem:
 
 @dataclass
 class RegParams:
-    """Tuning knobs of the regularization solvers.
+    """Tuning knobs of the regularization solvers; the CLI takes its
+    defaults from here.
 
     ``eps0``/``decay`` define the summable inner tolerance schedule
     eps_k = max(outer_tol/10, eps0 / k^decay), decay > 1.  The optional
-    prox-parameter balancing (off by default) rescales t by ``t_scale``
-    when one scaled residual exceeds ``t_band`` times the other, at most
-    every ``t_period`` outer iterations, clamped to [t_min, t_max]: t
-    shrinks when the primal residual dominates and grows when the dual
-    residual does (t multiplies the dual-infeasibility penalty, and the
-    dual residual itself scales like 1/t, so the opposite direction
-    self-amplifies).
+    prox-parameter balancing ``adapt_t`` (off by default) shrinks t when
+    the primal residual dominates and grows it when the dual residual does
+    (t multiplies the dual-infeasibility penalty, and the dual residual
+    itself scales like 1/t, so the opposite direction self-amplifies); its
+    fixed band, factor, clamp and waiting period are the ``_T_*``
+    constants of this module.
     """
 
     t0: float = 1.0
     inner: str = "quasi_newton"
-    eps0: float = 1e-2
-    decay: float = 1.5
+    eps0: float = 1e-4
+    decay: float = 3.0
     outer_tol: float = 1e-7
     max_outer: int = 1000
     max_inner: int = 300
     adapt_t: bool = False
-    t_band: float = 10.0
-    t_scale: float = 2.0
-    t_min: float = 1e-4
-    t_max: float = 1e4
-    t_period: int = 10
-    carry_memory: bool = True
 
     def __post_init__(self):
         if not self.t0 > 0:
@@ -212,114 +221,21 @@ def prox_eval(
     return x, d.y, u, rep
 
 
-def solve_regularized(problem: LinearConicProblem, params: RegParams | None = None):
-    """Proximal outer loop with a dual projection method as inner solver.
+def _outer_loop(problem, params, step, c_scale):
+    """The proximal outer loop shared by both solvers.
 
-    The inner solve at outer iteration k is stopped at
-    ||A x - b|| <= eps_k (1 + ||b||) with the summable schedule from
-    ``params``; the inner dual vector (and quasi-Newton memory, when
-    enabled) restarts from the previous outer iteration.  Stops when both
-    scaled residuals fall below ``params.outer_tol``.
+    ``step(k, t, p, y, u)`` maps the raw-vector iterate to the one of outer
+    iteration k and returns (p, y, u, inner_iterations, gradient_fallbacks).
+    ``c_scale`` = 1 + ||c|| comes from the caller because the two solvers
+    compute ||c|| differently (block by block, or in one piece), and the
+    two sums can differ in the last bit.
     """
-    params = RegParams() if params is None else params
-    if params.inner == "one_iteration":
-        return solve_simple(problem, params)
     cone = problem.cone
     b_scale = 1.0 + float(np.linalg.norm(problem.b))
-    c_scale = 1.0 + problem.c.norm()
-    t = params.t0
-    p = BlockPoint.zeros(cone)
-    y = np.zeros(problem.m)
-    u = BlockPoint.zeros(cone)
-    carry: dict = {} if params.carry_memory else None
-    monitor = DivergenceMonitor()
-    report = SolveReport()
-    start = time.perf_counter()
-    status = ITERATION_LIMIT
-    rp, rd = _residuals_vec(problem, p.ravel(), y, u.ravel(), b_scale, c_scale)
-    monitor.update(0, float(np.linalg.norm(y)), rp)
-    last_adapt = 0
-    adapt_wait = params.t_period
-    for k in range(1, params.max_outer + 1):
-        inner_tol = params.inner_tol(k) * b_scale
-        p, y, u, inner_rep = prox_eval(
-            problem,
-            p,
-            t,
-            inner=params.inner,
-            inner_tol=inner_tol,
-            max_inner=params.max_inner,
-            y0=y,
-            carry_state=carry if params.carry_memory else None,
-        )
-        report.inner_iterations += inner_rep.inner_iterations
-        report.gradient_fallbacks += inner_rep.gradient_fallbacks
-        rp, rd = _residuals_vec(
-            problem, p.ravel(), y, u.ravel(), b_scale, c_scale
-        )
-        report.residual_history.append(max(rp, rd))
-        report.iterations = k
-        if max(rp, rd) <= params.outer_tol:
-            status = CONVERGED
-            break
-        if monitor.update(k, float(np.linalg.norm(y)), rp):
-            status = SUSPECTED_INFEASIBLE
-            report.message = (
-                "dual variable diverging while primal residual stagnates"
-            )
-            break
-        if (
-            params.adapt_t
-            and k - last_adapt >= adapt_wait
-            and max(rp, rd) > 100.0 * params.outer_tol
-        ):
-            # every change of t restarts the fixed-point contraction, so the
-            # waiting period doubles after each adaptation: finitely many
-            # changes, balancing confined to the transient
-            if rp > params.t_band * rd:
-                t = max(t / params.t_scale, params.t_min)
-                last_adapt = k
-                adapt_wait *= 2
-            elif rd > params.t_band * rp:
-                t = min(t * params.t_scale, params.t_max)
-                last_adapt = k
-                adapt_wait *= 2
-    report.status = status
-    report.primal_residual = rp
-    report.dual_residual = rd
-    report.objective = problem.c.dot(p)
-    report.wall_time = time.perf_counter() - start
-    return IterateTriple(p=p, y=y, u=u), report
-
-
-def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
-    """One-inner-iteration regularization (boundary-point style) scheme.
-
-    AA^T is factorized once.  Each sweep maximizes the augmented dual
-    Lagrangian exactly in y,
-
-        y_{k+1} = [AA^T]^{-1} (A(u_k + c) + (b - A p_k) / t_k),
-
-    then projects w = p_k + t_k (A'y_{k+1} - c) onto the cone, which yields
-    p_{k+1} = P_K(w) and the polar part u_{k+1} = P_K°(w)/t_k as by-products
-    of the same decomposition.
-    """
-    params = (
-        RegParams(max_outer=200000, inner="one_iteration")
-        if params is None
-        else params
-    )
-    cone = problem.cone
-    a = problem.a
-    fact = gram_factorize(a)
-    c_vec = problem.c.ravel()
-    b = a.rhs
-    b_scale = 1.0 + float(np.linalg.norm(b))
-    c_scale = 1.0 + float(np.linalg.norm(c_vec))
     t = params.t0
     p = np.zeros(cone.dim)
     u = np.zeros(cone.dim)
-    y = np.zeros(a.m)
+    y = np.zeros(problem.m)
     monitor = DivergenceMonitor()
     report = SolveReport()
     start = time.perf_counter()
@@ -327,12 +243,11 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
     rp, rd = _residuals_vec(problem, p, y, u, b_scale, c_scale)
     monitor.update(0, float(np.linalg.norm(y)), rp)
     last_adapt = 0
-    adapt_wait = params.t_period
+    adapt_wait = _T_PERIOD
     for k in range(1, params.max_outer + 1):
-        y = fact.solve(a.apply_vec(u + c_vec) + (b - a.apply_vec(p)) / t)
-        w = p + t * (a.adjoint_vec(y) - c_vec)
-        p, _ = _project_ambient(cone, w)
-        u = (w - p) / t
+        p, y, u, inner, fallbacks = step(k, t, p, y, u)
+        report.inner_iterations += inner
+        report.gradient_fallbacks += fallbacks
         rp, rd = _residuals_vec(problem, p, y, u, b_scale, c_scale)
         report.residual_history.append(max(rp, rd))
         report.iterations = k
@@ -353,20 +268,91 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
             # every change of t restarts the fixed-point contraction, so the
             # waiting period doubles after each adaptation: finitely many
             # changes, balancing confined to the transient
-            if rp > params.t_band * rd:
-                t = max(t / params.t_scale, params.t_min)
+            if rp > _T_BAND * rd:
+                t = max(t / _T_SCALE, _T_MIN)
                 last_adapt = k
                 adapt_wait *= 2
-            elif rd > params.t_band * rp:
-                t = min(t * params.t_scale, params.t_max)
+            elif rd > _T_BAND * rp:
+                t = min(t * _T_SCALE, _T_MAX)
                 last_adapt = k
                 adapt_wait *= 2
     report.status = status
     report.primal_residual = rp
     report.dual_residual = rd
-    report.inner_iterations = report.iterations
     p_bp = BlockPoint.from_vector(cone, p)
     u_bp = BlockPoint.from_vector(cone, u)
     report.objective = problem.c.dot(p_bp)
     report.wall_time = time.perf_counter() - start
     return IterateTriple(p=p_bp, y=y, u=u_bp), report
+
+
+def solve_regularized(problem: LinearConicProblem, params: RegParams | None = None):
+    """Proximal outer loop with a dual projection method as inner solver.
+
+    The inner solve at outer iteration k is stopped at
+    ||A x - b|| <= eps_k (1 + ||b||) with the summable schedule from
+    ``params``; the inner dual vector (and the quasi-Newton curvature
+    pairs) restart from the previous outer iteration.  Stops when both
+    scaled residuals fall below ``params.outer_tol``.
+    """
+    params = RegParams() if params is None else params
+    if params.inner == "one_iteration":
+        return solve_simple(problem, params)
+    cone = problem.cone
+    b_scale = 1.0 + float(np.linalg.norm(problem.b))
+    carry: dict = {}
+
+    def prox_step(k, t, p, y, u):
+        x, y, u, rep = prox_eval(
+            problem,
+            BlockPoint.from_vector(cone, p),
+            t,
+            inner=params.inner,
+            inner_tol=params.inner_tol(k) * b_scale,
+            max_inner=params.max_inner,
+            y0=y,
+            carry_state=carry,
+        )
+        return (
+            x.ravel(),
+            y,
+            u.ravel(),
+            rep.inner_iterations,
+            rep.gradient_fallbacks,
+        )
+
+    return _outer_loop(problem, params, prox_step, 1.0 + problem.c.norm())
+
+
+def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
+    """One-inner-iteration regularization (boundary-point style) scheme.
+
+    AA^T is factorized once.  Each sweep maximizes the augmented dual
+    Lagrangian exactly in y,
+
+        y_{k+1} = [AA^T]^{-1} (A(u_k + c) + (b - A p_k) / t_k),
+
+    then projects w = p_k + t_k (A'y_{k+1} - c) onto the cone, which yields
+    p_{k+1} = P_K(w) and the polar part u_{k+1} = P_K°(w)/t_k as by-products
+    of the same decomposition.  ``params.inner`` is ignored.
+    """
+    params = (
+        RegParams(max_outer=200000, inner="one_iteration")
+        if params is None
+        else params
+    )
+    cone = problem.cone
+    a = problem.a
+    fact = gram_factorize(a)
+    c_vec = problem.c.ravel()
+    b = a.rhs
+
+    def sweep(k, t, p, y, u):
+        y = fact.solve(a.apply_vec(u + c_vec) + (b - a.apply_vec(p)) / t)
+        w = p + t * (a.adjoint_vec(y) - c_vec)
+        p, _ = _project_ambient(cone, w)
+        return p, y, (w - p) / t, 1, 0
+
+    return _outer_loop(
+        problem, params, sweep, 1.0 + float(np.linalg.norm(c_vec))
+    )

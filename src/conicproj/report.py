@@ -19,7 +19,10 @@ class SolveReport:
     ``primal_residual`` / ``dual_residual`` follow the solver's stopping
     semantics (dual gradient norm for projection solvers; the scaled
     max{||Ap-b||, ||A^T y - u - c||} pair for conic-program solvers).
-    Histories are populated only when iterate recording is requested.
+    ``residual_history`` gets one float per iteration of every solve, with
+    no bound (up to 200000 at the CLI's default ``--max-outer``);
+    ``iterate_history`` is filled only where iterate recording is requested
+    (``solve_fixed_metric`` and ``dykstra``).
     """
 
     status: str = ITERATION_LIMIT

@@ -239,15 +239,22 @@ class TestSolveAndSolutions:
 
 
 class TestGen:
-    def test_batch_with_thread_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("CONIC_PROJ_THREADS", "2")
+    @pytest.mark.parametrize("threads", ["2", "abc", "0", "-3"])
+    def test_batch_with_thread_env(self, capsys, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("CONIC_PROJ_THREADS", threads)
         out = tmp_path / "inst.dat-s"
-        code, rep = run(
-            capsys,
+        code = run_cli(
             ["gen", "sos", "--out", str(out), "--num-vars", "2",
              "--degree", "2", "--seed", "10", "--count", "3"],
         )
+        captured = capsys.readouterr()
+        if threads != "2":  # not an integer >= 1: an input error
+            assert code == 4
+            assert "CONIC_PROJ_THREADS" in captured.err
+            assert captured.out == "" and list(tmp_path.iterdir()) == []
+            return
         assert code == 0
+        rep = json.loads(captured.out)
         assert len(rep["instances"]) == 3
         seeds = [i["seed"] for i in rep["instances"]]
         assert seeds == [10, 11, 12]  # split rule: seed + index

@@ -17,7 +17,7 @@ from conicproj import (
     solve_quasi_newton,
     solve_ssnewton,
 )
-from conicproj.dualproj import correlation_problem
+from conicproj.dualproj import _wolfe, correlation_problem
 from conftest import random_affine, random_cone, random_point, rng
 
 
@@ -295,6 +295,56 @@ class TestSolvers:
         assert rep.iterations <= 30
         lam = np.linalg.eigvalsh(x.blocks[0])
         assert lam[0] >= -1e-9
+
+
+class TestWolfeFallback:
+    """``_wolfe`` on a synthetic phi whose trials never pass the Armijo
+    test, so every outcome comes from the fallback rules."""
+
+    F0 = 1.0
+    GNORM0 = 1.0
+
+    def search(self, trials):
+        # trials: alpha -> (f, gnorm); slope 0 against slope0 = -1 makes the
+        # sufficient-decrease test fail whenever f >= f0 - 1e-4 alpha
+        def phi(alpha):
+            f, gnorm = trials(alpha)
+            return f, 0.0, gnorm, ("trial", alpha)
+
+        return _wolfe(phi, self.F0, -1.0, self.GNORM0)
+
+    def test_lower_f_is_accepted(self):
+        # only alpha = 1/4 lowers f, not enough for Armijo
+        def trials(alpha):
+            return (self.F0 - 1e-6 if alpha == 0.25 else self.F0 + 1.0), 2.0
+
+        alpha, payload, ok, fallback = self.search(trials)
+        assert (alpha, payload, ok, fallback) == (0.25, ("trial", 0.25), True, True)
+
+    def test_lowest_gradient_within_rounding_floor_is_accepted(self):
+        # no trial lowers f; alpha = 1/8 has the lowest gradient norm and
+        # gives back exactly the rounding floor 1e-12 (1 + |f0|)
+        floor = self.F0 + 1e-12 * (1.0 + abs(self.F0))
+
+        def trials(alpha):
+            return (floor, 0.5) if alpha == 0.125 else (self.F0 + 1.0, 2.0)
+
+        alpha, payload, ok, fallback = self.search(trials)
+        assert (alpha, payload, ok, fallback) == (0.125, ("trial", 0.125), True, True)
+
+    @pytest.mark.parametrize("case", ["above_floor", "no_lower_gradient"])
+    def test_no_progress_is_not_ok(self, case):
+        if case == "above_floor":
+            # the lowest-gradient trial gives back more than rounding noise
+            def trials(alpha):
+                return (self.F0 + 1e-9, 0.1) if alpha == 0.5 else (self.F0 + 1.0, 2.0)
+        else:
+            # no trial lowers f or the gradient norm
+            def trials(alpha):
+                return self.F0 + alpha, self.GNORM0
+
+        alpha, payload, ok, fallback = self.search(trials)
+        assert (alpha, payload, ok, fallback) == (None, None, False, False)
 
 
 class TestNearestCorrelation:
