@@ -39,9 +39,7 @@ from .cones import (
     ConeSpec,
     InputError,
     _project_ambient,
-    _psd_omega,
     cone_jacobian_apply,
-    soc_jacobian_apply,
     symmetrize,
 )
 from .report import (
@@ -445,68 +443,22 @@ def solve_quasi_newton(
 # semismooth Newton-CG
 
 
-def _hessian_diagonal(ws: _Workspace, infos) -> np.ndarray:
-    """Exact diagonal of t * A J A^T by probing with coordinate vectors.
-
-    Exploits the block-sparse rows of A: probing row i costs
-    O(r_i * d^2) on a d-dim PSD block touching r_i of its matrix rows.
-    """
-    a = ws.eq.matrix
-    m = a.shape[0]
-    diag = np.zeros(m)
-    blocks = ws.cone.blocks
-    omegas = [
-        _psd_omega(info.eigenvalues) if kind == "psd" else None
-        for (kind, _, _), info in zip(blocks, infos)
-    ]
-    indptr, indices, data = a.indptr, a.indices, a.data
-    for i in range(m):
-        cols = indices[indptr[i]:indptr[i + 1]]
-        vals = data[indptr[i]:indptr[i + 1]]
-        total = 0.0
-        for (kind, d, sl), info, omega in zip(blocks, infos, omegas):
-            lo, hi = sl.start, sl.stop
-            mask = (cols >= lo) & (cols < hi)
-            if not np.any(mask):
-                continue
-            bc = cols[mask] - lo
-            bv = vals[mask]
-            if kind == "psd":
-                rows = bc // d
-                cs = bc % d
-                rset = np.unique(rows)
-                s_sub = np.zeros((rset.size, d))
-                rmap = {r: j for j, r in enumerate(rset)}
-                for r, cidx, val in zip(rows, cs, bv):
-                    s_sub[rmap[r], cidx] = val
-                u = info.eigenvectors
-                m_mat = u[rset, :].T @ (s_sub @ u)
-                total += float(np.sum(omega * m_mat * m_mat))
-            elif kind == "soc":
-                h = np.zeros(d)
-                h[bc] = bv
-                total += float(h @ soc_jacobian_apply(info, h))
-            else:
-                total += float(np.sum((info[bc] > 0.0) * bv * bv))
-        diag[i] = ws.t * total
-    return diag
-
-
-def _pcg(apply_h, g, precond_diag, eta, cap):
-    """Preconditioned CG on H d = g for PSD H; stops at ||Hd - g|| <= eta||g||.
+def _pcg(apply_h, g, eta, cap):
+    """CG, without a preconditioner, on H d = g for PSD H; stops at
+    ||Hd - g|| <= eta||g||.
 
     Returns (d, iterations, breakdown).  On curvature breakdown the current
     iterate (or the normalized search direction on the first pass) is
-    returned, mirroring standard practice in truncated Newton codes.
+    returned, mirroring standard practice in truncated Newton codes.  The
+    name is kept because the benchmark's tracer binds ``dualproj._pcg``.
     """
     m = g.size
     d = np.zeros(m)
     r = g.copy()
     gnorm = np.linalg.norm(g)
     target = eta * gnorm
-    z = r / precond_diag
-    rz = float(r @ z)
-    p = z.copy()
+    rr = float(r @ r)
+    p = r.copy()
     for it in range(cap):
         hp = apply_h(p)
         curve = float(p @ hp)
@@ -514,21 +466,15 @@ def _pcg(apply_h, g, precond_diag, eta, cap):
             if it == 0:
                 return p / max(np.linalg.norm(p), 1e-300), it + 1, True
             return d, it + 1, True
-        alpha = rz / curve
+        alpha = rr / curve
         d += alpha * p
         r -= alpha * hp
         if np.linalg.norm(r) <= target:
             return d, it + 1, False
-        z = r / precond_diag
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        rr_new = float(r @ r)
+        p = r + (rr_new / rr) * p
+        rr = rr_new
     return d, cap, False
-
-
-# the probing Jacobi preconditioner loops over the rows in Python; beyond
-# this many rows CG runs unpreconditioned
-_JACOBI_MAX_ROWS = 2000
 
 
 def solve_ssnewton(
@@ -541,9 +487,9 @@ def solve_ssnewton(
 
     The generalized Hessian element H = t * A (dP_K) A^T is accessed only
     through products H d via the cone-projection Jacobian; the Newton system
-    H d = grad theta is solved inexactly by preconditioned CG with forcing
-    sequence eta = min(0.1, sqrt(||grad||)).  Steps are safeguarded by a
-    weak Wolfe search, falling back to a (preconditioned) gradient step when
+    H d = grad theta is solved inexactly by CG, without a preconditioner,
+    with forcing sequence eta = min(0.1, sqrt(||grad||)).  Steps are
+    safeguarded by a weak Wolfe search, falling back to a gradient step when
     CG returns a non-ascent direction.
     """
     if problem.m_ineq:
@@ -579,17 +525,13 @@ def solve_ssnewton(
             jac = cone_jacobian_apply(ws.cone, infos, lifted)
             return ws.t * ws.eq.apply_vec(jac)
 
-        if m <= _JACOBI_MAX_ROWS:
-            pd = np.maximum(_hessian_diagonal(ws, infos), 1e-8)
-        else:
-            pd = np.ones(m)
         eta = min(0.1, np.sqrt(gnorm))
-        d, cg_iters, breakdown = _pcg(apply_h, g, pd, eta, 2 * m)
+        d, cg_iters, breakdown = _pcg(apply_h, g, eta, 2 * m)
         report.inner_iterations += cg_iters
         if breakdown:
             report.gradient_fallbacks += 1
         if float(g @ d) <= 1e-14 * gnorm * max(np.linalg.norm(d), 1e-300):
-            d = g / pd
+            d = g
             report.gradient_fallbacks += 1
 
         def phi(alpha, _y=y, _d=d):
@@ -662,11 +604,14 @@ def solve_projection(
     """Project by one of ``PROJECTION_METHODS``: a dual engine, or a
     geometric scheme (``beta`` is the ADM splitting parameter).
 
-    Returns (x, dual point, report); the dual point is None for the
-    geometric schemes, which carry no multipliers.
+    ``max_iter`` (default: the engine's own) must be at least 1.  Returns
+    (x, dual point, report); the dual point is None for the geometric
+    schemes, which carry no multipliers.
     """
     kwargs = {"tol": tol}
     if max_iter is not None:
+        if max_iter < 1:
+            raise InputError("max_iter must be at least 1")
         kwargs["max_iter"] = max_iter
     if method in _SOLVERS:
         return _SOLVERS[method](problem, **kwargs)

@@ -139,6 +139,11 @@ class RegParams:
             raise InputError(f"unknown inner solver {self.inner!r}")
         if not self.outer_tol > 0:
             raise InputError("outer tolerance must be positive")
+        if self.max_outer < 1 or self.max_inner < 1:
+            raise InputError(
+                f"max_outer ({self.max_outer}) and max_inner "
+                f"({self.max_inner}) must be at least 1"
+            )
 
     def inner_tol(self, k: int) -> float:
         """Scaled inner tolerance at outer iteration k (1-based)."""

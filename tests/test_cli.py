@@ -111,6 +111,41 @@ class TestExitCodes:
         assert run_cli(["theta", str(tmp_path / "missing.col")]) == 4
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "command, source, flags",
+        [
+            ("theta", "c5.col", ["--max-outer", "-5"]),
+            ("theta", "c5.col", ["--max-outer", "0"]),
+            ("theta", "c5.col", ["--solver", "regularized", "--max-inner", "-5"]),
+            ("project", "mixed_blocks.dat-s", ["--method", "dykstra", "--max-iter", "0"]),
+            ("project", "mixed_blocks.dat-s", ["--method", "dykstra", "--max-iter", "-3"]),
+            ("project", "mixed_blocks.dat-s", ["--method", "admm", "--max-iter", "0"]),
+            ("project", "mixed_blocks.dat-s", ["--method", "alternating", "--max-iter", "-3"]),
+            ("project", "mixed_blocks.dat-s", ["--method", "ssnewton", "--max-iter", "0"]),
+            ("nearcorr", None, ["--max-iter", "0"]),
+            ("nearcorr", None, ["--method", "dykstra", "--max-iter", "-3"]),
+        ],
+    )
+    def test_iteration_cap_below_one_is_4(
+        self, capsys, tmp_path, command, source, flags
+    ):
+        if source is None:  # nearcorr reads a dense matrix file
+            source = tmp_path / "c.txt"
+            source.write_text("1.0 0.5\n0.5 1.0\n")
+        else:
+            source = fixture_path(source)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code = run_cli(
+            [command, str(source), *flags,
+             "--out", str(out_dir / "r.json"),
+             "--solution-out", str(out_dir / "s.json")]
+        )
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "at least 1" in captured.err
+        assert captured.out == "" and list(out_dir.iterdir()) == []
+
     def test_unknown_flag_is_4(self, capsys):
         assert run_cli(["theta", "--bogus"]) == 4
         capsys.readouterr()

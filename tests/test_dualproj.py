@@ -17,7 +17,7 @@ from conicproj import (
     solve_quasi_newton,
     solve_ssnewton,
 )
-from conicproj.dualproj import _wolfe, correlation_problem
+from conicproj.dualproj import _pcg, _wolfe, correlation_problem
 from conftest import random_affine, random_cone, random_point, rng
 
 
@@ -295,6 +295,42 @@ class TestSolvers:
         assert rep.iterations <= 30
         lam = np.linalg.eigvalsh(x.blocks[0])
         assert lam[0] >= -1e-9
+
+    def test_ssnewton_on_mixed_cone_matches_quasi_newton(self):
+        # the Newton Jacobian must handle second-order-cone and orthant
+        # blocks (including a one-dimensional SOC) next to a PSD block
+        r = rng(31)
+        cone = ConeSpec(psd_dims=(4,), soc_dims=(3, 1), nonneg=3)
+        prob = ProjectionProblem(
+            c=random_point(r, cone), eq=random_affine(r, cone, 5), cone=cone
+        )
+        x_newton, _, rep_newton = solve_ssnewton(prob, tol=1e-10)
+        x_qn, _, rep_qn = solve_quasi_newton(prob, tol=1e-10)
+        assert rep_newton.converged() and rep_qn.converged()
+        assert (x_newton - x_qn).norm() <= 1e-8
+
+
+class TestPcg:
+    """``_pcg``: CG without a preconditioner on H d = g."""
+
+    def test_solves_spd_system_within_m_iterations(self):
+        r = rng(32)
+        m = 6
+        b = r.standard_normal((m, m))
+        h = b @ b.T + 0.1 * np.eye(m)
+        g = r.standard_normal(m)
+        eta = 1e-10
+        d, iters, breakdown = _pcg(lambda v: h @ v, g, eta, 2 * m)
+        assert not breakdown
+        assert iters <= m
+        assert np.linalg.norm(h @ d - g) <= eta * np.linalg.norm(g)
+
+    def test_zero_curvature_returns_normalized_first_direction(self):
+        g = np.array([3.0, 0.0, -4.0])
+        d, iters, breakdown = _pcg(np.zeros_like, g, 0.1, 6)
+        assert breakdown
+        assert iters == 1
+        assert np.allclose(d, g / 5.0)
 
 
 class TestWolfeFallback:
