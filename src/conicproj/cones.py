@@ -268,12 +268,14 @@ def eig_sym(m) -> SpectralDecomp:
     """Spectral decomposition with descending eigenvalues.
 
     The input is symmetrized on ingestion (with a warning beyond the 1e-12
-    relative tolerance); non-finite entries and LAPACK failures raise.
+    relative tolerance) unless it is exactly symmetric already; non-finite
+    entries and LAPACK failures raise.
     """
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise InputError("matrix has non-finite entries")
-    msym = symmetrize(m)
+    exact = m.ndim == 2 and np.array_equal(m, m.T)
+    msym = m if exact else symmetrize(m)
     try:
         w, u = np.linalg.eigh(msym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
@@ -301,12 +303,14 @@ def project_psd(c) -> tuple[np.ndarray, SpectralDecomp]:
     """Projection onto the PSD cone via the spectral decomposition.
 
     Returns the projection together with the decomposition of the input so
-    that callers can reuse it for generalized Jacobians.
+    that callers can reuse it for generalized Jacobians.  Only the positive
+    eigenpairs (a prefix, eigenvalues being descending) enter the
+    reconstruction.
     """
     dec = eig_sym(c)
-    lam = np.maximum(dec.eigenvalues, 0.0)
-    u = dec.eigenvectors
-    x = (u * lam) @ u.T
+    r = int(np.count_nonzero(dec.eigenvalues > 0.0))
+    u = dec.eigenvectors[:, :r]
+    x = (u * dec.eigenvalues[:r]) @ u.T
     return (x + x.T) / 2.0, dec
 
 
@@ -391,6 +395,8 @@ class AffineMap:
     Rows are stored as one sparse (m x ambient-dim) matrix acting on
     full-square vectorizations; rows must carry symmetric patterns on matrix
     blocks (an off-diagonal coefficient appears at both (i,j) and (j,i)).
+    The transpose A^T is built as CSR on the first adjoint product and
+    cached (``adjoint_matrix``), like the Gram factorization (``gram``).
     """
 
     def __init__(self, cone: ConeSpec, matrix, rhs, check: bool = True):
@@ -446,7 +452,7 @@ class AffineMap:
         return BlockPoint.from_vector(self.cone, self.adjoint_vec(y))
 
     def adjoint_vec(self, y) -> np.ndarray:
-        return self.matrix.T @ np.asarray(y, dtype=float)
+        return self.adjoint_matrix @ np.asarray(y, dtype=float)
 
     def residual(self, x: BlockPoint) -> np.ndarray:
         return self.apply(x) - self.rhs
@@ -455,6 +461,11 @@ class AffineMap:
         """Dense lift of row i into the ambient space."""
         row = np.asarray(self.matrix.getrow(i).todense()).ravel()
         return BlockPoint.from_vector(self.cone, row)
+
+    @cached_property
+    def adjoint_matrix(self) -> sp.csr_matrix:
+        """A^T in CSR form, so each adjoint product is one row-wise pass."""
+        return self.matrix.T.tocsr()
 
     @cached_property
     def gram(self) -> "GramFactorization":

@@ -604,10 +604,12 @@ def solve_projection(
     """Project by one of ``PROJECTION_METHODS``: a dual engine, or a
     geometric scheme (``beta`` is the ADM splitting parameter).
 
-    ``max_iter`` (default: the engine's own) must be at least 1.  Returns
-    (x, dual point, report); the dual point is None for the geometric
-    schemes, which carry no multipliers.
+    ``tol`` must be finite and positive, ``max_iter`` (default: the
+    engine's own) at least 1.  Returns (x, dual point, report); the dual
+    point is None for the geometric schemes, which carry no multipliers.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise InputError(f"tol must be finite and positive, got {tol}")
     kwargs = {"tol": tol}
     if max_iter is not None:
         if max_iter < 1:

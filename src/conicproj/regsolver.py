@@ -129,16 +129,18 @@ class RegParams:
     adapt_t: bool = False
 
     def __post_init__(self):
-        if not self.t0 > 0:
-            raise InputError("t0 must be positive")
+        for name in ("t0", "outer_tol", "eps0"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise InputError(
+                    f"{name} must be finite and positive, got {value}"
+                )
         if not self.decay > 1:
             raise InputError(
                 "decay must exceed 1: the inner tolerance series must be summable"
             )
         if self.inner not in INNER_SOLVERS:
             raise InputError(f"unknown inner solver {self.inner!r}")
-        if not self.outer_tol > 0:
-            raise InputError("outer tolerance must be positive")
         if self.max_outer < 1 or self.max_inner < 1:
             raise InputError(
                 f"max_outer ({self.max_outer}) and max_inner "
@@ -159,23 +161,27 @@ class IterateTriple:
     u: BlockPoint
 
 
-def _residuals_vec(problem, p_vec, y, u_vec, b_scale, c_scale):
-    a = problem.a
-    rp = float(np.linalg.norm(a.apply_vec(p_vec) - a.rhs)) / b_scale
-    rd = (
-        float(np.linalg.norm(a.adjoint_vec(y) - u_vec - problem.c.ravel()))
-        / c_scale
-    )
+def _residuals_vec(problem, ap, aty, u_vec, c_vec, b_scale, c_scale):
+    """Scaled residuals from the products ``ap`` = A p and ``aty`` = A'y."""
+    rp = float(np.linalg.norm(ap - problem.a.rhs)) / b_scale
+    rd = float(np.linalg.norm(aty - u_vec - c_vec)) / c_scale
     return rp, rd
 
 
 def residuals(problem: LinearConicProblem, triple: IterateTriple):
     """Scaled primal/dual infeasibilities of an outer iterate:
     (||Ap - b||/(1+||b||), ||A'y - u - c||/(1+||c||))."""
+    a = problem.a
     b_scale = 1.0 + float(np.linalg.norm(problem.b))
     c_scale = 1.0 + problem.c.norm()
     return _residuals_vec(
-        problem, triple.p.ravel(), triple.y, triple.u.ravel(), b_scale, c_scale
+        problem,
+        a.apply_vec(triple.p.ravel()),
+        a.adjoint_vec(triple.y),
+        triple.u.ravel(),
+        problem.c.ravel(),
+        b_scale,
+        c_scale,
     )
 
 
@@ -229,13 +235,17 @@ def prox_eval(
 def _outer_loop(problem, params, step, c_scale):
     """The proximal outer loop shared by both solvers.
 
-    ``step(k, t, p, y, u)`` maps the raw-vector iterate to the one of outer
-    iteration k and returns (p, y, u, inner_iterations, gradient_fallbacks).
-    ``c_scale`` = 1 + ||c|| comes from the caller because the two solvers
-    compute ||c|| differently (block by block, or in one piece), and the
-    two sums can differ in the last bit.
+    ``step(k, t, p, y, u, ap)`` maps the raw-vector iterate, with ``ap`` =
+    A p, to the one of outer iteration k and returns (p, y, u, A p, A'y,
+    inner_iterations, gradient_fallbacks); the two products serve the
+    residual check and, for the next step, A p.  ``c_scale`` = 1 + ||c||
+    comes from the caller because the two solvers compute ||c||
+    differently (block by block, or in one piece), and the two sums can
+    differ in the last bit.
     """
     cone = problem.cone
+    a = problem.a
+    c_vec = problem.c.ravel()
     b_scale = 1.0 + float(np.linalg.norm(problem.b))
     t = params.t0
     p = np.zeros(cone.dim)
@@ -245,15 +255,18 @@ def _outer_loop(problem, params, step, c_scale):
     report = SolveReport()
     start = time.perf_counter()
     status = ITERATION_LIMIT
-    rp, rd = _residuals_vec(problem, p, y, u, b_scale, c_scale)
+    ap = a.apply_vec(p)
+    rp, rd = _residuals_vec(
+        problem, ap, a.adjoint_vec(y), u, c_vec, b_scale, c_scale
+    )
     monitor.update(0, float(np.linalg.norm(y)), rp)
     last_adapt = 0
     adapt_wait = _T_PERIOD
     for k in range(1, params.max_outer + 1):
-        p, y, u, inner, fallbacks = step(k, t, p, y, u)
+        p, y, u, ap, aty, inner, fallbacks = step(k, t, p, y, u, ap)
         report.inner_iterations += inner
         report.gradient_fallbacks += fallbacks
-        rp, rd = _residuals_vec(problem, p, y, u, b_scale, c_scale)
+        rp, rd = _residuals_vec(problem, ap, aty, u, c_vec, b_scale, c_scale)
         report.residual_history.append(max(rp, rd))
         report.iterations = k
         if max(rp, rd) <= params.outer_tol:
@@ -304,10 +317,11 @@ def solve_regularized(problem: LinearConicProblem, params: RegParams | None = No
     if params.inner == "one_iteration":
         return solve_simple(problem, params)
     cone = problem.cone
+    a = problem.a
     b_scale = 1.0 + float(np.linalg.norm(problem.b))
     carry: dict = {}
 
-    def prox_step(k, t, p, y, u):
+    def prox_step(k, t, p, y, u, ap):
         x, y, u, rep = prox_eval(
             problem,
             BlockPoint.from_vector(cone, p),
@@ -318,10 +332,13 @@ def solve_regularized(problem: LinearConicProblem, params: RegParams | None = No
             y0=y,
             carry_state=carry,
         )
+        x = x.ravel()
         return (
-            x.ravel(),
+            x,
             y,
             u.ravel(),
+            a.apply_vec(x),
+            a.adjoint_vec(y),
             rep.inner_iterations,
             rep.gradient_fallbacks,
         )
@@ -339,7 +356,10 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
 
     then projects w = p_k + t_k (A'y_{k+1} - c) onto the cone, which yields
     p_{k+1} = P_K(w) and the polar part u_{k+1} = P_K°(w)/t_k as by-products
-    of the same decomposition.  ``params.inner`` is ignored.
+    of the same decomposition.  A sweep costs that decomposition and three
+    sparse products: A(u_k + c), A'y_{k+1} and A p_{k+1}, the last two
+    shared with the residual check and A p_{k+1} also with the next sweep.
+    ``params.inner`` is ignored.
     """
     params = (
         RegParams(max_outer=200000, inner="one_iteration")
@@ -352,11 +372,12 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
     c_vec = problem.c.ravel()
     b = a.rhs
 
-    def sweep(k, t, p, y, u):
-        y = fact.solve(a.apply_vec(u + c_vec) + (b - a.apply_vec(p)) / t)
-        w = p + t * (a.adjoint_vec(y) - c_vec)
+    def sweep(k, t, p, y, u, ap):
+        y = fact.solve(a.apply_vec(u + c_vec) + (b - ap) / t)
+        aty = a.adjoint_vec(y)
+        w = p + t * (aty - c_vec)
         p, _ = _project_ambient(cone, w)
-        return p, y, (w - p) / t, 1, 0
+        return p, y, (w - p) / t, a.apply_vec(p), aty, 1, 0
 
     return _outer_loop(
         problem, params, sweep, 1.0 + float(np.linalg.norm(c_vec))

@@ -87,6 +87,27 @@ class TestDeterminism:
         assert p1.read_text() == p2.read_text()
 
 
+def _run_input_error(capsys, tmp_path, command, source, flags):
+    """Run a command that must fail on its input: exit 4, nothing on
+    stdout, no report or solution file written.  Returns stderr."""
+    if source is None:  # nearcorr reads a dense matrix file
+        source = tmp_path / "c.txt"
+        source.write_text("1.0 0.5\n0.5 1.0\n")
+    else:
+        source = fixture_path(source)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code = run_cli(
+        [command, str(source), *flags,
+         "--out", str(out_dir / "r.json"),
+         "--solution-out", str(out_dir / "s.json")]
+    )
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == "" and list(out_dir.iterdir()) == []
+    return captured.err
+
+
 class TestExitCodes:
     def test_motzkin_low_degree_fails(self, capsys):
         code, rep = run(
@@ -129,22 +150,31 @@ class TestExitCodes:
     def test_iteration_cap_below_one_is_4(
         self, capsys, tmp_path, command, source, flags
     ):
-        if source is None:  # nearcorr reads a dense matrix file
-            source = tmp_path / "c.txt"
-            source.write_text("1.0 0.5\n0.5 1.0\n")
-        else:
-            source = fixture_path(source)
-        out_dir = tmp_path / "out"
-        out_dir.mkdir()
-        code = run_cli(
-            [command, str(source), *flags,
-             "--out", str(out_dir / "r.json"),
-             "--solution-out", str(out_dir / "s.json")]
-        )
-        captured = capsys.readouterr()
-        assert code == 4
-        assert "at least 1" in captured.err
-        assert captured.out == "" and list(out_dir.iterdir()) == []
+        err = _run_input_error(capsys, tmp_path, command, source, flags)
+        assert "at least 1" in err
+
+    @pytest.mark.parametrize(
+        "command, source, flags",
+        [
+            ("nearcorr", None, ["--tol", "-1"]),
+            ("nearcorr", None, ["--tol", "nan"]),
+            ("nearcorr", None, ["--method", "dykstra", "--tol", "-1"]),
+            ("project", "mixed_blocks.dat-s", ["--tol", "nan"]),
+            ("project", "mixed_blocks.dat-s", ["--method", "admm", "--tol", "0"]),
+            ("project", "mixed_blocks.dat-s", ["--method", "dykstra", "--tol", "inf"]),
+            ("solve", "theta_c5.dat-s", ["--tol", "inf"]),
+            ("theta", "c5.col", ["--tol", "nan"]),
+            ("theta", "c5.col", ["--t0", "inf"]),
+            ("theta", "c5.col", ["--t0", "nan"]),
+            ("theta", "c5.col", ["--solver", "regularized", "--eps0", "nan"]),
+            ("theta", "c5.col", ["--eps0=-inf"]),
+        ],
+    )
+    def test_bad_tolerance_or_step_is_4(
+        self, capsys, tmp_path, command, source, flags
+    ):
+        err = _run_input_error(capsys, tmp_path, command, source, flags)
+        assert "finite and positive" in err
 
     def test_unknown_flag_is_4(self, capsys):
         assert run_cli(["theta", "--bogus"]) == 4

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,7 +19,7 @@ from conicproj import (
     project_soc,
     psd_jacobian_apply,
 )
-from conftest import random_affine, random_cone, random_point, rng
+from conftest import fixture_text, random_affine, random_cone, random_point, rng
 
 
 class TestEigSym:
@@ -91,6 +93,94 @@ class TestProjectPsd:
             x, _ = project_psd(m)
             lam = np.linalg.eigvalsh(x)
             assert lam[0] >= -1e-10 * np.linalg.norm(m)
+
+
+class TestPsdKernels:
+    """The trimmed PSD projection keeps the full-clamp contract."""
+
+    @staticmethod
+    def _with_spectrum(lam, seed):
+        q, _ = np.linalg.qr(rng(seed).standard_normal((lam.size, lam.size)))
+        m = (q * lam) @ q.T
+        return (m + m.T) / 2.0
+
+    def test_negative_definite_gives_exact_zeros(self):
+        m = self._with_spectrum(-np.arange(1.0, 7.0), 20)
+        x, _ = project_psd(m)
+        assert np.array_equal(x, np.zeros((6, 6)))
+
+    def test_rank_deficient_psd_input_unchanged(self):
+        # the zero eigenvalues may come out on either side of 0 and be
+        # dropped from the reconstruction
+        g = rng(21).standard_normal((6, 3))
+        m = g @ g.T
+        x, _ = project_psd(m)
+        assert np.max(np.abs(x - m)) <= 1e-12 * (1.0 + np.linalg.norm(m))
+
+    @pytest.mark.parametrize("positive", [0, 3, 6])
+    def test_matches_full_clamp(self, positive):
+        lam = np.concatenate(
+            [np.arange(1.0, positive + 1.0), -np.arange(1.0, 7.0 - positive)]
+        )
+        m = self._with_spectrum(lam, 23 + positive)
+        x, dec = project_psd(m)
+        u = dec.eigenvectors
+        full = (u * np.maximum(dec.eigenvalues, 0.0)) @ u.T
+        assert int(np.count_nonzero(dec.eigenvalues > 0)) == positive
+        assert np.max(np.abs(x - (full + full.T) / 2.0)) <= 1e-12
+
+    @pytest.mark.parametrize("kernel", [eig_sym, project_psd])
+    def test_asymmetric_input_warns_and_is_symmetrized(self, kernel):
+        m = np.array([[2.0, 1.0, 0.0], [0.5, 1.0, -1.0], [0.0, -1.0, -3.0]])
+        with pytest.warns(UserWarning, match="symmetrized"):
+            out = kernel(m)
+        assert self._bytes(out) == self._bytes(kernel((m + m.T) / 2.0))
+
+    @pytest.mark.parametrize("kernel", [eig_sym, project_psd])
+    def test_tiny_asymmetry_is_symmetrized_silently(self, kernel):
+        m = np.array([[2.0, 1.0], [1.0 + 1e-15, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = kernel(m)
+        assert self._bytes(out) == self._bytes(kernel((m + m.T) / 2.0))
+
+    @pytest.mark.parametrize("kernel", [eig_sym, project_psd])
+    def test_exactly_symmetric_input_does_not_warn(self, kernel):
+        g = rng(24).standard_normal((5, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel(g + g.T)
+
+    @staticmethod
+    def _bytes(out):
+        """Every array of a kernel result, for bitwise comparison."""
+        if isinstance(out, tuple):  # project_psd: (x, decomposition)
+            return [out[0].tobytes()] + TestPsdKernels._bytes(out[1])
+        return [out.eigenvalues.tobytes(), out.eigenvectors.tobytes()]
+
+
+class TestAdjointMatrix:
+    @staticmethod
+    def _map(kind):
+        if kind == "theta":
+            g = cp.Graph(7, frozenset({(0, 1), (1, 2), (2, 5), (3, 6), (4, 6)}))
+            return cp.build_theta(g).a
+        if kind == "sos":
+            return cp.random_sos_instance(3, 2, "full", seed=5)[0].a
+        if kind == "mixed-sdpa":
+            from conicproj import io
+
+            return io.parse_sdpa(fixture_text("mixed_blocks.dat-s")).a
+        cone = ConeSpec(psd_dims=(4,), soc_dims=(3, 1), nonneg=3)
+        return random_affine(rng(25), cone, 5)
+
+    @pytest.mark.parametrize("kind", ["theta", "sos", "mixed-sdpa", "mixed-soc"])
+    def test_adjoint_vec_equals_transpose_product(self, kind):
+        amap = self._map(kind)
+        assert "adjoint_matrix" not in vars(amap)  # built lazily
+        y = rng(26).standard_normal(amap.m)
+        assert np.array_equal(amap.adjoint_vec(y), amap.matrix.T @ y)
+        assert sp.isspmatrix_csr(amap.adjoint_matrix)
 
 
 class TestProjectSoc:

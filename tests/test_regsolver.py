@@ -168,6 +168,36 @@ class TestSolveSimple:
         assert rep.status == "suspected_infeasible"
 
 
+class TestSweepCost:
+    def test_three_sparse_products_per_sweep(self, monkeypatch):
+        # one A(u + c), one A'y and one A p per sweep: the residual check
+        # and the next y-step reuse the sweep's products
+        prob = cp.build_sos_feasibility(cp.motzkin(), 5)
+        calls = [0]
+        for name in ("apply_vec", "adjoint_vec"):
+            original = getattr(AffineMap, name)
+
+            def counted(self, v, _original=original):
+                calls[0] += 1
+                return _original(self, v)
+
+            monkeypatch.setattr(AffineMap, name, counted)
+
+        def run(sweeps):
+            calls[0] = 0
+            trip, rep = solve_simple(
+                prob, RegParams(inner="one_iteration", max_outer=sweeps)
+            )
+            assert rep.iterations == sweeps
+            return calls[0], (trip.p.ravel(), trip.y, trip.u.ravel())
+
+        long_calls, first = run(50)
+        short_calls, _ = run(20)
+        assert long_calls - short_calls == 3 * 30
+        _, second = run(50)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
 class TestSolveRegularized:
     @pytest.mark.parametrize("inner", ["fixed_metric", "quasi_newton", "ssnewton"])
     def test_scalar_problem(self, inner):
@@ -334,6 +364,12 @@ class TestRegParams:
     def test_bad_inner_name(self):
         with pytest.raises(InputError):
             RegParams(inner="sedumi")
+
+    @pytest.mark.parametrize("field", ["t0", "outer_tol", "eps0"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+    def test_nonfinite_or_nonpositive_rejected(self, field, value):
+        with pytest.raises(InputError, match="finite and positive"):
+            RegParams(**{field: value})
 
     def test_adaptive_t_stays_converging(self):
         prob = c5_theta()
