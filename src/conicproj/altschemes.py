@@ -143,8 +143,8 @@ def admm_projection(
     beta defaults to 1 (no adaptive rule).  Stops when
     max(||x - y||, beta ||y_k - y_{k-1}||) <= tol.
     """
-    if not beta > 0:
-        raise InputError("beta must be positive")
+    if not (np.isfinite(beta) and beta > 0):
+        raise InputError(f"beta must be finite and positive, got {beta}")
     eq, fact = problem.eq, problem.eq.gram
     cone = problem.cone
     c = problem.c.ravel()

@@ -576,48 +576,57 @@ def project_affine(
 # generalized Jacobian of the cone projection
 
 
-def _psd_omega(lam: np.ndarray) -> np.ndarray:
-    """Clarke element weights for the PSD projection at eigenvalues ``lam``.
-
-    With alpha = {lam > 0} and beta = {lam <= 0} (zero eigenvalues assigned
-    to beta): 1 on alpha x alpha, 0 on beta x beta, lam_i/(lam_i - lam_j)
-    across.  ``lam`` must be sorted descending, so alpha is a prefix.  When
-    the spectrum nearly touches zero (gap below 1e-10 relative), the split
-    is perturbed deterministically toward beta, matching the exact-tie rule.
-    """
-    n = lam.size
-    cut = 0.0
-    if n and np.min(np.abs(lam)) < 1e-10 * (1.0 + np.max(np.abs(lam))):
-        cut = 1e-10 * (1.0 + float(np.max(np.abs(lam))))
-    r = int(np.count_nonzero(lam > cut))
-    omega = np.zeros((n, n))
-    if r == 0:
-        return omega
-    omega[:r, :r] = 1.0
-    if r < n:
-        lp = lam[:r, None]
-        ln = lam[None, r:]
-        frac = lp / (lp - ln)
-        omega[:r, r:] = frac
-        omega[r:, :r] = frac.T
-    return omega
-
-
 def psd_jacobian_apply(dec: SpectralDecomp, h) -> np.ndarray:
     """Apply one Clarke-Jacobian element of the PSD projection to ``h``.
 
-    Returns V (Omega o (V^T H V)) V^T at the point whose decomposition is
-    ``dec``; linear in H, symmetric, and PSD as an operator.
+    The element is V (Omega o (V^T H V)) V^T at the point whose
+    decomposition is ``dec``, with alpha = {lam > 0} and beta = {lam <= 0}
+    (zero eigenvalues go to beta): Omega is 1 on alpha x alpha, 0 on
+    beta x beta and lam_i/(lam_i - lam_j) across.  When the spectrum nearly
+    touches zero (gap below 1e-10 relative), the split is perturbed
+    deterministically toward beta, matching the exact-tie rule.
+
+    It is computed on the smaller side of the split, k = min(r, n - r) with
+    r = |alpha|, in O(n^2 k) (Zhao-Sun-Toh 2010, Qi-Sun 2006): with
+    r <= n - r, J(H) = W + W^T for W = V_a (Q o (V_a^T H V)) V^T, Q being
+    1/2 on alpha x alpha and Omega on alpha x beta; otherwise
+    J(H) = H - (W + W^T) with the same construction on beta and the
+    weights 1 - Omega.  H is symmetrized first, so an asymmetric H gives
+    the result for (H + H^T)/2.  The result is exactly symmetric, linear
+    in H, and PSD as an operator.
     """
     h = np.asarray(h, dtype=float)
     n = dec.dim
     if h.shape != (n, n):
         raise InputError(f"direction shape {h.shape} != ({n}, {n})")
+    # (H + H^T)/2, bitwise; adding into a copied transpose runs about twice
+    # as fast as h + h.T
+    hs = h.T.copy()
+    hs += h
+    hs *= 0.5
+    lam = dec.eigenvalues
     u = dec.eigenvectors
-    omega = _psd_omega(dec.eigenvalues)
-    m = u.T @ h @ u
-    out = u @ (omega * m) @ u.T
-    return (out + out.T) / 2.0
+    cut = 0.0
+    if n:
+        mag = np.abs(lam)
+        band = 1e-10 * (1.0 + float(mag.max()))
+        if mag.min() < band:
+            cut = band
+    r = int(np.count_nonzero(lam > cut))  # lam descending: alpha is a prefix
+    positive_side = r <= n - r
+    own, other = (
+        (slice(0, r), slice(r, n)) if positive_side else (slice(r, n), slice(0, r))
+    )
+    # on beta x alpha, 1 - lam_i/(lam_i - lam_j) = lam_j/(lam_j - lam_i):
+    # both sides weigh across by own/(own - other)
+    lam_own = lam[own, None]
+    q = np.empty((lam_own.shape[0], n))
+    q[:, own] = 0.5
+    q[:, other] = lam_own / (lam_own - lam[None, other])
+    v = u[:, own]
+    w = v @ ((q * (v.T @ hs @ u)) @ u.T)
+    jac = w + w.T
+    return jac if positive_side else hs - jac
 
 
 def soc_jacobian_apply(x, h) -> np.ndarray:

@@ -207,12 +207,29 @@ def _wolfe(phi, f0, slope0, gnorm0, alpha0=1.0):
     trial of lowest f if that is below f0, else to the trial of lowest
     gradient norm if that is below ``gnorm0`` and gives back no more than
     rounding noise in f; ``fallback`` is then True.  ``ok`` is False when
-    neither exists.
+    neither exists.  The search stops early at that floor: once a trial
+    step predicts a change in f, alpha * |slope0|, of no more than the
+    rounding noise 1e-12 (1 + |f0|) and some trial already qualifies for
+    the fallback, the remaining trials could only flip coins, so it
+    returns the fallback at once.
     """
+    noise = 1e-12 * (1.0 + abs(f0))
     lo, hi = 0.0, np.inf
     alpha = alpha0
     best = None  # lowest f: (f, alpha, payload)
     lowest_grad = None  # lowest gradient norm: (gnorm, f, alpha, payload)
+
+    def fallback():
+        if best is not None and best[0] < f0:
+            return best[1], best[2], True, True
+        if (
+            lowest_grad is not None
+            and lowest_grad[0] < gnorm0
+            and lowest_grad[1] <= f0 + noise
+        ):
+            return lowest_grad[2], lowest_grad[3], True, True
+        return None, None, False, False
+
     for _ in range(_WOLFE_TRIALS):
         f, slope, gnorm, payload = phi(alpha)
         if np.isfinite(f) and (best is None or f < best[0]):
@@ -225,19 +242,12 @@ def _wolfe(phi, f0, slope0, gnorm0, alpha0=1.0):
             lo = alpha
         else:
             return alpha, payload, True, False
+        if alpha * abs(slope0) <= noise and fallback()[2]:
+            break
         alpha = 2.0 * lo if hi == np.inf else 0.5 * (lo + hi)
         if alpha == 0.0:
             break
-    if best is not None and best[0] < f0:
-        return best[1], best[2], True, True
-    floor = f0 + 1e-12 * (1.0 + abs(f0))
-    if (
-        lowest_grad is not None
-        and lowest_grad[0] < gnorm0
-        and lowest_grad[1] <= floor
-    ):
-        return lowest_grad[2], lowest_grad[3], True, True
-    return None, None, False, False
+    return fallback()
 
 
 # ---------------------------------------------------------------------------

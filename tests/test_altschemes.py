@@ -165,8 +165,9 @@ class TestAdmm:
         assert np.array_equal(x, x_ref.ravel())
 
     def test_bad_beta(self):
-        with pytest.raises(cp.InputError):
-            admm_projection(two_set(C_2X2), beta=0.0)
+        for beta in (0.0, np.inf, np.nan):
+            with pytest.raises(cp.InputError, match="finite and positive"):
+                admm_projection(two_set(C_2X2), beta=beta)
 
 
 class TestTwoSetProblem:

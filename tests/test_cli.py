@@ -168,6 +168,8 @@ class TestExitCodes:
             ("theta", "c5.col", ["--t0", "nan"]),
             ("theta", "c5.col", ["--solver", "regularized", "--eps0", "nan"]),
             ("theta", "c5.col", ["--eps0=-inf"]),
+            ("project", "mixed_blocks.dat-s", ["--method", "admm", "--beta", "inf"]),
+            ("project", "mixed_blocks.dat-s", ["--method", "admm", "--beta", "nan"]),
         ],
     )
     def test_bad_tolerance_or_step_is_4(

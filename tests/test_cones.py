@@ -405,6 +405,83 @@ class TestPsdJacobian:
         for h in (h1, h2):
             assert np.vdot(h, psd_jacobian_apply(dec, h)) >= -1e-12
 
+    @staticmethod
+    def _dense(dec, h):
+        # V (Omega o V'HV) V' with the full n x n weight matrix, the same
+        # near-zero cut, and sym(H)
+        lam, v = dec.eigenvalues, dec.eigenvectors
+        n = lam.size
+        band = 1e-10 * (1.0 + np.max(np.abs(lam)))
+        cut = band if np.min(np.abs(lam)) < band else 0.0
+        r = int(np.count_nonzero(lam > cut))
+        omega = np.zeros((n, n))
+        omega[:r, :r] = 1.0
+        frac = lam[:r, None] / (lam[:r, None] - lam[None, r:])
+        omega[:r, r:] = frac
+        omega[r:, :r] = frac.T
+        hs = (h + h.T) / 2.0
+        return v @ (omega * (v.T @ hs @ v)) @ v.T
+
+    @staticmethod
+    def _spectral_point(r, lam):
+        q, _ = np.linalg.qr(r.standard_normal((lam.size, lam.size)))
+        c = (q * lam) @ q.T
+        return (c + c.T) / 2.0
+
+    @pytest.mark.parametrize(
+        "n, rank",
+        sorted(
+            {(n, k) for n in (1, 5, 56, 120) for k in (0, 1, n // 2, n - 1, n)}
+        ),
+    )
+    def test_rank_aware_matches_dense(self, n, rank):
+        r = rng(1000 + 7 * n + rank)
+        lam = np.concatenate(
+            [r.uniform(0.5, 2.0, rank), -r.uniform(0.5, 2.0, n - rank)]
+        )
+        _, dec = project_psd(self._spectral_point(r, lam))
+        assert int(np.count_nonzero(dec.eigenvalues > 0)) == rank
+        h = r.standard_normal((n, n))
+        h = (h + h.T) / 2.0
+        jh = psd_jacobian_apply(dec, h)
+        dense = self._dense(dec, h)
+        assert np.array_equal(jh, jh.T)
+        assert np.linalg.norm(jh - dense) <= 1e-13 * np.linalg.norm(dense)
+        if rank == 0:
+            assert not np.any(jh)
+
+    def test_eigenvalue_inside_cut_band_goes_to_beta(self):
+        r = rng(1001)
+        # 3e-11 lies below the cut 1e-10 (1 + 2): counted in beta
+        lam = np.array([2.0, 1.0, 0.7, 3e-11, -0.4, -1.5])
+        _, dec = project_psd(self._spectral_point(r, lam))
+        h = r.standard_normal((6, 6))
+        h = (h + h.T) / 2.0
+        jh = psd_jacobian_apply(dec, h)
+        dense = self._dense(dec, h)
+        assert np.linalg.norm(jh - dense) <= 1e-13 * np.linalg.norm(dense)
+        # putting the tiny eigenvalue in alpha gives a different element
+        v, ev = dec.eigenvectors, dec.eigenvalues
+        omega = np.zeros((6, 6))
+        omega[:4, :4] = 1.0
+        omega[:4, 4:] = ev[:4, None] / (ev[:4, None] - ev[None, 4:])
+        omega[4:, :4] = omega[:4, 4:].T
+        alpha_side = v @ (omega * (v.T @ h @ v)) @ v.T
+        assert np.linalg.norm(jh - alpha_side) > 1e-3 * np.linalg.norm(dense)
+
+    def test_asymmetric_direction_gives_symmetric_part_result(self):
+        r = rng(1002)
+        for rank in (2, 5):  # the positive and the negative side
+            lam = np.concatenate(
+                [r.uniform(0.5, 2.0, rank), -r.uniform(0.5, 2.0, 7 - rank)]
+            )
+            _, dec = project_psd(self._spectral_point(r, lam))
+            h = r.standard_normal((7, 7))
+            jh = psd_jacobian_apply(dec, h)
+            assert np.array_equal(jh, psd_jacobian_apply(dec, (h + h.T) / 2.0))
+            dense = self._dense(dec, h)
+            assert np.linalg.norm(jh - dense) <= 1e-13 * np.linalg.norm(dense)
+
     def test_dimension_mismatch(self):
         _, dec = project_psd(np.eye(3))
         with pytest.raises(InputError):

@@ -383,6 +383,37 @@ class TestWolfeFallback:
         assert (alpha, payload, ok, fallback) == (None, None, False, False)
 
 
+class TestWolfeFloorStop:
+    """At the floating-point floor of f, where |slope0| is below the
+    rounding noise 1e-12 (1 + |f0|), the search stops at the first trial
+    that qualifies for the fallback instead of running all its trials."""
+
+    F0 = 1e-14
+    SLOPE0 = -1e-16
+
+    @pytest.mark.parametrize(
+        "case, first_qualifying",
+        [("lower_f_on_second_trial", 0.5), ("lower_gradient_at_once", 1.0)],
+    )
+    def test_returns_after_at_most_two_trials(self, case, first_qualifying):
+        calls = []
+
+        def phi(alpha):
+            calls.append(alpha)
+            # f jitters by rounding noise around f0 and never passes the
+            # Wolfe test: a lower f comes with a slope below c2 slope0
+            sign = -1.0 if len(calls) % 2 == 0 else 1.0
+            f = self.F0 + sign * 5e-17
+            gnorm = 0.5 if case == "lower_gradient_at_once" else 2.0
+            return f, self.SLOPE0, gnorm, ("trial", alpha)
+
+        alpha, payload, ok, fallback = _wolfe(phi, self.F0, self.SLOPE0, 1.0)
+        assert len(calls) <= 2
+        assert (alpha, payload, ok, fallback) == (
+            first_qualifying, ("trial", first_qualifying), True, True
+        )
+
+
 class TestNearestCorrelation:
     def test_all_methods_agree_on_2x2(self):
         for method in (

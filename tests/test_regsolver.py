@@ -17,6 +17,7 @@ from conicproj import (
     solve_regularized,
     solve_simple,
 )
+from conicproj import dualproj
 from conftest import rng
 
 
@@ -196,6 +197,42 @@ class TestSweepCost:
         assert long_calls - short_calls == 3 * 30
         _, second = run(50)
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+class TestNewtonStepCost:
+    def test_at_most_two_evals_per_newton_step(self, monkeypatch):
+        # one evaluation opens each inner solve; after that a Newton step
+        # takes at most two line-search trials on average, also at the
+        # floating-point floor of theta where the Armijo test flips coins
+        prob, _ = cp.random_sos_instance(5, 3, "full", seed=205)
+        counts = {"eval": 0, "steps": 0}
+        original_eval = dualproj._Workspace.eval
+        original_pcg = dualproj._pcg
+
+        def counted_eval(self, *args, **kwargs):
+            counts["eval"] += 1
+            return original_eval(self, *args, **kwargs)
+
+        def counted_pcg(*args, **kwargs):  # one CG solve per Newton step
+            counts["steps"] += 1
+            return original_pcg(*args, **kwargs)
+
+        monkeypatch.setattr(dualproj._Workspace, "eval", counted_eval)
+        monkeypatch.setattr(dualproj, "_pcg", counted_pcg)
+        _, rep = solve_regularized(
+            prob,
+            RegParams(
+                inner="ssnewton",
+                outer_tol=1e-9,
+                eps0=1e-4,
+                decay=3.0,
+                max_outer=300,
+                max_inner=200,
+            ),
+        )
+        assert rep.converged()
+        assert counts["steps"] > 0
+        assert counts["eval"] <= 2 * counts["steps"] + rep.iterations
 
 
 class TestSolveRegularized:
