@@ -310,7 +310,10 @@ def _cmd_project(args) -> int:
     if args.center:
         ctext = _read(args.center)
         if args.center.endswith(".json"):
-            center = io.blockpoint_from_json(cone, json.loads(ctext))
+            try:
+                center = io.blockpoint_from_json(cone, json.loads(ctext))
+            except (json.JSONDecodeError, InputError) as exc:
+                raise InputError(f"--center {args.center}: {exc}") from None
         else:
             if len(cone.blocks) != 1 or cone.blocks[0][0] != "psd":
                 raise InputError(

@@ -68,6 +68,21 @@ class FactorizationError(NumericalError):
 # cone specification and ambient points
 
 
+def _integers(values, name: str) -> tuple[int, ...]:
+    """The values as ints; a non-integral or non-numeric value raises rather
+    than being truncated."""
+    out = []
+    for v in values:
+        try:
+            i = int(v)
+        except (TypeError, ValueError, OverflowError):
+            i = None
+        if i is None or i != v:
+            raise InputError(f"{name} must be integers, got {v!r}")
+        out.append(i)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class ConeSpec:
     """A product cone: PSD blocks x second-order (Lorentz) blocks x R+^k.
@@ -83,9 +98,9 @@ class ConeSpec:
     nonneg: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "psd_dims", tuple(int(d) for d in self.psd_dims))
-        object.__setattr__(self, "soc_dims", tuple(int(d) for d in self.soc_dims))
-        object.__setattr__(self, "nonneg", int(self.nonneg))
+        object.__setattr__(self, "psd_dims", _integers(self.psd_dims, "psd_dims"))
+        object.__setattr__(self, "soc_dims", _integers(self.soc_dims, "soc_dims"))
+        object.__setattr__(self, "nonneg", _integers((self.nonneg,), "nonneg")[0])
         if any(d < 1 for d in self.psd_dims):
             raise InputError("PSD block dimensions must be positive")
         if any(d < 1 for d in self.soc_dims):
@@ -264,6 +279,18 @@ class SpectralDecomp:
         return (u * self.eigenvalues) @ u.T
 
 
+def _symmetric_input(m) -> np.ndarray:
+    """The ingestion rule of the eigensolvers: non-finite entries raise, and
+    the input is symmetrized (with a warning beyond the 1e-12 relative
+    tolerance) unless it is exactly symmetric already."""
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise InputError("matrix has non-finite entries")
+    if m.ndim == 2 and np.array_equal(m, m.T):
+        return m
+    return symmetrize(m)
+
+
 def eig_sym(m) -> SpectralDecomp:
     """Spectral decomposition with descending eigenvalues.
 
@@ -271,16 +298,12 @@ def eig_sym(m) -> SpectralDecomp:
     relative tolerance) unless it is exactly symmetric already; non-finite
     entries and LAPACK failures raise.
     """
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise InputError("matrix has non-finite entries")
-    exact = m.ndim == 2 and np.array_equal(m, m.T)
-    msym = m if exact else symmetrize(m)
+    msym = _symmetric_input(m)
     try:
         w, u = np.linalg.eigh(msym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalError(
-            f"eigendecomposition failed for a {m.shape[0]}x{m.shape[0]} "
+            f"eigendecomposition failed for a {msym.shape[0]}x{msym.shape[0]} "
             f"matrix (||M||={np.linalg.norm(msym):.3e}): {exc}"
         ) from exc
     w = w[::-1].copy()
@@ -298,6 +321,15 @@ def eig_sym(m) -> SpectralDecomp:
 # ---------------------------------------------------------------------------
 # blockwise projections
 
+# A PSD block whose previous projection kept at most n/8 positive
+# eigenvalues is projected from those eigenpairs alone.  Measured with one
+# BLAS thread, the partial route wins below that line at every order
+# tried from 1 to 150 (at order 100: 0.35-0.40 ms at 0-2 positive eigenvalues and
+# 1.0 ms at 12, against 1.3-1.7 ms for the full decomposition); the two
+# break even between n/5 and n/4, and at n/4 and above the full
+# decomposition is faster (2.7 ms against 1.6 ms at order 100, r = 36).
+_PARTIAL_RANK_FRACTION = 8
+
 
 def project_psd(c) -> tuple[np.ndarray, SpectralDecomp]:
     """Projection onto the PSD cone via the spectral decomposition.
@@ -312,6 +344,30 @@ def project_psd(c) -> tuple[np.ndarray, SpectralDecomp]:
     u = dec.eigenvectors[:, :r]
     x = (u * dec.eigenvalues[:r]) @ u.T
     return (x + x.T) / 2.0, dec
+
+
+def _project_psd_positive(c) -> tuple[np.ndarray, int]:
+    """Projection onto the PSD cone from the positive eigenpairs alone.
+
+    LAPACK ``dsyevx`` finds the eigenvalues in (0, inf) by bisection and
+    their vectors by inverse iteration, after the same O(n^3) tridiagonal
+    reduction as a full decomposition but without its O(n^3) eigenvector
+    work; with r positive eigenvalues the rest costs O(n^2 r).  Same
+    ingestion rule as :func:`eig_sym`.  Returns (projection, r).
+    """
+    msym = _symmetric_input(c)
+    w, z, r, _, info = scipy.linalg.lapack.dsyevx(
+        msym, range="V", vl=0.0, vu=np.inf
+    )
+    if info != 0:
+        raise NumericalError(
+            f"partial eigendecomposition failed for a {msym.shape[0]}x"
+            f"{msym.shape[0]} matrix (||M||={np.linalg.norm(msym):.3e}): "
+            f"LAPACK dsyevx info {info}"
+        )
+    u = z[:, :r]
+    x = (u * w[:r]) @ u.T
+    return (x + x.T) / 2.0, r
 
 
 def project_soc(x) -> np.ndarray:
@@ -341,22 +397,44 @@ def project_soc(x) -> np.ndarray:
     return out
 
 
-def _project_ambient(cone: ConeSpec, v: np.ndarray, want_info: bool = False):
+def _project_ambient(
+    cone: ConeSpec, v: np.ndarray, want_info: bool = False, ranks=None
+):
     """Blockwise projection of a raw ambient vector; the solver hot path.
 
     Returns (projected vector, per-block info).  Info entries are the
     SpectralDecomp for PSD blocks and the pre-projection block for vector
     blocks; they parametrize the generalized Jacobian at this point.
+
+    ``ranks``, when given, holds one entry per block of ``cone.blocks``:
+    the number of positive eigenvalues each PSD block had at the caller's
+    previous projection (None before the first).  It is updated in place.
+    A PSD block whose entry is at most 1/_PARTIAL_RANK_FRACTION of its
+    order is projected from its positive eigenpairs alone
+    (:func:`_project_psd_positive`); every other block, and every block
+    when ``want_info`` is set, takes the full decomposition.  Both routes
+    return the same projection up to rounding, whatever the entry: a stale
+    one costs time, not accuracy.
     """
     out = np.empty_like(v)
     infos = [] if want_info else None
-    for kind, d, sl in cone.blocks:
+    for i, (kind, d, sl) in enumerate(cone.blocks):
         part = v[sl]
         if kind == "psd":
-            x, dec = project_psd(part.reshape(d, d))
+            hint = None if ranks is None else ranks[i]
+            if (
+                hint is not None
+                and not want_info
+                and _PARTIAL_RANK_FRACTION * hint <= d
+            ):
+                x, ranks[i] = _project_psd_positive(part.reshape(d, d))
+            else:
+                x, dec = project_psd(part.reshape(d, d))
+                if want_info:
+                    infos.append(dec)
+                if ranks is not None:
+                    ranks[i] = int(np.count_nonzero(dec.eigenvalues > 0.0))
             out[sl] = x.ravel()
-            if want_info:
-                infos.append(dec)
         elif kind == "soc":
             out[sl] = project_soc(part)
             if want_info:

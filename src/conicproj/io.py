@@ -27,6 +27,7 @@ cone block in layout order (PSD blocks, then SOC blocks, then nonneg).
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -104,6 +105,8 @@ def parse_sdpa(text: str, strict: bool = True) -> LinearConicProblem:
         b = np.array([float(v) for v in bvals])
     except ValueError:
         raise bad(ln_b, "rhs entries must be numeric") from None
+    if not np.all(np.isfinite(b)):
+        raise bad(ln_b, "rhs entries must be finite")
 
     psd_dims = tuple(v for v in sizes if v > 0)
     nonneg = sum(-v for v in sizes if v < 0)
@@ -131,6 +134,8 @@ def parse_sdpa(text: str, strict: bool = True) -> LinearConicProblem:
             value = float(fields[4])
         except ValueError:
             raise bad(lineno, f"malformed entry {s!r}") from None
+        if not math.isfinite(value):
+            raise bad(lineno, f"non-finite value in {s!r}")
         if not 0 <= matno <= m:
             raise bad(lineno, f"matrix number {matno} out of range 0..{m}")
         if not 1 <= blkno <= nblock:
@@ -245,13 +250,25 @@ def parse_dimacs(text: str) -> Graph:
         if fields[0] == "p":
             if len(fields) < 4 or fields[1] not in ("edge", "edges", "col"):
                 raise InputError(f"DIMACS line {lineno}: malformed problem line {s!r}")
-            n = int(fields[2])
+            try:
+                n = int(fields[2])
+            except ValueError:
+                raise InputError(
+                    f"DIMACS line {lineno}: vertex count must be an integer, "
+                    f"got {s!r}"
+                ) from None
         elif fields[0] == "e":
             if n is None:
                 raise InputError(f"DIMACS line {lineno}: edge before the p-line")
             if len(fields) != 3:
                 raise InputError(f"DIMACS line {lineno}: malformed edge {s!r}")
-            i, j = int(fields[1]), int(fields[2])
+            try:
+                i, j = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise InputError(
+                    f"DIMACS line {lineno}: edge endpoints must be integers, "
+                    f"got {s!r}"
+                ) from None
             if not (1 <= i <= n and 1 <= j <= n):
                 raise InputError(
                     f"DIMACS line {lineno}: edge ({i},{j}) out of range 1..{n}"
@@ -287,7 +304,13 @@ def parse_polynomial(text: str) -> Polynomial:
                 raise InputError(
                     f"polynomial line {lineno}: expected 'nvars N', got {s!r}"
                 )
-            nvars = int(fields[1])
+            try:
+                nvars = int(fields[1])
+            except ValueError:
+                raise InputError(
+                    f"polynomial line {lineno}: nvars must be an integer, "
+                    f"got {s!r}"
+                ) from None
             if nvars < 1:
                 raise InputError(f"polynomial line {lineno}: nvars must be >= 1")
             continue
@@ -303,6 +326,8 @@ def parse_polynomial(text: str) -> Polynomial:
             raise InputError(
                 f"polynomial line {lineno}: non-numeric field in {s!r}"
             ) from None
+        if not math.isfinite(coeff):
+            raise InputError(f"polynomial line {lineno}: non-finite coefficient")
         if any(e < 0 for e in alpha):
             raise InputError(f"polynomial line {lineno}: negative exponent")
         terms[alpha] = terms.get(alpha, 0.0) + coeff
@@ -334,9 +359,12 @@ def read_matrix(text: str) -> np.ndarray:
         if not s:
             continue
         try:
-            rows.append([float(v) for v in s.split()])
+            row = [float(v) for v in s.split()]
         except ValueError:
             raise InputError(f"matrix line {lineno}: non-numeric entry") from None
+        if not all(map(math.isfinite, row)):
+            raise InputError(f"matrix line {lineno}: non-finite entry")
+        rows.append(row)
     if not rows:
         raise InputError("matrix file is empty")
     lens = {len(r) for r in rows}
@@ -356,7 +384,7 @@ def cone_from_json(d: dict) -> ConeSpec:
     return ConeSpec(
         psd_dims=tuple(d.get("psd", ())),
         soc_dims=tuple(d.get("soc", ())),
-        nonneg=int(d.get("nonneg", 0)),
+        nonneg=d.get("nonneg", 0),
     )
 
 
@@ -369,11 +397,16 @@ def cone_to_json(cone: ConeSpec) -> dict:
 
 
 def blockpoint_from_json(cone: ConeSpec, data) -> BlockPoint:
-    if len(data) != len(cone.blocks):
-        raise InputError(
-            f"expected {len(cone.blocks)} blocks, got {len(data)}"
-        )
-    return BlockPoint(cone, [np.array(b, dtype=float) for b in data])
+    """A list of blocks (nested lists of finite numbers) in layout order."""
+    if not isinstance(data, list) or len(data) != len(cone.blocks):
+        raise InputError(f"expected a list of {len(cone.blocks)} blocks")
+    try:
+        blocks = [np.array(b, dtype=float) for b in data]
+    except (TypeError, ValueError):
+        raise InputError("blocks must be nested lists of numbers") from None
+    if not all(np.all(np.isfinite(b)) for b in blocks):
+        raise InputError("block entries must be finite")
+    return BlockPoint(cone, blocks)
 
 
 def blockpoint_to_json(x: BlockPoint) -> list:
@@ -391,6 +424,19 @@ def _affine_from_json(cone: ConeSpec, d: dict) -> AffineMap:
     return AffineMap(cone, sp.csr_matrix(dense), np.asarray(rhs, dtype=float))
 
 
+def _json_field(data: dict, key: str, parse, *args):
+    """``parse(*args, data[key])``, or None when the field is absent; any
+    failure on malformed content is an InputError naming the field."""
+    if key not in data:
+        return None
+    try:
+        return parse(*args, data[key])
+    except InputError as exc:
+        raise InputError(f"JSON field {key!r}: {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"JSON field {key!r} is malformed: {exc}") from None
+
+
 def parse_problem_json(text: str) -> dict:
     """Parse the native JSON schema into its typed pieces.
 
@@ -401,25 +447,16 @@ def parse_problem_json(text: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad JSON problem file: {exc}") from None
-    if "cone" not in data or "eq" not in data:
+    if not isinstance(data, dict) or "cone" not in data or "eq" not in data:
         raise InputError("JSON problem needs 'cone' and 'eq' fields")
-    cone = cone_from_json(data["cone"])
-    out = {
+    cone = _json_field(data, "cone", cone_from_json)
+    return {
         "cone": cone,
-        "eq": _affine_from_json(cone, data["eq"]),
-        "ineq": _affine_from_json(cone, data["ineq"]) if "ineq" in data else None,
-        "center": (
-            blockpoint_from_json(cone, data["center"])
-            if "center" in data
-            else None
-        ),
-        "objective": (
-            blockpoint_from_json(cone, data["objective"])
-            if "objective" in data
-            else None
-        ),
+        "eq": _json_field(data, "eq", _affine_from_json, cone),
+        "ineq": _json_field(data, "ineq", _affine_from_json, cone),
+        "center": _json_field(data, "center", blockpoint_from_json, cone),
+        "objective": _json_field(data, "objective", blockpoint_from_json, cone),
     }
-    return out
 
 
 def projection_problem_from_json(text: str) -> ProjectionProblem:

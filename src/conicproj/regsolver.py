@@ -24,6 +24,7 @@ by-products.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -48,6 +49,7 @@ from .dualproj import (
 from .report import (
     CONVERGED,
     ITERATION_LIMIT,
+    NUMERICAL_FAILURE,
     SUSPECTED_INFEASIBLE,
     DivergenceMonitor,
     SolveReport,
@@ -267,9 +269,16 @@ def _outer_loop(problem, params, step, c_scale):
         report.inner_iterations += inner
         report.gradient_fallbacks += fallbacks
         rp, rd = _residuals_vec(problem, ap, aty, u, c_vec, b_scale, c_scale)
-        report.residual_history.append(max(rp, rd))
+        # max() drops a NaN second argument, so a NaN rd must not reach it
+        finite = math.isfinite(rp) and math.isfinite(rd)
+        worst = max(rp, rd) if finite else math.nan
+        report.residual_history.append(worst)
         report.iterations = k
-        if max(rp, rd) <= params.outer_tol:
+        if math.isnan(worst):
+            status = NUMERICAL_FAILURE
+            report.message = "non-finite residual"
+            break
+        if worst <= params.outer_tol:
             status = CONVERGED
             break
         if monitor.update(k, float(np.linalg.norm(y)), rp):
@@ -281,7 +290,7 @@ def _outer_loop(problem, params, step, c_scale):
         if (
             params.adapt_t
             and k - last_adapt >= adapt_wait
-            and max(rp, rd) > 100.0 * params.outer_tol
+            and worst > 100.0 * params.outer_tol
         ):
             # every change of t restarts the fixed-point contraction, so the
             # waiting period doubles after each adaptation: finitely many
@@ -359,6 +368,9 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
     of the same decomposition.  A sweep costs that decomposition and three
     sparse products: A(u_k + c), A'y_{k+1} and A p_{k+1}, the last two
     shared with the residual check and A p_{k+1} also with the next sweep.
+    A PSD block whose projection at the previous sweep kept few positive
+    eigenvalues (at most an eighth of its order) is projected from those
+    eigenpairs alone; see ``cones._project_ambient``.
     ``params.inner`` is ignored.
     """
     params = (
@@ -371,12 +383,13 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
     fact = gram_factorize(a)
     c_vec = problem.c.ravel()
     b = a.rhs
+    ranks = [None] * len(cone.blocks)
 
     def sweep(k, t, p, y, u, ap):
         y = fact.solve(a.apply_vec(u + c_vec) + (b - ap) / t)
         aty = a.adjoint_vec(y)
         w = p + t * (aty - c_vec)
-        p, _ = _project_ambient(cone, w)
+        p, _ = _project_ambient(cone, w, ranks=ranks)
         return p, y, (w - p) / t, a.apply_vec(p), aty, 1, 0
 
     return _outer_loop(

@@ -89,10 +89,15 @@ class TestDeterminism:
 
 def _run_input_error(capsys, tmp_path, command, source, flags):
     """Run a command that must fail on its input: exit 4, nothing on
-    stdout, no report or solution file written.  Returns stderr."""
-    if source is None:  # nearcorr reads a dense matrix file
-        source = tmp_path / "c.txt"
-        source.write_text("1.0 0.5\n0.5 1.0\n")
+    stdout, no report or solution file written.  ``source`` names a
+    fixture or is a (file name, text) pair written to a temporary file;
+    None stands for a valid dense matrix file (nearcorr).  Returns stderr."""
+    if source is None:
+        source = ("c.txt", "1.0 0.5\n0.5 1.0\n")
+    if isinstance(source, tuple):
+        name, text = source
+        source = tmp_path / name
+        source.write_text(text)
     else:
         source = fixture_path(source)
     out_dir = tmp_path / "out"
@@ -106,6 +111,20 @@ def _run_input_error(capsys, tmp_path, command, source, flags):
     assert code == 4
     assert captured.out == "" and list(out_dir.iterdir()) == []
     return captured.err
+
+
+SDPA_INF_F0 = "1\n2\n2 -2\n1.0\n0 2 1 1 inf\n1 1 1 1 1.0\n1 2 2 2 1.0\n"
+JSON_PROBLEM_NONNEG = '{"cone": {"nonneg": 2}, "eq": {"rows": [[[1, 1]]], "rhs": [1]}}'
+JSON_INF_CENTER = (
+    '{"cone": {"nonneg": 2}, "center": [[1, Infinity]], '
+    '"eq": {"rows": [[[1, 1]]], "rhs": [1]}}'
+)
+
+
+def _json_problem(cone: str, rhs: str = "[1]") -> str:
+    return (
+        f'{{"cone": {cone}, "eq": {{"rows": [[[[1, 0], [0, 1]]]], "rhs": {rhs}}}}}'
+    )
 
 
 class TestExitCodes:
@@ -177,6 +196,49 @@ class TestExitCodes:
     ):
         err = _run_input_error(capsys, tmp_path, command, source, flags)
         assert "finite and positive" in err
+
+    @pytest.mark.parametrize(
+        "command, source, flags, named",
+        [
+            ("solve", ("c.dat-s", SDPA_INF_F0), ["--max-outer", "50"], "line 5"),
+            (
+                "solve",
+                ("c.dat-s", SDPA_INF_F0),
+                ["--max-outer", "50", "--solver", "regularized"],
+                "line 5",
+            ),
+            ("project", ("p.json", JSON_INF_CENTER), [], "'center'"),
+            ("theta", ("g.col", "p edge x 3\n"), [], "line 1"),
+            ("theta", ("g.col", "p edge 3 1\ne 1 z\n"), [], "line 2"),
+            ("sos-check", ("p.txt", "nvars two\n1 0 0\n"), ["--degree", "2"], "line 1"),
+            ("solve", ("j.json", _json_problem('{"psd": "ab"}')), [], "'cone'"),
+            ("solve", ("j.json", _json_problem('{"psd": [2.7]}')), [], "'cone'"),
+            ("solve", ("j.json", _json_problem('{"psd": [2]}', '["x"]')), [], "'eq'"),
+        ],
+    )
+    def test_malformed_or_nonfinite_input_is_4(
+        self, capsys, tmp_path, command, source, flags, named
+    ):
+        err = _run_input_error(capsys, tmp_path, command, source, flags)
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "problem, name, center",
+        [
+            (("p.json", JSON_PROBLEM_NONNEG), "c.json", "[[1, Infinity]]"),
+            (("p.json", JSON_PROBLEM_NONNEG), "c.json", "[[1, "),
+            ("trace2.dat-s", "c.txt", "1.0 inf\ninf 1.0\n"),
+        ],
+    )
+    def test_nonfinite_or_malformed_center_file_is_4(
+        self, capsys, tmp_path, problem, name, center
+    ):
+        path = tmp_path / name
+        path.write_text(center)
+        err = _run_input_error(
+            capsys, tmp_path, "project", problem, ["--center", str(path)]
+        )
+        assert "--center" in err or "line 1" in err
 
     def test_unknown_flag_is_4(self, capsys):
         assert run_cli(["theta", "--bogus"]) == 4

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import conicproj as cp
+from conicproj import cones
 from conicproj import (
     AffineMap,
     BlockPoint,
@@ -129,14 +130,18 @@ class TestPsdKernels:
         assert int(np.count_nonzero(dec.eigenvalues > 0)) == positive
         assert np.max(np.abs(x - (full + full.T) / 2.0)) <= 1e-12
 
-    @pytest.mark.parametrize("kernel", [eig_sym, project_psd])
+    @pytest.mark.parametrize(
+        "kernel", [eig_sym, project_psd, cones._project_psd_positive]
+    )
     def test_asymmetric_input_warns_and_is_symmetrized(self, kernel):
         m = np.array([[2.0, 1.0, 0.0], [0.5, 1.0, -1.0], [0.0, -1.0, -3.0]])
         with pytest.warns(UserWarning, match="symmetrized"):
             out = kernel(m)
         assert self._bytes(out) == self._bytes(kernel((m + m.T) / 2.0))
 
-    @pytest.mark.parametrize("kernel", [eig_sym, project_psd])
+    @pytest.mark.parametrize(
+        "kernel", [eig_sym, project_psd, cones._project_psd_positive]
+    )
     def test_tiny_asymmetry_is_symmetrized_silently(self, kernel):
         m = np.array([[2.0, 1.0], [1.0 + 1e-15, -1.0]])
         with warnings.catch_warnings():
@@ -144,7 +149,9 @@ class TestPsdKernels:
             out = kernel(m)
         assert self._bytes(out) == self._bytes(kernel((m + m.T) / 2.0))
 
-    @pytest.mark.parametrize("kernel", [eig_sym, project_psd])
+    @pytest.mark.parametrize(
+        "kernel", [eig_sym, project_psd, cones._project_psd_positive]
+    )
     def test_exactly_symmetric_input_does_not_warn(self, kernel):
         g = rng(24).standard_normal((5, 5))
         with warnings.catch_warnings():
@@ -154,9 +161,106 @@ class TestPsdKernels:
     @staticmethod
     def _bytes(out):
         """Every array of a kernel result, for bitwise comparison."""
-        if isinstance(out, tuple):  # project_psd: (x, decomposition)
+        if isinstance(out, tuple):  # (x, decomposition or positive count)
             return [out[0].tobytes()] + TestPsdKernels._bytes(out[1])
+        if isinstance(out, int):
+            return [out]
         return [out.eigenvalues.tobytes(), out.eigenvectors.tobytes()]
+
+
+class TestPartialSpectrum:
+    """The sweep's partial route: positive eigenpairs only, chosen by the
+    previous projection's positive count."""
+
+    @staticmethod
+    def _block(n, positive, seed):
+        lam = np.concatenate(
+            [np.linspace(1.0, 5.0, positive), -np.linspace(0.5, 4.0, n - positive)]
+        )
+        return TestPsdKernels._with_spectrum(lam, seed)
+
+    @staticmethod
+    def _count_eig_sym(monkeypatch):
+        calls = [0]
+        original = cones.eig_sym
+
+        def counted(m):
+            calls[0] += 1
+            return original(m)
+
+        monkeypatch.setattr(cones, "eig_sym", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "n, positive, hint",
+        [
+            (100, 0, 0),
+            (100, 1, 1),
+            (100, 12, 12),  # the threshold: 8 * 12 <= 100
+            (100, 40, 2),  # stale hint
+            (5, 0, 0),
+        ],
+    )
+    def test_partial_route_matches_full_clamp(self, monkeypatch, n, positive, hint):
+        m = self._block(n, positive, 30 + positive)
+        cone = ConeSpec(psd_dims=(n,))
+        full, _ = cones._project_ambient(cone, m.ravel())
+        calls = self._count_eig_sym(monkeypatch)
+        ranks = [hint]
+        part, _ = cones._project_ambient(cone, m.ravel(), ranks=ranks)
+        assert calls[0] == 0
+        assert ranks == [positive]
+        assert np.max(np.abs(part - full)) <= 1e-12 * np.linalg.norm(m)
+        x = part.reshape(n, n)
+        assert np.array_equal(x, x.T)
+        if positive == 0:
+            assert not np.any(part)
+
+    def test_full_route_above_threshold_and_without_hint(self, monkeypatch):
+        m = self._block(100, 13, 50)
+        cone = ConeSpec(psd_dims=(100,))
+        ref, _ = cones._project_ambient(cone, m.ravel())
+        calls = self._count_eig_sym(monkeypatch)
+        for hint in (None, 13):  # 8 * 13 > 100
+            ranks = [hint]
+            out, _ = cones._project_ambient(cone, m.ravel(), ranks=ranks)
+            assert ranks == [13]
+            assert np.array_equal(out, ref)
+        assert calls[0] == 2
+
+    def test_hints_per_block_and_want_info_takes_full_route(self, monkeypatch):
+        cone = ConeSpec(psd_dims=(16, 3), soc_dims=(3,), nonneg=2)
+        v = random_point(rng(51), cone).ravel()
+        ref, ref_infos = cones._project_ambient(cone, v, want_info=True)
+        positive = [int(np.count_nonzero(d.eigenvalues > 0)) for d in ref_infos[:2]]
+        calls = self._count_eig_sym(monkeypatch)
+        ranks = [None] * 4
+        out, _ = cones._project_ambient(cone, v, ranks=ranks)
+        assert calls[0] == 2 and np.array_equal(out, ref)
+        assert ranks == positive + [None, None]
+        ranks = [0, 0, None, None]
+        out, infos = cones._project_ambient(cone, v, want_info=True, ranks=ranks)
+        assert calls[0] == 4 and np.array_equal(out, ref) and len(infos) == 4
+        ranks = [0, 0, None, None]
+        out, _ = cones._project_ambient(cone, v, ranks=ranks)
+        assert calls[0] == 4
+        assert ranks == positive + [None, None]
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.linalg.norm(v)
+
+    def test_nonfinite_rejected(self):
+        m = np.eye(4)
+        m[1, 2] = m[2, 1] = np.inf
+        with pytest.raises(InputError):
+            cones._project_psd_positive(m)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def failing(a, **kwargs):
+            n = a.shape[0]
+            return np.zeros(n), np.zeros((n, n)), 0, np.zeros(n, dtype=int), 3
+
+        monkeypatch.setattr(cones.scipy.linalg.lapack, "dsyevx", failing)
+        with pytest.raises(cp.NumericalError, match="info 3"):
+            cones._project_psd_positive(np.eye(4))
 
 
 class TestAdjointMatrix:

@@ -1,8 +1,13 @@
+import json
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 import conicproj as cp
 from conicproj import InputError
+from conicproj.cli import run_cli
 from conicproj.io import (
     blockpoint_from_json,
     blockpoint_to_json,
@@ -208,3 +213,153 @@ class TestJsonProblems:
             parse_problem_json(
                 '{"cone": {"psd": [2]}, "eq": {"rows": [], "rhs": [1.0]}}'
             )
+
+
+JSON_SOC_PROBLEM = """{
+  "cone": {"psd": [2], "soc": [3], "nonneg": 1},
+  "center": [[[1.0, 0.5], [0.5, -1.0]], [0.0, 0.0, -1.0], [2.0]],
+  "objective": [[[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0, 0.0], [1.0]],
+  "eq": {
+    "rows": [[[[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0, 0.0], [0.0]],
+             [[[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0, 1.0], [1.0]]],
+    "rhs": [1.0, 0.5]
+  }
+}
+"""
+
+
+INF_BLOCKS = [[[1, 0], [0, 1]], [0, 0, float("inf")], [0]]
+RAGGED_BLOCKS = [[[1, 0], [0]], [0, 0, 0], [0]]
+
+
+def _json_with(**fields):
+    """The SOC problem above with some top-level fields replaced."""
+    data = json.loads(JSON_SOC_PROBLEM)
+    data.update(fields)
+    return json.dumps(data)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "parse, text, named",
+        [
+            (parse_sdpa, "1\n1\n2\nnan\n1 1 1 1 1.0\n", "line 4"),
+            (parse_sdpa, "1\n1\n-2\n1.0\n0 1 1 1 -inf\n1 1 2 2 1.0\n", "line 5"),
+            (parse_polynomial, "nvars 1\ninf 2\n", "line 2"),
+            (parse_polynomial, "nvars 1\n1 0\nnan 2\n", "line 3"),
+            (parse_dimacs, "p edge 2.5 1\n", "line 1"),
+            (read_matrix, "1.0 0.0\n0.0 nan\n", "line 2"),
+            (parse_problem_json, "[1, 2]", "'cone' and 'eq'"),
+            (parse_problem_json, _json_with(cone={"nonneg": 1.5}), "'cone'"),
+            (parse_problem_json, _json_with(cone=[2]), "'cone'"),
+            (parse_problem_json, _json_with(objective=INF_BLOCKS), "'objective'"),
+            (parse_problem_json, _json_with(center=RAGGED_BLOCKS), "'center'"),
+            (parse_problem_json, _json_with(center=7), "'center'"),
+            (
+                parse_problem_json,
+                _json_with(eq={"rows": [INF_BLOCKS], "rhs": [1]}),
+                "'eq'",
+            ),
+            (parse_problem_json, _json_with(eq={"rows": [], "rhs": 1}), "'eq'"),
+            (parse_problem_json, _json_with(eq=[1]), "'eq'"),
+        ],
+        ids=[
+            "sdpa-rhs-nan", "sdpa-lp-entry-inf", "poly-coeff-inf",
+            "poly-coeff-nan", "dimacs-fractional-n", "matrix-nan",
+            "json-not-object", "json-fractional-nonneg", "json-cone-list",
+            "json-objective-inf", "json-ragged-center", "json-center-number",
+            "json-row-inf", "json-rhs-number", "json-eq-list",
+        ],
+    )
+    def test_rejected_naming_line_or_field(self, parse, text, named):
+        with pytest.raises(InputError) as exc:
+            parse(text)
+        assert named in str(exc.value)
+
+    def test_cone_spec_does_not_truncate(self):
+        with pytest.raises(InputError):
+            cp.ConeSpec(psd_dims=(2.7,))
+        with pytest.raises(InputError):
+            cp.ConeSpec(nonneg="3")
+        assert cp.ConeSpec(psd_dims=(np.int64(2), 3.0)).psd_dims == (2, 3)
+
+
+class TestParserFuzz:
+    """Seeded mutations of real inputs: every parser returns or raises
+    InputError, and a sample of the inputs that parse runs through the CLI
+    to an exit code of 0, 2, 3 or 4 with no non-finite number in the
+    report."""
+
+    MUTATIONS = 200  # per input
+    CLI_SAMPLE = 8  # inputs that parse, per format, run through the CLI
+    TOKEN = re.compile(r"[^\s\[\]{},:]+")
+    CASES = {
+        "dimacs": (
+            fixture_text("c5.col"), parse_dimacs, ".col",
+            ("nan", "inf", "x", "-1", "2.5"), ["theta", "--max-outer", "30"],
+        ),
+        "polynomial": (
+            fixture_text("motzkin.txt"), parse_polynomial, ".txt",
+            ("nan", "inf", "x", "-1", "2.5"),
+            ["sos-check", "--degree", "3", "--max-outer", "30"],
+        ),
+        "sdpa": (
+            fixture_text("mixed_blocks.dat-s"), parse_sdpa, ".dat-s",
+            ("nan", "inf", "x", "-1", "2.5"), ["solve", "--max-outer", "30"],
+        ),
+        # JSON spells the non-finite tokens as Python's json module reads them
+        "json": (
+            JSON_SOC_PROBLEM, parse_problem_json, ".json",
+            ("NaN", "Infinity", "x", "-1", "2.5"), ["project", "--max-iter", "20"],
+        ),
+    }
+
+    @classmethod
+    def mutate(cls, r, text, tokens):
+        """Swap one token, or drop, duplicate or truncate one line."""
+        lines = text.splitlines()
+        i = int(r.integers(len(lines)))
+        op = int(r.integers(4))
+        if op == 0:
+            found = list(cls.TOKEN.finditer(lines[i]))
+            if found:
+                m = found[int(r.integers(len(found)))]
+                swap = tokens[int(r.integers(len(tokens)))]
+                lines[i] = lines[i][: m.start()] + swap + lines[i][m.end():]
+        elif op == 1:
+            del lines[i]
+        elif op == 2:
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = lines[i][: int(r.integers(len(lines[i]) + 1))]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_mutated_inputs(self, kind, tmp_path, capsys):
+        text, parse, suffix, tokens, argv = self.CASES[kind]
+        r = np.random.default_rng(sorted(self.CASES).index(kind) + 1)
+        parsed = []
+        for _ in range(self.MUTATIONS):
+            mutated = self.mutate(r, text, tokens)
+            if r.random() < 0.5:
+                mutated = self.mutate(r, mutated, tokens)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # symmetrized
+                    parse(mutated)
+            except InputError:
+                continue
+            parsed.append(mutated)
+        assert parsed, "no mutated input parsed"
+        for k, mutated in enumerate(parsed[: self.CLI_SAMPLE]):
+            path = tmp_path / f"in{k}{suffix}"
+            path.write_text(mutated)
+            out = tmp_path / f"r{k}.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = run_cli([argv[0], str(path), *argv[1:], "--out", str(out)])
+            capsys.readouterr()
+            assert code in (0, 2, 3, 4), mutated
+            if out.exists():
+                report = out.read_text()
+                assert "NaN" not in report and "Infinity" not in report, mutated

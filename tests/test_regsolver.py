@@ -199,6 +199,48 @@ class TestSweepCost:
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
+class TestPartialSpectrumSweep:
+    def test_low_rank_blocks_skip_the_full_decomposition(self, monkeypatch):
+        # theta of the edgeless graph on 16 vertices is 16, attained by the
+        # rank-one J/16: once a sweep has kept at most 16/8 positive
+        # eigenvalues, the next one projects from those alone
+        from conicproj import cones
+
+        calls = [0]
+        original = cones.eig_sym
+
+        def counted(m):
+            calls[0] += 1
+            return original(m)
+
+        monkeypatch.setattr(cones, "eig_sym", counted)
+        prob = cp.build_theta(cp.Graph(16, frozenset()))
+        trip, rep = solve_simple(
+            prob, RegParams(inner="one_iteration", max_outer=5000, outer_tol=1e-7)
+        )
+        assert rep.converged()
+        assert abs(-rep.objective - 16.0) <= 1e-4
+        assert 1 <= calls[0] < rep.iterations
+
+
+class TestNonFiniteResidual:
+    def test_inf_objective_in_orthant_is_not_converged(self):
+        # min <c, x> with c = (0, -inf) on an orthant block beside a PSD
+        # block; the dual residual is NaN from the first sweep on
+        cone = ConeSpec(psd_dims=(2,), nonneg=2)
+        row = np.zeros(cone.dim)
+        row[0] = 1.0  # X_11
+        row[5] = 1.0  # the second orthant entry
+        amap = AffineMap(cone, sp.csr_matrix(row), [1.0])
+        c = BlockPoint(cone, [np.zeros((2, 2)), np.array([-np.inf, 0.0])])
+        prob = LinearConicProblem(c=c, a=amap, cone=cone)
+        for solve in (solve_simple, solve_regularized):
+            with np.errstate(invalid="ignore"):
+                _, rep = solve(prob, RegParams(max_outer=50))
+            assert rep.status != "converged"
+            assert rep.status == "numerical_failure"
+
+
 class TestNewtonStepCost:
     def test_at_most_two_evals_per_newton_step(self, monkeypatch):
         # one evaluation opens each inner solve; after that a Newton step
