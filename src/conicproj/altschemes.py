@@ -76,7 +76,6 @@ def alternating_projections(
         y = _affine_project_vec(eq, fact, x)
         gap = float(np.linalg.norm(x - y))
         affres = float(np.linalg.norm(eq.apply_vec(x) - eq.rhs))
-        report.residual_history.append(max(gap, affres))
         report.iterations = k
         if gap <= tol and affres <= tol:
             status = CONVERGED
@@ -117,7 +116,6 @@ def dykstra(
         if record_iterates:
             report.iterate_history.append(BlockPoint.from_vector(cone, x))
         gap = float(np.linalg.norm(x - y))
-        report.residual_history.append(gap)
         report.iterations = k
         if gap <= tol:
             status = CONVERGED
@@ -164,7 +162,6 @@ def admm_projection(
             beta * float(np.linalg.norm(y_new - y)),
         )
         y = y_new
-        report.residual_history.append(res)
         report.iterations = k
         if res <= tol:
             status = CONVERGED

@@ -36,7 +36,6 @@ from .regsolver import (
     LinearConicProblem,
     RegParams,
     solve_regularized,
-    solve_simple,
 )
 from .report import (
     CONVERGED,
@@ -254,10 +253,7 @@ def _reg_params(args) -> RegParams:
 
 
 def _run_conic(args, problem: LinearConicProblem):
-    params = _reg_params(args)
-    if args.solver == "simple":
-        return solve_simple(problem, params)
-    return solve_regularized(problem, params)
+    return solve_regularized(problem, _reg_params(args))
 
 
 def _finish(args, report: dict, solution: dict) -> int:
@@ -324,9 +320,8 @@ def _cmd_project(args) -> int:
         center = BlockPoint.zeros(cone)
 
     problem = ProjectionProblem(c=center, eq=eq, cone=cone, ineq=ineq)
-    tol = problem.default_tol() if args.tol is None else args.tol
     x, d, rep = solve_projection(
-        problem, args.method, tol, args.max_iter, beta=args.beta
+        problem, args.method, args.tol, args.max_iter, beta=args.beta
     )
     distance_sq = 0.5 * (x - center).dot(x - center)
     extra = {} if d is None else {"theta": rep.objective}

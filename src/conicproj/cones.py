@@ -242,17 +242,20 @@ class BlockPoint:
 # symmetric eigendecomposition
 
 
-def symmetrize(m, warn_tol: float = 1e-12) -> np.ndarray:
-    """Return (M + M^T)/2, warning when the asymmetry exceeds warn_tol*||M||."""
+_SYMMETRY_TOL = 1e-12
+
+
+def symmetrize(m) -> np.ndarray:
+    """Return (M + M^T)/2, warning when the asymmetry exceeds 1e-12 ||M||."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
     skew = m - m.T
     nrm = np.linalg.norm(m)
-    if np.linalg.norm(skew) > warn_tol * max(nrm, 1e-300):
+    if np.linalg.norm(skew) > _SYMMETRY_TOL * max(nrm, 1e-300):
         warnings.warn(
             "matrix symmetrized: asymmetry %.3e exceeds %.1e * ||M||"
-            % (np.linalg.norm(skew), warn_tol),
+            % (np.linalg.norm(skew), _SYMMETRY_TOL),
             stacklevel=2,
         )
     return (m + m.T) / 2.0
@@ -525,20 +528,11 @@ class AffineMap:
     def apply_vec(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
 
-    def adjoint(self, y) -> BlockPoint:
-        """A^T y as a BlockPoint (symmetric on matrix blocks by row symmetry)."""
-        return BlockPoint.from_vector(self.cone, self.adjoint_vec(y))
-
     def adjoint_vec(self, y) -> np.ndarray:
         return self.adjoint_matrix @ np.asarray(y, dtype=float)
 
     def residual(self, x: BlockPoint) -> np.ndarray:
         return self.apply(x) - self.rhs
-
-    def row_block_point(self, i: int) -> BlockPoint:
-        """Dense lift of row i into the ambient space."""
-        row = np.asarray(self.matrix.getrow(i).todense()).ravel()
-        return BlockPoint.from_vector(self.cone, row)
 
     @cached_property
     def adjoint_matrix(self) -> sp.csr_matrix:

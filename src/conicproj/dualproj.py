@@ -70,9 +70,9 @@ class ProjectionProblem:
 
     ``c`` is the point being projected (the prox center when reused by the
     regularization solvers), ``eq`` the equality rows, ``ineq`` optional
-    inequality rows in the >= orientation, ``scale`` the prox parameter t
-    (default 1 gives the plain projection) and ``tilt`` the optional linear
-    objective shift of the regularized subproblem.
+    inequality rows in the >= orientation, ``scale`` the prox parameter t,
+    finite and positive (default 1 gives the plain projection) and ``tilt``
+    the optional linear objective shift of the regularized subproblem.
     """
 
     c: BlockPoint
@@ -89,8 +89,10 @@ class ProjectionProblem:
             raise InputError("inequality rows do not conform to the cone spec")
         if self.tilt is not None and self.tilt.cone != self.cone:
             raise InputError("tilt does not conform to the cone spec")
-        if not self.scale > 0:
-            raise InputError("scale must be positive")
+        if not (np.isfinite(self.scale) and self.scale > 0):
+            raise InputError(
+                f"scale must be finite and positive, got {self.scale}"
+            )
         if self.eq.m + self.m_ineq < 1:
             raise InputError("problem has no affine constraints")
 
@@ -287,7 +289,6 @@ def solve_fixed_metric(
             report.iterate_history.append(
                 BlockPoint.from_vector(problem.cone, x)
             )
-        report.residual_history.append(gnorm)
         report.iterations = k
         if gnorm <= tol:
             status = CONVERGED
@@ -355,15 +356,14 @@ def solve_quasi_newton(
     tol: float | None = None,
     max_iter: int = 1000,
     y0=None,
-    z0=None,
     carry_state: dict | None = None,
 ):
     """Maximize theta by limited-memory BFGS with a weak Wolfe search.
 
     Inequality multipliers are kept feasible by clamping z to the orthant
-    after each accepted step; curvature pairs are skipped whenever the clamp
-    activates.  ``carry_state`` lets an outer loop retain curvature pairs
-    between restarts.
+    after each accepted step, starting from z = 0; curvature pairs are
+    skipped whenever the clamp activates.  ``carry_state`` lets an outer
+    loop retain curvature pairs between restarts.
     """
     ws = _Workspace(problem)
     me, mi = problem.m_eq, problem.m_ineq
@@ -371,8 +371,6 @@ def solve_quasi_newton(
     v = np.zeros(me + mi)
     if y0 is not None:
         v[:me] = np.asarray(y0, dtype=float)
-    if z0 is not None and mi:
-        v[me:] = np.maximum(np.asarray(z0, dtype=float), 0.0)
     model = _Lbfgs(carry_state.get("pairs") if carry_state else None)
 
     evals = 0
@@ -393,7 +391,6 @@ def solve_quasi_newton(
     for k in range(max_iter + 1):
         theta, gy, gz, x = payload
         crit = _kkt_residual(gy, gz, v[me:] if mi else None)
-        report.residual_history.append(crit)
         report.iterations = k
         if crit <= tol:
             status = CONVERGED
@@ -522,7 +519,6 @@ def solve_ssnewton(
     theta, g, _, x, infos = fg(y, want_info=True)
     for k in range(max_iter + 1):
         gnorm = float(np.linalg.norm(g))
-        report.residual_history.append(gnorm)
         report.iterations = k
         if gnorm <= tol:
             status = CONVERGED
@@ -607,17 +603,19 @@ PROJECTION_METHODS = (*_SOLVERS, "dykstra", "admm", "alternating")
 def solve_projection(
     problem: ProjectionProblem,
     method: str,
-    tol: float,
+    tol: float | None = None,
     max_iter: int | None = None,
     beta: float = 1.0,
 ):
     """Project by one of ``PROJECTION_METHODS``: a dual engine, or a
     geometric scheme (``beta`` is the ADM splitting parameter).
 
-    ``tol`` must be finite and positive, ``max_iter`` (default: the
-    engine's own) at least 1.  Returns (x, dual point, report); the dual
-    point is None for the geometric schemes, which carry no multipliers.
+    ``tol`` (default: ``problem.default_tol()``) must be finite and
+    positive, ``max_iter`` (default: the engine's own) at least 1.  Returns
+    (x, dual point, report); the dual point is None for the geometric
+    schemes, which carry no multipliers.
     """
+    tol = problem.default_tol() if tol is None else tol
     if not (np.isfinite(tol) and tol > 0):
         raise InputError(f"tol must be finite and positive, got {tol}")
     kwargs = {"tol": tol}
@@ -654,8 +652,6 @@ def nearest_correlation(
     :func:`rescale_correlation` when an exactly-unit diagonal is required.
     """
     problem = correlation_problem(c)
-    n = problem.cone.psd_dims[0]
-    tol = 1e-7 * n if tol is None else float(tol)
     x, _, rep = solve_projection(problem, method, tol, max_iter)
     return np.array(x.blocks[0]), rep
 

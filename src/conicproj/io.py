@@ -388,14 +388,6 @@ def cone_from_json(d: dict) -> ConeSpec:
     )
 
 
-def cone_to_json(cone: ConeSpec) -> dict:
-    return {
-        "psd": list(cone.psd_dims),
-        "soc": list(cone.soc_dims),
-        "nonneg": cone.nonneg,
-    }
-
-
 def blockpoint_from_json(cone: ConeSpec, data) -> BlockPoint:
     """A list of blocks (nested lists of finite numbers) in layout order."""
     if not isinstance(data, list) or len(data) != len(cone.blocks):

@@ -159,15 +159,15 @@ class MonomialBasis:
         )
 
 
-def monomials_upto(num_vars: int, degree: int, cap: int = SIZE_CAP) -> MonomialBasis:
+def monomials_upto(num_vars: int, degree: int) -> MonomialBasis:
     """Monomial basis of total degree <= degree; C(N+d, N) exponents."""
     if num_vars < 1 or degree < 0:
         raise InputError("need num_vars >= 1 and degree >= 0")
     count = math.comb(num_vars + degree, num_vars)
-    if count > cap:
+    if count > SIZE_CAP:
         raise InputError(
             f"basis size C({num_vars + degree},{num_vars}) = {count} exceeds "
-            f"the cap {cap}"
+            f"the cap {SIZE_CAP}"
         )
     exps = []
     for total in range(degree + 1):
@@ -212,12 +212,12 @@ class Graph:
 # SOS Gram assembly
 
 
-def _sos_system(num_vars: int, d: int, cap: int = SIZE_CAP):
+def _sos_system(num_vars: int, d: int):
     """Cone, bases and the constraint matrix A of the Gram identification
     p_alpha = <A_alpha, X>; one row per |alpha| <= 2d, columns indexing the
     full-square vectorization of the n x n Gram matrix."""
-    basis = monomials_upto(num_vars, d, cap)
-    basis2 = monomials_upto(num_vars, 2 * d, cap)
+    basis = monomials_upto(num_vars, d)
+    basis2 = monomials_upto(num_vars, 2 * d)
     n = len(basis)
     idx = basis2.index
     rows = np.empty(n * n, dtype=np.int64)

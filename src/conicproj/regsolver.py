@@ -51,7 +51,6 @@ from .report import (
     ITERATION_LIMIT,
     NUMERICAL_FAILURE,
     SUSPECTED_INFEASIBLE,
-    DivergenceMonitor,
     SolveReport,
 )
 
@@ -78,6 +77,12 @@ _T_SCALE = 2.0
 _T_MIN = 1e-4
 _T_MAX = 1e4
 _T_PERIOD = 10
+
+# divergence rule: every _DIVERGE_PERIOD outer iterations, report
+# suspected_infeasible when ||y|| exceeds _DIVERGE_BOUND while the primal
+# residual has not fallen below 0.9 times its value at the previous check
+_DIVERGE_PERIOD = 500
+_DIVERGE_BOUND = 1e6
 
 
 @dataclass(frozen=True)
@@ -191,9 +196,9 @@ def prox_eval(
     problem: LinearConicProblem,
     p: BlockPoint,
     t: float,
-    inner: str = "quasi_newton",
+    inner: str = RegParams.inner,
     inner_tol: float = 1e-8,
-    max_inner: int = 300,
+    max_inner: int = RegParams.max_inner,
     y0=None,
     carry_state: dict | None = None,
 ):
@@ -202,10 +207,9 @@ def prox_eval(
 
     Returns (x, y, u, inner_report) with u recovered from the final cone
     projection, so p + t(A'y - c) = t u + x holds exactly.
-    ``inner_tol`` is an absolute bound on ||A x - b||.
+    ``inner_tol`` is an absolute bound on ||A x - b||; ``t`` must be
+    finite and positive.
     """
-    if not t > 0:
-        raise InputError("prox parameter must be positive")
     sub = ProjectionProblem(
         c=p, eq=problem.a, cone=problem.cone, scale=t, tilt=problem.c
     )
@@ -243,7 +247,9 @@ def _outer_loop(problem, params, step, c_scale):
     residual check and, for the next step, A p.  ``c_scale`` = 1 + ||c||
     comes from the caller because the two solvers compute ||c||
     differently (block by block, or in one piece), and the two sums can
-    differ in the last bit.
+    differ in the last bit.  The loop starts at p = y = u = 0 and stops on
+    convergence, a non-finite residual, the divergence rule of the
+    ``_DIVERGE_*`` constants, or ``params.max_outer``.
     """
     cone = problem.cone
     a = problem.a
@@ -253,7 +259,6 @@ def _outer_loop(problem, params, step, c_scale):
     p = np.zeros(cone.dim)
     u = np.zeros(cone.dim)
     y = np.zeros(problem.m)
-    monitor = DivergenceMonitor()
     report = SolveReport()
     start = time.perf_counter()
     status = ITERATION_LIMIT
@@ -261,7 +266,7 @@ def _outer_loop(problem, params, step, c_scale):
     rp, rd = _residuals_vec(
         problem, ap, a.adjoint_vec(y), u, c_vec, b_scale, c_scale
     )
-    monitor.update(0, float(np.linalg.norm(y)), rp)
+    rp_checked = rp
     last_adapt = 0
     adapt_wait = _T_PERIOD
     for k in range(1, params.max_outer + 1):
@@ -272,7 +277,6 @@ def _outer_loop(problem, params, step, c_scale):
         # max() drops a NaN second argument, so a NaN rd must not reach it
         finite = math.isfinite(rp) and math.isfinite(rd)
         worst = max(rp, rd) if finite else math.nan
-        report.residual_history.append(worst)
         report.iterations = k
         if math.isnan(worst):
             status = NUMERICAL_FAILURE
@@ -281,12 +285,15 @@ def _outer_loop(problem, params, step, c_scale):
         if worst <= params.outer_tol:
             status = CONVERGED
             break
-        if monitor.update(k, float(np.linalg.norm(y)), rp):
-            status = SUSPECTED_INFEASIBLE
-            report.message = (
-                "dual variable diverging while primal residual stagnates"
-            )
-            break
+        if k % _DIVERGE_PERIOD == 0:
+            stalled = rp > 0.9 * rp_checked
+            rp_checked = rp
+            if stalled and float(np.linalg.norm(y)) > _DIVERGE_BOUND:
+                status = SUSPECTED_INFEASIBLE
+                report.message = (
+                    "dual variable diverging while primal residual stagnates"
+                )
+                break
         if (
             params.adapt_t
             and k - last_adapt >= adapt_wait

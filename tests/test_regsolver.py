@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -91,10 +93,14 @@ class TestProxEval:
             fd = (tp - tm) / (2 * eps)
             assert abs(fd - ev.grad_y[i]) <= 1e-6 * (1 + abs(fd))
 
-    def test_bad_t(self):
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_t(self, t):
+        # rejected by the subproblem's scale check, before any arithmetic
         prob = scalar_problem()
-        with pytest.raises(InputError):
-            prox_eval(prob, BlockPoint.zeros(prob.cone), t=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InputError, match="finite and positive"):
+                prox_eval(prob, BlockPoint.zeros(prob.cone), t=t)
 
 
 class TestSolveSimple:
@@ -158,15 +164,35 @@ class TestSolveSimple:
                 assert abs(gap - ident) <= 1e-10 * (1.0 + gap)
             prev = trip.p
 
-    def test_suspected_infeasible_flag(self):
-        # x = -1 against x >= 0; tiny t makes the dual blow up quickly
+    @staticmethod
+    def _infeasible(t0, max_outer):
+        # x = -1 against x >= 0: the dual grows by 1/t per sweep
         cone = ConeSpec(nonneg=1)
         amap = AffineMap(cone, sp.csr_matrix(np.array([[1.0]])), [-1.0])
         prob = LinearConicProblem(c=BlockPoint.zeros(cone), a=amap, cone=cone)
-        trip, rep = solve_simple(
-            prob, RegParams(t0=1e-4, max_outer=5000, outer_tol=1e-9)
+        return solve_simple(
+            prob, RegParams(t0=t0, max_outer=max_outer, outer_tol=1e-9)
         )
+
+    def test_suspected_infeasible_flag(self):
+        # tiny t: ||y|| = 5e6 > 1e6 at the first check, sweep 500
+        trip, rep = self._infeasible(1e-4, 5000)
         assert rep.status == "suspected_infeasible"
+        assert rep.iterations == 500
+        assert np.linalg.norm(trip.y) > 1e6
+
+    def test_no_divergence_check_before_sweep_500(self):
+        trip, rep = self._infeasible(1e-4, 499)
+        assert rep.status == "iteration_limit"
+        assert rep.iterations == 499
+
+    def test_divergence_bound_is_absolute(self):
+        # t = 1: ||y|| grows linearly to 5e3, far from growing 1e6-fold
+        # past its start of 0, but never past the 1e6 bound
+        trip, rep = self._infeasible(1.0, 5000)
+        assert rep.status == "iteration_limit"
+        assert rep.iterations == 5000
+        assert 1e3 < np.linalg.norm(trip.y) < 1e6
 
 
 class TestSweepCost:
