@@ -11,7 +11,10 @@ blockwise Frobenius / Euclidean products, which coincides with the dot
 product of the full-square vectorizations used throughout.
 
 All functions here are pure and all types are immutable after construction,
-so everything is safe to call concurrently.
+so everything is safe to call concurrently.  The one cache on a value type,
+``SpectralDecomp.jacobian_weights``, holds read-only arrays derived
+deterministically from the spectrum; two threads that race to fill it
+compute the same arrays.
 """
 
 from __future__ import annotations
@@ -280,6 +283,45 @@ class SpectralDecomp:
     def reconstruct(self) -> np.ndarray:
         u = self.eigenvectors
         return (u * self.eigenvalues) @ u.T
+
+    @cached_property
+    def jacobian_weights(self) -> tuple[bool, np.ndarray, np.ndarray]:
+        """(positive_side, V_own, Q) of :func:`psd_jacobian_apply`.
+
+        They depend on the spectrum alone, so the first Jacobian product on
+        this decomposition computes them and every later one reuses them.
+        Eigenvalues within 1e-10 (1 + max |lam|) of zero, when the spectrum
+        comes that close, count in beta with the nonpositive ones.  The own
+        side is alpha = {lam > cut} when r = |alpha| <= n - r (then
+        ``positive_side``), else beta; ``V_own`` holds its eigenvectors and
+        ``Q`` (k x n, k the size of the own side) is 1/2 on own x own and
+        lam_i/(lam_i - lam_j) on own x other.  Both arrays are read-only.
+        """
+        lam = self.eigenvalues
+        n = lam.size
+        cut = 0.0
+        if n:
+            mag = np.abs(lam)
+            band = 1e-10 * (1.0 + float(mag.max()))
+            if mag.min() < band:
+                cut = band
+        r = int(np.count_nonzero(lam > cut))  # descending: alpha is a prefix
+        positive_side = r <= n - r
+        own, other = (
+            (slice(0, r), slice(r, n))
+            if positive_side
+            else (slice(r, n), slice(0, r))
+        )
+        # on beta x alpha, 1 - lam_i/(lam_i - lam_j) = lam_j/(lam_j - lam_i):
+        # both sides weigh across by own/(own - other)
+        lam_own = lam[own, None]
+        q = np.empty((lam_own.shape[0], n))
+        q[:, own] = 0.5
+        q[:, other] = lam_own / (lam_own - lam[None, other])
+        q.setflags(write=False)
+        v = self.eigenvectors[:, own]
+        v.setflags(write=False)
+        return positive_side, v, q
 
 
 def _symmetric_input(m) -> np.ndarray:
@@ -665,7 +707,10 @@ def psd_jacobian_apply(dec: SpectralDecomp, h) -> np.ndarray:
     J(H) = H - (W + W^T) with the same construction on beta and the
     weights 1 - Omega.  H is symmetrized first, so an asymmetric H gives
     the result for (H + H^T)/2.  The result is exactly symmetric, linear
-    in H, and PSD as an operator.
+    in H, and PSD as an operator.  The split and Q are
+    ``dec.jacobian_weights``, computed once per decomposition; when the own
+    side is empty (k = 0) the result is the zero matrix or sym(H) itself,
+    without the four products.
     """
     h = np.asarray(h, dtype=float)
     n = dec.dim
@@ -676,26 +721,10 @@ def psd_jacobian_apply(dec: SpectralDecomp, h) -> np.ndarray:
     hs = h.T.copy()
     hs += h
     hs *= 0.5
-    lam = dec.eigenvalues
+    positive_side, v, q = dec.jacobian_weights
+    if v.shape[1] == 0:  # empty own side: J is 0 (r = 0) or the identity
+        return np.zeros((n, n)) if positive_side else hs
     u = dec.eigenvectors
-    cut = 0.0
-    if n:
-        mag = np.abs(lam)
-        band = 1e-10 * (1.0 + float(mag.max()))
-        if mag.min() < band:
-            cut = band
-    r = int(np.count_nonzero(lam > cut))  # lam descending: alpha is a prefix
-    positive_side = r <= n - r
-    own, other = (
-        (slice(0, r), slice(r, n)) if positive_side else (slice(r, n), slice(0, r))
-    )
-    # on beta x alpha, 1 - lam_i/(lam_i - lam_j) = lam_j/(lam_j - lam_i):
-    # both sides weigh across by own/(own - other)
-    lam_own = lam[own, None]
-    q = np.empty((lam_own.shape[0], n))
-    q[:, own] = 0.5
-    q[:, other] = lam_own / (lam_own - lam[None, other])
-    v = u[:, own]
     w = v @ ((q * (v.T @ hs @ u)) @ u.T)
     jac = w + w.T
     return jac if positive_side else hs - jac

@@ -89,7 +89,8 @@ _DIVERGE_BOUND = 1e6
 class LinearConicProblem:
     """Objective c, constraints A x = b (rhs stored on the map), cone K.
 
-    Minimization sense throughout.
+    Minimization sense throughout.  Every entry of c must be finite, as
+    :class:`AffineMap` requires of A and b.
     """
 
     c: BlockPoint
@@ -99,6 +100,13 @@ class LinearConicProblem:
     def __post_init__(self):
         if self.c.cone != self.cone or self.a.cone != self.cone:
             raise InputError("problem blocks do not conform to the cone spec")
+        for i, ((kind, _, _), blk) in enumerate(
+            zip(self.cone.blocks, self.c.blocks)
+        ):
+            if not np.all(np.isfinite(blk)):
+                raise InputError(
+                    f"objective has non-finite entries in block {i} ({kind})"
+                )
         if self.a.m < 1:
             raise InputError("problem needs at least one constraint")
 

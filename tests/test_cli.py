@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,7 +260,7 @@ class TestSolveAndSolutions:
         )
         assert code == 0
         data = json.loads(sol.read_text())
-        prob = parse_sdpa(open(fixture_path("sos_n3_d2.dat-s")).read())
+        prob = parse_sdpa(Path(fixture_path("sos_n3_d2.dat-s")).read_text())
         from conicproj.io import blockpoint_from_json
         from conicproj.regsolver import IterateTriple, residuals
 
@@ -389,7 +390,7 @@ class TestGen:
         assert seeds == [10, 11, 12]  # split rule: seed + index
         for info in rep["instances"]:
             assert os.path.exists(info["path"])
-            parsed = parse_sdpa(open(info["path"]).read())
+            parsed = parse_sdpa(Path(info["path"]).read_text())
             assert parsed.cone.psd_dims == (6,)
 
     def test_gen_motzkin_and_structured(self, capsys, tmp_path):

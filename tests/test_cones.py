@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -590,6 +591,120 @@ class TestPsdJacobian:
         _, dec = project_psd(np.eye(3))
         with pytest.raises(InputError):
             psd_jacobian_apply(dec, np.eye(2))
+
+    @staticmethod
+    def _per_call(dec, h):
+        # the kernel as it was before the weights were cached on the
+        # decomposition: cut, split and Q rebuilt on every call, and the
+        # four products run even when the own side is empty
+        h = np.asarray(h, dtype=float)
+        n = dec.dim
+        hs = h.T.copy()
+        hs += h
+        hs *= 0.5
+        lam = dec.eigenvalues
+        u = dec.eigenvectors
+        cut = 0.0
+        if n:
+            mag = np.abs(lam)
+            band = 1e-10 * (1.0 + float(mag.max()))
+            if mag.min() < band:
+                cut = band
+        r = int(np.count_nonzero(lam > cut))
+        positive_side = r <= n - r
+        own, other = (
+            (slice(0, r), slice(r, n))
+            if positive_side
+            else (slice(r, n), slice(0, r))
+        )
+        lam_own = lam[own, None]
+        q = np.empty((lam_own.shape[0], n))
+        q[:, own] = 0.5
+        q[:, other] = lam_own / (lam_own - lam[None, other])
+        v = u[:, own]
+        w = v @ ((q * (v.T @ hs @ u)) @ u.T)
+        jac = w + w.T
+        return jac if positive_side else hs - jac
+
+    @staticmethod
+    def _same_bits(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_weights_computed_once_per_decomposition(self, monkeypatch):
+        calls = []
+        compute = cones.SpectralDecomp.jacobian_weights.func
+
+        def counted(dec):
+            calls.append(dec)
+            return compute(dec)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(cones.SpectralDecomp, "jacobian_weights")
+        monkeypatch.setattr(cones.SpectralDecomp, "jacobian_weights", prop)
+        r = rng(1003)
+        lam = np.array([2.0, 0.5, -0.3, -1.0, -2.5])
+        _, dec = project_psd(self._spectral_point(r, lam))
+        hs = [r.standard_normal((5, 5)) for _ in range(3)]
+        for h in hs:
+            assert self._same_bits(
+                psd_jacobian_apply(dec, h), self._per_call(dec, h)
+            )
+        assert calls == [dec]
+        side, v, q = dec.jacobian_weights
+        assert side and v.shape == (5, 2) and q.shape == (2, 5)
+        assert not v.flags.writeable and not q.flags.writeable
+        # through the blockwise apply too, and a new decomposition gets
+        # its own weights
+        _, dec2 = project_psd(self._spectral_point(r, -lam))
+        cone = ConeSpec(psd_dims=(5,))
+        for _ in range(2):
+            cones.cone_jacobian_apply(cone, [dec2], hs[0].ravel())
+        assert calls == [dec, dec2]
+        assert dec2.jacobian_weights[0] is False
+
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            [-0.5, -1.0, -2.0, -3.0],  # r = 0
+            [3.0, 2.0, 1.0, 0.5],  # r = n
+            [3e-11, 1e-12, -0.5, -1.0],  # r = 0 through the cut band
+            [0.0, 0.0, 0.0],  # the zero matrix: r = 0 through the cut
+            [2.0],
+            [-2.0],
+        ],
+        ids=["r0", "rn", "cut_band", "zero", "n1_pos", "n1_neg"],
+    )
+    def test_empty_side_matches_general_formula_bitwise(self, lam):
+        r = rng(1004)
+        lam = np.array(lam)
+        n = lam.size
+        _, dec = project_psd(self._spectral_point(r, lam))
+        side, v, q = dec.jacobian_weights
+        assert v.shape == (n, 0) and q.shape == (0, n)
+        for h in (r.standard_normal((n, n)), np.zeros((n, n))):
+            jh = psd_jacobian_apply(dec, h)
+            assert self._same_bits(jh, self._per_call(dec, h))
+            if side:
+                assert not np.any(jh)
+            else:
+                assert self._same_bits(jh, (h + h.T) / 2.0)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_bitwise_equal_to_per_call_weights(self, symmetric):
+        r = rng(1005 + symmetric)
+        for trial in range(40):
+            n = int(r.integers(1, 40))
+            lam = r.standard_normal(n) * 10.0 ** r.uniform(-3, 3)
+            if trial % 4 == 0:  # some eigenvalues inside the cut band
+                lam[r.integers(0, n)] = 1e-12 * r.standard_normal()
+            _, dec = project_psd(self._spectral_point(r, lam))
+            for _ in range(2):  # the second product reuses the weights
+                h = r.standard_normal((n, n))
+                if symmetric:
+                    h = (h + h.T) / 2.0
+                assert self._same_bits(
+                    psd_jacobian_apply(dec, h), self._per_call(dec, h)
+                )
 
 
 class TestSocJacobian:

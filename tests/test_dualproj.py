@@ -310,8 +310,41 @@ class TestSolvers:
         assert (x_newton - x_qn).norm() <= 1e-8
 
 
+def _plain_cg(apply_h, g, eta, cap):
+    # the unpreconditioned loop that _pcg replaced, kept as the reference
+    # for the identity preconditioner
+    m = g.size
+    d = np.zeros(m)
+    r = g.copy()
+    gnorm = np.linalg.norm(g)
+    target = eta * gnorm
+    rr = float(r @ r)
+    p = r.copy()
+    for it in range(cap):
+        hp = apply_h(p)
+        curve = float(p @ hp)
+        if curve <= 1e-14 * float(p @ p):
+            if it == 0:
+                return p / max(np.linalg.norm(p), 1e-300), it + 1, True
+            return d, it + 1, True
+        alpha = rr / curve
+        d += alpha * p
+        r -= alpha * hp
+        if np.linalg.norm(r) <= target:
+            return d, it + 1, False
+        rr_new = float(r @ r)
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    return d, cap, False
+
+
+def _identity(v):
+    return v
+
+
 class TestPcg:
-    """``_pcg``: CG without a preconditioner on H d = g."""
+    """``_pcg``: preconditioned CG on H d = g, the preconditioner given as
+    the map r -> M r."""
 
     def test_solves_spd_system_within_m_iterations(self):
         r = rng(32)
@@ -320,17 +353,98 @@ class TestPcg:
         h = b @ b.T + 0.1 * np.eye(m)
         g = r.standard_normal(m)
         eta = 1e-10
-        d, iters, breakdown = _pcg(lambda v: h @ v, g, eta, 2 * m)
+        d, iters, breakdown = _pcg(lambda v: h @ v, g, eta, 2 * m, _identity)
         assert not breakdown
         assert iters <= m
         assert np.linalg.norm(h @ d - g) <= eta * np.linalg.norm(g)
 
     def test_zero_curvature_returns_normalized_first_direction(self):
         g = np.array([3.0, 0.0, -4.0])
-        d, iters, breakdown = _pcg(np.zeros_like, g, 0.1, 6)
+        d, iters, breakdown = _pcg(np.zeros_like, g, 0.1, 6, _identity)
         assert breakdown
         assert iters == 1
         assert np.allclose(d, g / 5.0)
+
+    def test_exact_inverse_converges_in_one_iteration(self):
+        r = rng(33)
+        m = 40
+        b = r.standard_normal((m, m))
+        # badly scaled rows: plain CG needs many iterations here
+        scale = np.logspace(0, 3, m)
+        h = scale[:, None] * (b @ b.T + np.eye(m)) * scale[None, :]
+        h_inv = np.linalg.inv(h)
+        g = r.standard_normal(m)
+        eta = 1e-8
+        d, iters, breakdown = _pcg(
+            lambda v: h @ v, g, eta, 2 * m, lambda v: h_inv @ v
+        )
+        assert (iters, breakdown) == (1, False)
+        assert np.linalg.norm(h @ d - g) <= eta * np.linalg.norm(g)
+        _, plain_iters, _ = _pcg(lambda v: h @ v, g, eta, 2 * m, _identity)
+        assert plain_iters > 10
+
+    @pytest.mark.parametrize("case", ["converges", "cap", "breakdown"])
+    def test_identity_is_plain_cg_bitwise(self, case):
+        r = rng(34)
+        m = 30
+        b = r.standard_normal((m, m - 5 if case == "breakdown" else m))
+        h = b @ b.T
+        g = r.standard_normal(m)
+        eta, cap = (1e-9, 2 * m) if case != "cap" else (1e-14, 7)
+        seen = {"plain": [], "pcg": []}
+
+        def recorder(name):
+            def apply_h(v):
+                seen[name].append(v.copy())
+                return h @ v
+
+            return apply_h
+
+        d0, it0, br0 = _plain_cg(recorder("plain"), g, eta, cap)
+        d1, it1, br1 = _pcg(recorder("pcg"), g, eta, cap, _identity)
+        assert (it1, br1) == (it0, br0)
+        assert np.array_equal(d1, d0)
+        assert len(seen["pcg"]) == len(seen["plain"]) == it0
+        for p0, p1 in zip(seen["plain"], seen["pcg"]):
+            assert np.array_equal(p1, p0)
+        assert br0 == (case == "breakdown")
+        if case == "cap":
+            assert it0 == cap
+
+    def test_ssnewton_preconditions_with_the_gram_inverse(self, monkeypatch):
+        # unit-diagonal rows scaled by 10^(i/2): AA^T is diagonal with
+        # entries 10^i, and the Newton matrix is about as badly scaled
+        r = rng(35)
+        n = 8
+        cone = ConeSpec(psd_dims=(n,))
+        scale = 10.0 ** (np.arange(n) / 2.0)
+        diag_flat = np.arange(n) * n + np.arange(n)
+        mat = sp.csr_matrix((scale, (np.arange(n), diag_flat)), shape=(n, n * n))
+        g = r.standard_normal((n, n))
+        prob = ProjectionProblem(
+            c=BlockPoint(cone, [(g + g.T) / 2.0]),
+            eq=AffineMap(cone, mat, scale),
+            cone=cone,
+        )
+        passed = []
+        original = cp.dualproj._pcg
+
+        def recording(apply_h, g, eta, cap, precond):
+            passed.append(precond)
+            return original(apply_h, g, eta, cap, precond)
+
+        monkeypatch.setattr(cp.dualproj, "_pcg", recording)
+        _, _, rep = solve_ssnewton(prob, tol=1e-10)
+        assert rep.status == "converged"
+        assert passed and all(p == prob.eq.gram.solve for p in passed)
+
+        def unpreconditioned(apply_h, g, eta, cap, precond):
+            return original(apply_h, g, eta, cap, _identity)
+
+        monkeypatch.setattr(cp.dualproj, "_pcg", unpreconditioned)
+        _, _, plain = solve_ssnewton(prob, tol=1e-10)
+        assert plain.status == "converged"
+        assert 2 * rep.inner_iterations < plain.inner_iterations
 
 
 class TestWolfeFallback:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -250,21 +251,40 @@ class TestPartialSpectrumSweep:
 
 
 class TestNonFiniteResidual:
-    def test_inf_objective_in_orthant_is_not_converged(self):
-        # min <c, x> with c = (0, -inf) on an orthant block beside a PSD
-        # block; the dual residual is NaN from the first sweep on
+    @staticmethod
+    def _problem(psd_block, orthant):
+        # min <c, x> over a PSD block beside an orthant block, one row
         cone = ConeSpec(psd_dims=(2,), nonneg=2)
         row = np.zeros(cone.dim)
         row[0] = 1.0  # X_11
         row[5] = 1.0  # the second orthant entry
         amap = AffineMap(cone, sp.csr_matrix(row), [1.0])
-        c = BlockPoint(cone, [np.zeros((2, 2)), np.array([-np.inf, 0.0])])
-        prob = LinearConicProblem(c=c, a=amap, cone=cone)
+        c = BlockPoint(cone, [np.array(psd_block), np.array(orthant)])
+        return LinearConicProblem(c=c, a=amap, cone=cone)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("block", ["psd", "nonneg"])
+    def test_nonfinite_objective_is_rejected_at_construction(self, block, bad):
+        psd_block = np.zeros((2, 2))
+        orthant = np.zeros(2)
+        if block == "psd":
+            psd_block[1, 1] = bad
+            where = "block 0 (psd)"
+        else:
+            orthant[0] = bad
+            where = "block 1 (nonneg)"
+        with pytest.raises(InputError, match=re.escape(where)):
+            self._problem(psd_block, orthant)
+
+    def test_overflowing_objective_in_orthant_is_not_converged(self):
+        # c = -1e308 on an orthant entry: the first sweep overflows and the
+        # dual residual is non-finite from then on
+        prob = self._problem(np.zeros((2, 2)), [-1e308, 0.0])
         for solve in (solve_simple, solve_regularized):
-            with np.errstate(invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 _, rep = solve(prob, RegParams(max_outer=50))
-            assert rep.status != "converged"
             assert rep.status == "numerical_failure"
+            assert rep.message == "non-finite residual"
 
 
 class TestNewtonStepCost:
