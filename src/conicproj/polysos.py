@@ -23,7 +23,14 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .cones import AffineMap, BlockPoint, ConeSpec, InputError, eig_sym
+from .cones import (
+    AffineMap,
+    BlockPoint,
+    ConeSpec,
+    InputError,
+    _integers,
+    eig_sym,
+)
 from .dualproj import ProjectionProblem, correlation_problem
 from .regsolver import LinearConicProblem
 
@@ -56,7 +63,8 @@ class Polynomial:
     """Sparse multivariate polynomial: exponent multi-index -> coefficient.
 
     Zero coefficients are dropped on construction; exponents are tuples of
-    ``num_vars`` nonnegative ints.
+    ``num_vars`` nonnegative ints.  A non-integral exponent or a non-finite
+    coefficient raises :class:`InputError` naming the term.
     """
 
     num_vars: int
@@ -65,10 +73,13 @@ class Polynomial:
     def __post_init__(self):
         clean = {}
         for alpha, coeff in self.terms.items():
-            alpha = tuple(int(e) for e in alpha)
+            term = alpha
+            alpha = _integers(alpha, f"exponents of term {term!r}")
             if len(alpha) != self.num_vars or any(e < 0 for e in alpha):
                 raise InputError(f"bad exponent {alpha} for {self.num_vars} vars")
             c = float(coeff)
+            if not math.isfinite(c):
+                raise InputError(f"term {term!r} has non-finite coefficient {c}")
             if c != 0.0:
                 clean[alpha] = clean.get(alpha, 0.0) + c
         clean = {a: c for a, c in clean.items() if c != 0.0}
@@ -181,7 +192,8 @@ def monomials_upto(num_vars: int, degree: int) -> MonomialBasis:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on vertices 0..n-1."""
+    """Undirected simple graph on vertices 0..n-1; vertex indices must be
+    integers (a non-integral one raises rather than being truncated)."""
 
     num_vertices: int
     edges: frozenset
@@ -193,6 +205,9 @@ class Graph:
         norm = set()
         for e in self.edges:
             i, j = e
+            # plain ints skip the check, which per edge tripled the cost
+            if type(i) is not int or type(j) is not int:
+                i, j = _integers(e, f"vertices of edge {e!r}")
             if i == j:
                 raise InputError(f"self-loop at vertex {i}")
             if not (0 <= i < n and 0 <= j < n):

@@ -78,6 +78,15 @@ _T_MIN = 1e-4
 _T_MAX = 1e4
 _T_PERIOD = 10
 
+# safeguarded Anderson acceleration of the sweep (with ``adapt_t``): the
+# number of stored differences, the Tikhonov factor of the small system
+# relative to the trace of its Gram matrix, and the bound on ||gamma||_1
+# beyond which an extrapolation is refused (without it, rounding alone
+# decided whether theta on G(100, 0.3) diverged)
+_AA_MEMORY = 5
+_AA_REG = 1e-8
+_AA_GAMMA_MAX = 100.0
+
 # divergence rule: every _DIVERGE_PERIOD outer iterations, report
 # suspected_infeasible when ||y|| exceeds _DIVERGE_BOUND while the primal
 # residual has not fallen below 0.9 times its value at the previous check
@@ -131,7 +140,12 @@ class RegParams:
     (t multiplies the dual-infeasibility penalty, and the dual residual
     itself scales like 1/t, so the opposite direction self-amplifies); its
     fixed band, factor, clamp and waiting period are the ``_T_*``
-    constants of this module.
+    constants of this module.  In ``solve_simple``, ``adapt_t`` also runs
+    the sweep as a safeguarded Anderson step (memory, regularization and
+    weight bound are the ``_AA_*`` constants): on the benchmark's
+    G(100, 0.3) theta instance the solve takes 1582 cone projections
+    (1570 sweeps, 12 rejected extrapolations) against 2511 with the
+    rebalancing alone.
     """
 
     t0: float = 1.0
@@ -328,6 +342,147 @@ def _outer_loop(problem, params, step, c_scale):
     return IterateTriple(p=p_bp, y=y, u=u_bp), report
 
 
+def _spd_solve(a, b):
+    """x with a x = b for a small symmetric positive definite a, given as
+    lists (a is overwritten by its Cholesky factor), in plain floats: at
+    order 5 or less that costs less than one numpy call.  None when a
+    pivot is not positive (or is NaN)."""
+    n = len(b)
+    x = list(b)
+    for i in range(n):
+        row = a[i]
+        for k in range(i + 1):
+            s = row[k]
+            for q in range(k):
+                s -= row[q] * a[k][q]
+            if k < i:
+                row[k] = s / a[k][k]
+            elif s > 0.0:
+                row[i] = math.sqrt(s)
+            else:
+                return None
+        s = x[i]
+        for q in range(i):
+            s -= row[q] * x[q]
+        x[i] = s / row[i]
+    for i in reversed(range(n)):
+        s = x[i]
+        for q in range(i + 1, n):
+            s -= a[q][i] * x[q]
+        x[i] = s / a[i][i]
+    return x
+
+
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration of a fixed-point map
+    z -> T(z) on R^dim (Walker-Ni, SIAM J. Numer. Anal. 2011; the
+    safeguard after Zhang-O'Donoghue-Boyd, SIAM J. Optim. 2020).
+
+    A point is held as x = (z, L z), L a linear map whose image the
+    caller needs at every point: the extrapolation carries it along, so
+    L is never applied to an extrapolated point.  ``evaluate(x)`` returns
+    (x', out) with x' = (T(z), L T(z)) and ``out`` passed back to the
+    caller.  The memory holds up to ``_AA_MEMORY`` differences of
+    consecutive residuals f = T(z) - z and of consecutive outputs x', in
+    preallocated rows, and the Gram matrix of the residual differences,
+    which gains one row per evaluation.
+
+    From the current point z_k, with g_k = T(z_k) and f_k known, a step
+    extrapolates z_a = g_k - dG gamma, gamma solving
+    (dF'dF + lam I) gamma = dF' f_k with lam = _AA_REG trace(dF'dF), and
+    evaluates T(z_a).  It accepts z_a when ||T(z_a) - z_a|| <= ||f_k||;
+    otherwise it clears the memory and moves to the plain point g_k.  It
+    refuses to extrapolate (plain point, memory cleared) when the small
+    system is singular or non-finite or ||gamma||_1 > _AA_GAMMA_MAX.  A
+    cleared memory starts again from the plain point, like a restart, so
+    the next step is a plain one.  Every point handed back is an output
+    of T.
+    """
+
+    def __init__(self, evaluate, dim: int, aux_dim: int):
+        self._evaluate = evaluate
+        self._dim = dim
+        self._df = np.empty((_AA_MEMORY, dim))
+        self._dg = np.empty((_AA_MEMORY, dim + aux_dim))
+        self._gram = [[0.0] * _AA_MEMORY for _ in range(_AA_MEMORY)]
+        self.size = 0
+        self._head = 0
+        self._cur = None  # (x' = (g, L g), f, ||f||, dF' f) at z_k
+
+    def restart(self, x):
+        """Forget everything and evaluate T at x = (z, L z); returns
+        ``out``."""
+        self.size = 0
+        self._head = 0
+        self._cur = None
+        return self._visit(x)
+
+    def step(self):
+        """One step from the current point; returns (out, number of
+        evaluations of T), the second being 2 after a rejected
+        extrapolation."""
+        g, _, f_norm, rhs = self._cur
+        if self.size == 0:  # nothing to extrapolate from yet
+            return self._visit(g), 1
+        gamma = self._weights(rhs)
+        if gamma is not None:
+            x = gamma @ self._dg[: self.size]
+            np.subtract(g, x, out=x)
+            trial = self._evaluate(x)
+            f = x[: self._dim]
+            np.subtract(trial[0][: self._dim], f, out=f)
+            f_norm_trial = math.sqrt(f @ f)
+            if f_norm_trial <= f_norm:
+                return self._advance(trial, f, f_norm_trial), 1
+        return self.restart(g), 1 if gamma is None else 2
+
+    def _weights(self, rhs):
+        """gamma for the right-hand side dF' f_k, or None when the
+        extrapolation is refused."""
+        j = self.size
+        lhs = [row[:j] for row in self._gram[:j]]
+        reg = _AA_REG * sum([lhs[i][i] for i in range(j)])
+        for i in range(j):
+            lhs[i][i] += reg
+        gamma = _spd_solve(lhs, rhs)
+        # a NaN weight fails the bound too
+        if gamma is None or not sum(map(abs, gamma)) <= _AA_GAMMA_MAX:
+            return None
+        return np.array(gamma)
+
+    def _visit(self, x):
+        trial = self._evaluate(x)
+        f = trial[0][: self._dim] - x[: self._dim]
+        return self._advance(trial, f, math.sqrt(f @ f))
+
+    def _advance(self, trial, f, f_norm):
+        """Move to the point whose evaluation is ``trial``, with residual
+        ``f`` of norm ``f_norm``, storing its differences from the previous
+        point."""
+        g, out = trial
+        rhs = None
+        if self._cur is not None:
+            g0, f0, _, rhs0 = self._cur
+            h = self._head
+            df = self._df
+            np.subtract(f, f0, out=df[h])
+            np.subtract(g, g0, out=self._dg[h])
+            kept = self.size
+            self.size = j = min(kept + 1, _AA_MEMORY)
+            self._head = (h + 1) % _AA_MEMORY
+            row = (df[:j] @ df[h]).tolist()
+            for i, v in enumerate(row):
+                self._gram[h][i] = self._gram[i][h] = v
+            # dF' f without a second pass over dF: f = f0 + df_h, so each
+            # kept entry is its old value df_i' f0 plus df_i' df_h
+            rhs = row[:]
+            for i in range(kept):
+                rhs[i] += rhs0[i]
+            rhs[h] = float(df[h] @ f)
+        self._cur = (g, f, f_norm, rhs)
+        return out
+
+
 def solve_regularized(problem: LinearConicProblem, params: RegParams | None = None):
     """Proximal outer loop with a dual projection method as inner solver.
 
@@ -387,6 +542,18 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
     eigenvalues (at most an eighth of its order) is projected from those
     eigenpairs alone; see ``cones._project_ambient``.
     ``params.inner`` is ignored.
+
+    With ``params.adapt_t`` the sweep is the map T(z) on z = (p, t u),
+    accelerated by :class:`_Anderson`: each outer iteration evaluates T
+    at an extrapolated point, and once more at the plain point when the
+    extrapolation is rejected.  The memory is cleared whenever t changes.
+    A's image of an extrapolated p is extrapolated along with it, so an
+    evaluation costs the same three sparse products as a plain sweep.
+    The reported iterate is always an output of T, so p in K, u in K° and
+    <p, u> = 0 still hold by construction.  ``inner_iterations`` of the
+    report counts the evaluations of T (cone projections):
+    ``inner_iterations - iterations`` is the number of rejected
+    extrapolations, and without ``adapt_t`` the two counts are equal.
     """
     params = (
         RegParams(max_outer=200000, inner="one_iteration")
@@ -400,13 +567,43 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
     b = a.rhs
     ranks = [None] * len(cone.blocks)
 
-    def sweep(k, t, p, y, u, ap):
+    def project_step(t, p, u, ap):
+        # the y-step, then w = p + t (A'y - c) split by the projection:
+        # returns (p', y, w - p', A'y)
         y = fact.solve(a.apply_vec(u + c_vec) + (b - ap) / t)
         aty = a.adjoint_vec(y)
         w = p + t * (aty - c_vec)
         p, _ = _project_ambient(cone, w, ranks=ranks)
-        return p, y, (w - p) / t, a.apply_vec(p), aty, 1, 0
+        return p, y, w - p, aty
 
-    return _outer_loop(
-        problem, params, sweep, 1.0 + float(np.linalg.norm(c_vec))
-    )
+    def sweep(k, t, p, y, u, ap):
+        p, y, s, aty = project_step(t, p, u, ap)
+        return p, y, s / t, a.apply_vec(p), aty, 1, 0
+
+    c_scale = 1.0 + float(np.linalg.norm(c_vec))
+    if not params.adapt_t:
+        return _outer_loop(problem, params, sweep, c_scale)
+
+    # accelerated: the fixed point is z = (p, t u), carrying A p along
+    dim = cone.dim
+    t_now = None
+
+    def evaluate(x):
+        t = t_now
+        p, y, s, aty = project_step(t, x[:dim], x[dim : 2 * dim] / t, x[2 * dim :])
+        ap = a.apply_vec(p)
+        return np.concatenate((p, s, ap)), (p, y, s / t, ap, aty)
+
+    anderson = _Anderson(evaluate, 2 * dim, problem.m)
+
+    def accelerated_sweep(k, t, p, y, u, ap):
+        nonlocal t_now
+        if t != t_now:
+            t_now = t
+            out = anderson.restart(np.concatenate((p, t * u, ap)))
+            evaluations = 1
+        else:
+            out, evaluations = anderson.step()
+        return (*out, evaluations, 0)
+
+    return _outer_loop(problem, params, accelerated_sweep, c_scale)

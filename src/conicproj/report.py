@@ -20,6 +20,12 @@ class SolveReport:
     hold their values at the last iteration; no per-iteration residuals
     are kept.  ``iterate_history`` is filled only where iterate recording
     is requested (``solve_fixed_metric`` and ``dykstra``).
+
+    ``inner_iterations`` sums the inner solver's iterations; for
+    ``solve_simple`` it counts evaluations of the sweep map, that is, cone
+    projections.  There ``inner_iterations - iterations`` is the number
+    of rejected Anderson extrapolations under ``adapt_t``, and zero
+    without it.
     """
 
     status: str = ITERATION_LIMIT

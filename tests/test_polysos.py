@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,23 @@ class TestPolynomial:
             Polynomial(2, {(1,): 1.0})
         with pytest.raises(InputError):
             Polynomial(1, {(-1,): 1.0})
+
+    @pytest.mark.parametrize("alpha", [(1.5, 0), (0, 2.25), (1, "x"), (None, 0)])
+    def test_non_integral_exponent_rejected(self, alpha):
+        # int() would truncate (1.5, 0) to x0; the term must be named
+        with pytest.raises(InputError, match=re.escape(repr(alpha))):
+            Polynomial(2, {alpha: 1.0})
+
+    def test_integral_float_exponent_accepted(self):
+        p = Polynomial(2, {(1.0, np.int64(2)): 3.0})
+        assert p.terms == {(1, 2): 3.0}
+        assert all(type(e) is int for e in next(iter(p.terms)))
+
+    @pytest.mark.parametrize("coeff", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_coefficient_rejected(self, coeff):
+        # nan != 0 would keep a NaN term, and inf would poison every value
+        with pytest.raises(InputError, match=r"term \(1, 0\).*non-finite"):
+            Polynomial(2, {(0, 0): 1.0, (1, 0): coeff})
 
 
 class TestMonomials:
@@ -239,6 +257,16 @@ class TestTheta:
             Graph(3, frozenset({(1, 1)}))
         with pytest.raises(InputError):
             Graph(3, frozenset({(0, 5)}))
+
+    @pytest.mark.parametrize("edge", [(0.5, 1), (0, 1.5), (0, "1")])
+    def test_non_integral_vertex_rejected(self, edge):
+        # (0.5, 1) passes the range check 0 <= i < n
+        with pytest.raises(InputError, match="must be integers"):
+            Graph(3, frozenset({edge}))
+
+    def test_integral_float_vertex_accepted(self):
+        g = Graph(3, frozenset({(2.0, 0)}))
+        assert g.edges == frozenset({(0, 2)})
 
 
 class TestBuildNearcorr:

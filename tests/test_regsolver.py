@@ -20,7 +20,7 @@ from conicproj import (
     solve_regularized,
     solve_simple,
 )
-from conicproj import dualproj
+from conicproj import dualproj, regsolver
 from conftest import rng
 
 
@@ -248,6 +248,192 @@ class TestPartialSpectrumSweep:
         assert rep.converged()
         assert abs(-rep.objective - 16.0) <= 1e-4
         assert 1 <= calls[0] < rep.iterations
+
+
+class _Map:
+    """A fixed-point map z -> T(z) for the Anderson helper, carrying
+    L z = sum(z) and recording every point it is evaluated at."""
+
+    def __init__(self, t):
+        self.t = t
+        self.points = []
+
+    def __call__(self, x):
+        z = x[:-1].copy()
+        assert abs(x[-1] - z.sum()) <= 1e-12 * (1 + abs(z).sum())
+        self.points.append(z)
+        g = np.asarray(self.t(z), dtype=float)
+        return np.append(g, g.sum()), g
+
+    def helper(self, z0):
+        z0 = np.asarray(z0, dtype=float)
+        aa = regsolver._Anderson(self, z0.size, 1)
+        return aa, aa.restart(np.append(z0, z0.sum()))
+
+
+class TestAnderson:
+    def test_affine_map_is_solved_by_one_extrapolation(self):
+        # on R^1 the secant through two residuals of T(z) = z/2 + 1 hits
+        # the fixed point 2: one evaluation, accepted
+        m = _Map(lambda z: z / 2 + 1)
+        aa, out = m.helper([0.0])
+        assert out == [1.0]
+        out, evaluations = aa.step()  # memory empty: the plain point
+        assert evaluations == 1 and m.points[-1] == [1.0] and out == [1.5]
+        out, evaluations = aa.step()
+        assert evaluations == 1 and aa.size == 2
+        assert abs(m.points[-1][0] - 2.0) <= 1e-7
+        assert abs(out[0] - 2.0) <= 1e-7
+
+    def test_weights_over_the_bound_give_the_plain_step(self):
+        # T(z) = 0.999 z + 1: the secant weight is 0.999/(0.999 - 1) = -999
+        m = _Map(lambda z: 0.999 * z + 1)
+        aa, _ = m.helper([0.0])
+        plain, _ = aa.step()
+        out, evaluations = aa.step()
+        assert evaluations == 1
+        assert m.points[-1] == plain and out == 0.999 * plain + 1
+        assert aa.size == 0  # cleared: the next step is plain again
+        assert aa.step() == (0.999 * out + 1, 1) and aa.size == 1
+
+    def test_singular_gram_gives_the_plain_step(self):
+        # a translation has a constant residual: every difference is zero
+        m = _Map(lambda z: z + 1)
+        aa, _ = m.helper([0.0])
+        aa.step()
+        out, evaluations = aa.step()
+        assert evaluations == 1 and out == [3.0]
+        assert [float(z[0]) for z in m.points] == [0.0, 1.0, 2.0]
+        assert aa.size == 0
+
+    def test_gram_and_right_hand_side_track_the_stored_differences(self):
+        # an affine contraction on R^8 that five differences cannot
+        # solve, so the memory fills and its ring wraps
+        q = np.linalg.qr(rng(7).standard_normal((8, 8)))[0]
+        mat = q @ np.diag(np.linspace(0.1, 0.9, 8)) @ q.T
+        m = _Map(lambda z: mat @ z + 1.0)
+        aa, _ = m.helper(np.zeros(8))
+        full = 0
+        for _ in range(10):
+            aa.step()
+            j = aa.size
+            if j == 0:
+                continue
+            full += j == regsolver._AA_MEMORY
+            df, f, rhs = aa._df[:j], aa._cur[1], aa._cur[3]
+            gram = np.array([row[:j] for row in aa._gram[:j]])
+            big = np.linalg.norm(df, axis=1).max()
+            assert np.allclose(gram, df @ df.T, rtol=0, atol=1e-13 * big**2)
+            tol = 1e-12 * big * np.linalg.norm(f)
+            assert np.allclose(rhs, df @ f, rtol=0, atol=tol)
+        assert full >= 3
+
+    def test_worse_trial_residual_is_rejected_and_clears_memory(self):
+        # T(z) = M z + c on R^2 has the fixed point (-1, -1); two accepted
+        # steps fill the memory, whose next extrapolation is that point up
+        # to the regularization, where the map is then made to jump
+        mz = np.array([0.5, 0.8])
+        c = np.array([-0.5, -0.2])
+        jump = [False]
+
+        def t(z):
+            if jump[0] and np.linalg.norm(z + 1.0) < 1e-3:
+                return z + 100.0
+            return mz * z + c
+
+        m = _Map(t)
+        aa, _ = m.helper([10.0, 10.0])
+        assert aa.step()[1] == 1
+        plain, evaluations = aa.step()
+        assert evaluations == 1 and aa.size == 2
+        jump[0] = True
+        out, evaluations = aa.step()
+        assert evaluations == 2
+        assert np.linalg.norm(m.points[-2] + 1.0) < 1e-3
+        assert np.array_equal(m.points[-1], plain)
+        assert np.array_equal(out, mz * plain + c)
+        assert aa.size == 0
+
+
+class TestAcceleratedSweep:
+    @staticmethod
+    def _gnp_theta():
+        r = np.random.default_rng(1)
+        iu = np.triu_indices(30, 1)
+        keep = r.uniform(size=iu[0].size) < 0.3
+        edges = frozenset(zip(iu[0][keep].tolist(), iu[1][keep].tolist()))
+        return cp.build_theta(cp.Graph(30, edges))
+
+    def test_c5_in_far_fewer_sweeps(self):
+        prob = c5_theta()
+        _, plain = solve_simple(prob, RegParams(max_outer=1000, outer_tol=1e-7))
+        _, acc = solve_simple(
+            prob, RegParams(max_outer=1000, outer_tol=1e-7, adapt_t=True)
+        )
+        assert plain.converged() and acc.converged()
+        assert abs(-acc.objective - np.sqrt(5.0)) <= 1e-6
+        assert 4 * acc.inner_iterations <= plain.iterations
+
+    def test_random_graph_matches_plain_theta(self, monkeypatch):
+        # every extrapolation refused is the plain sweep with adapt_t
+        prob = self._gnp_theta()
+        params = RegParams(max_outer=20000, outer_tol=1e-7, adapt_t=True)
+        _, acc = solve_simple(prob, params)
+        monkeypatch.setattr(regsolver, "_AA_GAMMA_MAX", -1.0)
+        _, plain = solve_simple(prob, params)
+        assert plain.converged() and acc.converged()
+        assert plain.inner_iterations == plain.iterations
+        assert abs(acc.objective - plain.objective) <= 1e-6 * abs(plain.objective)
+        assert 2 * acc.inner_iterations < plain.iterations
+
+    def test_memory_restarts_whenever_t_changes(self, monkeypatch):
+        ts, restarts = [], []
+        outer = regsolver._outer_loop
+        restart = regsolver._Anderson.restart
+
+        def recording_loop(problem, params, step, c_scale):
+            def recorded(k, t, *rest):
+                ts.append(t)
+                return step(k, t, *rest)
+
+            return outer(problem, params, recorded, c_scale)
+
+        def recording_restart(self, x):
+            restarts.append(len(ts) - 1)  # the sweep it happens in
+            return restart(self, x)
+
+        monkeypatch.setattr(regsolver, "_outer_loop", recording_loop)
+        monkeypatch.setattr(regsolver._Anderson, "restart", recording_restart)
+        solve_simple(
+            self._gnp_theta(),
+            RegParams(max_outer=400, outer_tol=1e-7, adapt_t=True),
+        )
+        changes = [k for k in range(1, len(ts)) if ts[k] != ts[k - 1]]
+        assert len(changes) >= 2 and restarts[0] == 0
+        assert set(changes) <= set(restarts)
+
+    def test_no_extra_evaluations_without_adapt_t(self):
+        for prob in (c5_theta(), cp.build_sos_feasibility(cp.motzkin(), 4)):
+            _, rep = solve_simple(prob, RegParams(max_outer=300, outer_tol=1e-7))
+            assert rep.inner_iterations == rep.iterations
+
+    def test_three_sparse_products_per_evaluation(self, monkeypatch):
+        # an extrapolated point's A p comes from the carried differences
+        calls = [0]
+        for name in ("apply_vec", "adjoint_vec"):
+            original = getattr(AffineMap, name)
+
+            def counted(self, v, _original=original):
+                calls[0] += 1
+                return _original(self, v)
+
+            monkeypatch.setattr(AffineMap, name, counted)
+        prob = cp.build_sos_feasibility(cp.motzkin(), 5)
+        _, rep = solve_simple(
+            prob, RegParams(max_outer=200, outer_tol=1e-12, adapt_t=True)
+        )
+        assert rep.inner_iterations > rep.iterations == 200
+        assert calls[0] == 2 + 3 * rep.inner_iterations
 
 
 class TestNonFiniteResidual:
