@@ -87,6 +87,12 @@ _AA_MEMORY = 5
 _AA_REG = 1e-8
 _AA_GAMMA_MAX = 100.0
 
+# inexact proximal-point criterion (Rockafellar 1976, as SDPNAL applies it,
+# Zhao-Sun-Toh 2010): the inner tolerance of outer iteration k is at most
+# _INNER_KAPPA times the previous outer iterate's worst scaled residual, so
+# a warm start that already meets the schedule still has to move y
+_INNER_KAPPA = 0.1
+
 # divergence rule: every _DIVERGE_PERIOD outer iterations, report
 # suspected_infeasible when ||y|| exceeds _DIVERGE_BOUND while the primal
 # residual has not fallen below 0.9 times its value at the previous check
@@ -134,7 +140,10 @@ class RegParams:
     defaults from here.
 
     ``eps0``/``decay`` define the summable inner tolerance schedule
-    eps_k = max(outer_tol/10, eps0 / k^decay), decay > 1.  The optional
+    eps0 / k^decay, decay > 1.  The inner tolerance of outer iteration
+    k is eps_k = max(outer_tol/10, min(eps0 / k^decay, kappa max(rp,
+    rd))), with (rp, rd) the previous outer iterate's scaled residuals
+    and kappa the module constant ``_INNER_KAPPA``.  The optional
     prox-parameter balancing ``adapt_t`` (off by default) shrinks t when
     the primal residual dominates and grows it when the dual residual does
     (t multiplies the dual-infeasibility penalty, and the dual residual
@@ -176,9 +185,15 @@ class RegParams:
                 f"({self.max_inner}) must be at least 1"
             )
 
-    def inner_tol(self, k: int) -> float:
-        """Scaled inner tolerance at outer iteration k (1-based)."""
-        return max(self.outer_tol / 10.0, self.eps0 / k**self.decay)
+    def inner_tol(self, k: int, residual: float = math.inf) -> float:
+        """Scaled inner tolerance at outer iteration k (1-based), given the
+        worst scaled residual max(rp, rd) of the previous outer iterate;
+        the default ``inf`` gives the plain schedule.  Never above the
+        schedule, so the tolerances stay summable."""
+        return max(
+            self.outer_tol / 10.0,
+            min(self.eps0 / k**self.decay, _INNER_KAPPA * residual),
+        )
 
 
 @dataclass(frozen=True)
@@ -263,15 +278,18 @@ def prox_eval(
 def _outer_loop(problem, params, step, c_scale):
     """The proximal outer loop shared by both solvers.
 
-    ``step(k, t, p, y, u, ap)`` maps the raw-vector iterate, with ``ap`` =
-    A p, to the one of outer iteration k and returns (p, y, u, A p, A'y,
-    inner_iterations, gradient_fallbacks); the two products serve the
-    residual check and, for the next step, A p.  ``c_scale`` = 1 + ||c||
-    comes from the caller because the two solvers compute ||c||
-    differently (block by block, or in one piece), and the two sums can
-    differ in the last bit.  The loop starts at p = y = u = 0 and stops on
-    convergence, a non-finite residual, the divergence rule of the
-    ``_DIVERGE_*`` constants, or ``params.max_outer``.
+    ``step(k, t, p, y, u, ap, worst)`` maps the raw-vector iterate, with
+    ``ap`` = A p and ``worst`` = max(rp, rd) its scaled residuals (at k = 1
+    those of the zero start), to the one of outer iteration k and returns
+    (p, y, u, A p, A'y, inner_iterations, gradient_fallbacks); the two
+    products serve the residual check and, for the next step, A p.  The
+    prox step sets its inner tolerance from ``worst``; the sweep ignores
+    it.  ``c_scale`` = 1 + ||c|| comes from the caller because the two
+    solvers compute ||c|| differently (block by block, or in one piece),
+    and the two sums can differ in the last bit.  The loop starts at
+    p = y = u = 0 and stops on convergence, a non-finite residual, the
+    divergence rule of the ``_DIVERGE_*`` constants, or
+    ``params.max_outer``.
     """
     cone = problem.cone
     a = problem.a
@@ -288,11 +306,12 @@ def _outer_loop(problem, params, step, c_scale):
     rp, rd = _residuals_vec(
         problem, ap, a.adjoint_vec(y), u, c_vec, b_scale, c_scale
     )
+    worst = max(rp, rd)
     rp_checked = rp
     last_adapt = 0
     adapt_wait = _T_PERIOD
     for k in range(1, params.max_outer + 1):
-        p, y, u, ap, aty, inner, fallbacks = step(k, t, p, y, u, ap)
+        p, y, u, ap, aty, inner, fallbacks = step(k, t, p, y, u, ap, worst)
         report.inner_iterations += inner
         report.gradient_fallbacks += fallbacks
         rp, rd = _residuals_vec(problem, ap, aty, u, c_vec, b_scale, c_scale)
@@ -487,10 +506,14 @@ def solve_regularized(problem: LinearConicProblem, params: RegParams | None = No
     """Proximal outer loop with a dual projection method as inner solver.
 
     The inner solve at outer iteration k is stopped at
-    ||A x - b|| <= eps_k (1 + ||b||) with the summable schedule from
-    ``params``; the inner dual vector (and the quasi-Newton curvature
-    pairs) restart from the previous outer iteration.  Stops when both
-    scaled residuals fall below ``params.outer_tol``.
+    ||A x - b|| <= eps_k (1 + ||b||), eps_k = ``params.inner_tol(k, r)``
+    with r the worst scaled residual of the previous outer iterate: the
+    summable schedule, cut to a tenth of r once the outer loop has got
+    ahead of it, so that no outer iteration starts from a warm start that
+    already meets its tolerance.  The inner dual vector (and the
+    quasi-Newton curvature pairs) restart from the previous outer
+    iteration.  Stops when both scaled residuals fall below
+    ``params.outer_tol``.
     """
     params = RegParams() if params is None else params
     if params.inner == "one_iteration":
@@ -500,13 +523,13 @@ def solve_regularized(problem: LinearConicProblem, params: RegParams | None = No
     b_scale = 1.0 + float(np.linalg.norm(problem.b))
     carry: dict = {}
 
-    def prox_step(k, t, p, y, u, ap):
+    def prox_step(k, t, p, y, u, ap, worst):
         x, y, u, rep = prox_eval(
             problem,
             BlockPoint.from_vector(cone, p),
             t,
             inner=params.inner,
-            inner_tol=params.inner_tol(k) * b_scale,
+            inner_tol=params.inner_tol(k, worst) * b_scale,
             max_inner=params.max_inner,
             y0=y,
             carry_state=carry,
@@ -576,7 +599,7 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
         p, _ = _project_ambient(cone, w, ranks=ranks)
         return p, y, w - p, aty
 
-    def sweep(k, t, p, y, u, ap):
+    def sweep(k, t, p, y, u, ap, worst):
         p, y, s, aty = project_step(t, p, u, ap)
         return p, y, s / t, a.apply_vec(p), aty, 1, 0
 
@@ -596,7 +619,7 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
 
     anderson = _Anderson(evaluate, 2 * dim, problem.m)
 
-    def accelerated_sweep(k, t, p, y, u, ap):
+    def accelerated_sweep(k, t, p, y, u, ap, worst):
         nonlocal t_now
         if t != t_now:
             t_now = t

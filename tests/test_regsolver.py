@@ -565,6 +565,38 @@ class TestSolveRegularized:
             assert r1.converged() and r2.converged()
             assert abs(r1.objective - r2.objective) <= 1e-5
 
+    @pytest.mark.parametrize("n_vars", [5, 6, 7])
+    def test_every_prox_step_moves_on_full_rank_sos(self, n_vars, monkeypatch):
+        # an inner tolerance above the outer residual lets the warm start
+        # meet it: y stays put and the outer iteration is wasted.  The inner
+        # report's ``iterations`` counts Newton steps; ``inner_iterations``
+        # counts CG iterations and falls back to evaluations, so it cannot
+        # show a solve without a step.
+        prob, _ = cp.random_sos_instance(n_vars, 3, "full", seed=200 + n_vars)
+        steps = []
+        original = regsolver.solve_ssnewton
+
+        def recorded(*args, **kwargs):
+            out = original(*args, **kwargs)
+            steps.append(out[2].iterations)
+            return out
+
+        monkeypatch.setattr(regsolver, "solve_ssnewton", recorded)
+        _, rep = solve_regularized(
+            prob,
+            RegParams(
+                inner="ssnewton",
+                outer_tol=1e-9,
+                eps0=1e-4,
+                decay=3.0,
+                max_outer=300,
+                max_inner=200,
+            ),
+        )
+        assert rep.converged()
+        assert len(steps) == rep.iterations <= 20
+        assert min(steps) >= 1
+
     def test_iteration_cap_status(self):
         trip, rep = solve_regularized(
             c5_theta(), RegParams(max_outer=2, outer_tol=1e-14)
@@ -671,6 +703,24 @@ class TestRegParams:
 
         partial = sum(p.inner_tol(k) for k in range(1, 20001))
         assert partial <= 1.0 * zeta(1.5) < np.inf
+
+    def test_infinite_residual_gives_the_schedule(self):
+        p = RegParams(outer_tol=1e-6, eps0=1e-2, decay=2.0)
+        for k in (1, 2, 7, 100, 10**6):
+            old = max(p.outer_tol / 10.0, p.eps0 / k**p.decay)
+            assert p.inner_tol(k) == old
+            assert p.inner_tol(k, np.inf) == old
+
+    def test_residual_below_the_schedule_cuts_it(self):
+        p = RegParams(outer_tol=1e-9, eps0=1e-4, decay=3.0)
+        # schedule 1e-4 / 8 = 1.25e-5 at k = 2; floor 1e-10
+        assert p.inner_tol(2, 3e-6) == regsolver._INNER_KAPPA * 3e-6
+        assert p.inner_tol(2, 1e-3) == 1e-4 / 8  # kappa r above the schedule
+
+    def test_residual_cut_keeps_the_floor(self):
+        p = RegParams(outer_tol=1e-6, eps0=1e-2, decay=2.0)
+        assert p.inner_tol(1, 1e-8) == 1e-7
+        assert p.inner_tol(1, 0.0) == 1e-7
 
     def test_bad_inner_name(self):
         with pytest.raises(InputError):
