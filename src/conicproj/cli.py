@@ -10,6 +10,7 @@ across runs for identical argv and seed, except for wall_time_ms.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -291,18 +292,18 @@ def _finish_conic(args, problem, trip, rep, objective, extra=None) -> int:
 def _cmd_project(args) -> int:
     text = _read(args.input)
     if args.input.endswith(".json"):
-        parts = io.parse_problem_json(text)
-        cone, eq, ineq = parts["cone"], parts["eq"], parts["ineq"]
-        center = parts["center"]
+        problem = io.projection_problem_from_json(text)
     else:
         lp = io.parse_sdpa(text)
-        cone, eq, ineq = lp.cone, lp.a, None
         if lp.c.norm() > 0:
             print(
                 "note: SDPA objective ignored by `project`; supply --center",
                 file=sys.stderr,
             )
-        center = None
+        problem = ProjectionProblem(
+            c=BlockPoint.zeros(lp.cone), eq=lp.a, cone=lp.cone
+        )
+    cone = problem.cone
     if args.center:
         ctext = _read(args.center)
         if args.center.endswith(".json"):
@@ -316,17 +317,14 @@ def _cmd_project(args) -> int:
                     "matrix-file centers need a single PSD block; use JSON"
                 )
             center = BlockPoint(cone, [io.read_matrix(ctext)])
-    if center is None:
-        center = BlockPoint.zeros(cone)
-
-    problem = ProjectionProblem(c=center, eq=eq, cone=cone, ineq=ineq)
+        problem = dataclasses.replace(problem, c=center)
     x, d, rep = solve_projection(
         problem, args.method, args.tol, args.max_iter, beta=args.beta
     )
-    distance_sq = 0.5 * (x - center).dot(x - center)
+    distance_sq = 0.5 * (x - problem.c).dot(x - problem.c)
     extra = {} if d is None else {"theta": rep.objective}
     report = _report(
-        args, args.method, _dims(cone, eq.m + (ineq.m if ineq else 0)), rep,
+        args, args.method, _dims(cone, problem.m_eq + problem.m_ineq), rep,
         objective=distance_sq, extra=extra,
     )
     sol = {"x": io.blockpoint_to_json(x)}

@@ -591,9 +591,11 @@ class GramFactorization:
 
     Reports whether AA^T is exactly diagonal (as it is for the nearest
     correlation, theta and SOS assemblies) and exposes the diagonal entries
-    when so.  Rank deficiency raises naming the offending pivot.  Large
-    non-diagonal systems fall back to a sparse LU instead of a dense
-    Cholesky.
+    when so.  Large non-diagonal systems fall back to a sparse LU instead
+    of a dense Cholesky.  Rank deficiency raises naming the offending
+    pivot on every path: a diagonal entry that is not positive, a pivot
+    that LAPACK ``dpotrf`` rejects, or a Cholesky or LU pivot that is
+    positive only through rounding (at most m eps max diag(AA^T)).
     """
 
     DENSE_LIMIT = 4000
@@ -604,6 +606,7 @@ class GramFactorization:
         off = g.row != g.col
         self.m = a.shape[0]
         self._splu = None
+        self._chol = None
         if not np.any(off & (g.data != 0.0)):
             d = np.zeros(self.m)
             d[g.row[~off]] = g.data[~off]
@@ -617,41 +620,39 @@ class GramFactorization:
             self.is_diagonal = True
             self.diagonal = d
             self.diagonal.setflags(write=False)
-            self._chol = None
-        elif self.m > self.DENSE_LIMIT:
-            self.is_diagonal = False
-            self.diagonal = None
-            self._chol = None
+            return
+        self.is_diagonal = False
+        self.diagonal = None
+        if self.m > self.DENSE_LIMIT:
             try:
                 self._splu = scipy.sparse.linalg.splu(g.tocsc())
             except RuntimeError as exc:
                 raise FactorizationError(
                     f"sparse AA^T factorization failed: {exc}"
                 ) from exc
+            # piv[k] = |U_jj| with j = perm_c[k]: the pivot of row k of AA^T
+            piv = np.abs(self._splu.U.diagonal())[self._splu.perm_c]
         else:
-            self.is_diagonal = False
-            self.diagonal = None
             gd = np.asarray(g.todense())
-            try:
-                self._chol = scipy.linalg.cho_factor(gd, lower=True)
-            except scipy.linalg.LinAlgError as exc:
-                pivot = _leading_minor_index(exc)
+            factor, info = scipy.linalg.lapack.dpotrf(gd, lower=1, clean=0)
+            if info > 0:
                 raise FactorizationError(
-                    f"AA^T factorization failed at pivot {pivot}: rows of A "
+                    f"AA^T factorization failed at pivot {info}: rows of A "
                     f"are linearly dependent",
-                    pivot=pivot,
-                ) from exc
-            # LAPACK accepts pivots that are positive only through rounding;
-            # flag those as rank deficiency too
-            piv = np.diag(self._chol[0])
-            floor = self.m * np.finfo(float).eps * max(np.max(np.diag(gd)), 1e-300)
-            bad = np.nonzero(piv**2 <= floor)[0]
-            if bad.size:
-                raise FactorizationError(
-                    f"AA^T is numerically rank deficient at pivot "
-                    f"{bad[0] + 1}: rows of A are linearly dependent",
-                    pivot=int(bad[0]) + 1,
+                    pivot=int(info),
                 )
+            self._chol = (factor, True)
+            piv = np.diag(factor) ** 2
+        # LAPACK and SuperLU accept pivots that are positive only through
+        # rounding; flag those as rank deficiency too
+        floor = self.m * np.finfo(float).eps * max(g.diagonal().max(), 1e-300)
+        bad = np.nonzero(piv <= floor)[0]
+        if bad.size:
+            raise FactorizationError(
+                f"AA^T is numerically rank deficient at pivot "
+                f"{bad[0] + 1}: rows of A are linearly dependent",
+                pivot=int(bad[0]) + 1,
+            )
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -660,13 +661,6 @@ class GramFactorization:
         if self._splu is not None:
             return self._splu.solve(r)
         return scipy.linalg.cho_solve(self._chol, r)
-
-
-def _leading_minor_index(exc) -> int | None:
-    import re
-
-    m = re.search(r"(\d+)-th leading minor", str(exc))
-    return int(m.group(1)) if m else None
 
 
 def gram_factorize(amap: AffineMap) -> GramFactorization:

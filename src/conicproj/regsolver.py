@@ -39,13 +39,9 @@ from .cones import (
     _project_ambient,
     gram_factorize,
 )
-from .dualproj import (
-    _SOLVERS,
-    ProjectionProblem,
-    solve_fixed_metric,
-    solve_quasi_newton,
-    solve_ssnewton,
-)
+# solve_ssnewton stays bound here, uncalled: bench/selftest.py checks that
+# its tracer patches this binding
+from .dualproj import _SOLVERS, ProjectionProblem, solve_ssnewton  # noqa: F401
 from .report import (
     CONVERGED,
     ITERATION_LIMIT,
@@ -152,8 +148,8 @@ class RegParams:
     constants of this module.  In ``solve_simple``, ``adapt_t`` also runs
     the sweep as a safeguarded Anderson step (memory, regularization and
     weight bound are the ``_AA_*`` constants): on the benchmark's
-    G(100, 0.3) theta instance the solve takes 1582 cone projections
-    (1570 sweeps, 12 rejected extrapolations) against 2511 with the
+    G(100, 0.3) theta instance the solve takes 1577 cone projections
+    (1563 sweeps, 14 rejected extrapolations) against 2511 with the
     rebalancing alone.
     """
 
@@ -205,6 +201,11 @@ class IterateTriple:
     u: BlockPoint
 
 
+def _scales(problem):
+    """(1 + ||b||, 1 + ||c||), the divisors of the scaled residuals."""
+    return 1.0 + float(np.linalg.norm(problem.b)), 1.0 + problem.c.norm()
+
+
 def _residuals_vec(problem, ap, aty, u_vec, c_vec, b_scale, c_scale):
     """Scaled residuals from the products ``ap`` = A p and ``aty`` = A'y."""
     rp = float(np.linalg.norm(ap - problem.a.rhs)) / b_scale
@@ -216,16 +217,13 @@ def residuals(problem: LinearConicProblem, triple: IterateTriple):
     """Scaled primal/dual infeasibilities of an outer iterate:
     (||Ap - b||/(1+||b||), ||A'y - u - c||/(1+||c||))."""
     a = problem.a
-    b_scale = 1.0 + float(np.linalg.norm(problem.b))
-    c_scale = 1.0 + problem.c.norm()
     return _residuals_vec(
         problem,
         a.apply_vec(triple.p.ravel()),
         a.adjoint_vec(triple.y),
         triple.u.ravel(),
         problem.c.ravel(),
-        b_scale,
-        c_scale,
+        *_scales(problem),
     )
 
 
@@ -247,27 +245,16 @@ def prox_eval(
     ``inner_tol`` is an absolute bound on ||A x - b||; ``t`` must be
     finite and positive.
     """
+    if inner not in _SOLVERS:
+        raise InputError(f"unknown inner solver {inner!r}")
     sub = ProjectionProblem(
         c=p, eq=problem.a, cone=problem.cone, scale=t, tilt=problem.c
     )
-    if inner == "fixed_metric":
-        x, d, rep = solve_fixed_metric(
-            sub, tol=inner_tol, max_iter=max_inner, y0=y0
-        )
-    elif inner == "quasi_newton":
-        x, d, rep = solve_quasi_newton(
-            sub,
-            tol=inner_tol,
-            max_iter=max_inner,
-            y0=y0,
-            carry_state=carry_state,
-        )
-    elif inner == "ssnewton":
-        x, d, rep = solve_ssnewton(
-            sub, tol=inner_tol, max_iter=max_inner, y0=y0
-        )
-    else:
-        raise InputError(f"unknown inner solver {inner!r}")
+    # only the quasi-Newton engine keeps state across outer iterations
+    carry = {"carry_state": carry_state} if inner == "quasi_newton" else {}
+    x, d, rep = _SOLVERS[inner](
+        sub, tol=inner_tol, max_iter=max_inner, y0=y0, **carry
+    )
     x_vec = x.ravel()
     w = p.ravel() + t * (problem.a.adjoint_vec(d.y) - problem.c.ravel())
     u_vec = (w - x_vec) / t
@@ -275,7 +262,7 @@ def prox_eval(
     return x, d.y, u, rep
 
 
-def _outer_loop(problem, params, step, c_scale):
+def _outer_loop(problem, params, step):
     """The proximal outer loop shared by both solvers.
 
     ``step(k, t, p, y, u, ap, worst)`` maps the raw-vector iterate, with
@@ -284,17 +271,15 @@ def _outer_loop(problem, params, step, c_scale):
     (p, y, u, A p, A'y, inner_iterations, gradient_fallbacks); the two
     products serve the residual check and, for the next step, A p.  The
     prox step sets its inner tolerance from ``worst``; the sweep ignores
-    it.  ``c_scale`` = 1 + ||c|| comes from the caller because the two
-    solvers compute ||c|| differently (block by block, or in one piece),
-    and the two sums can differ in the last bit.  The loop starts at
-    p = y = u = 0 and stops on convergence, a non-finite residual, the
-    divergence rule of the ``_DIVERGE_*`` constants, or
+    it.  The residuals are scaled as in :func:`residuals`.  The loop
+    starts at p = y = u = 0 and stops on convergence, a non-finite
+    residual, the divergence rule of the ``_DIVERGE_*`` constants, or
     ``params.max_outer``.
     """
     cone = problem.cone
     a = problem.a
     c_vec = problem.c.ravel()
-    b_scale = 1.0 + float(np.linalg.norm(problem.b))
+    b_scale, c_scale = _scales(problem)
     t = params.t0
     p = np.zeros(cone.dim)
     u = np.zeros(cone.dim)
@@ -361,37 +346,6 @@ def _outer_loop(problem, params, step, c_scale):
     return IterateTriple(p=p_bp, y=y, u=u_bp), report
 
 
-def _spd_solve(a, b):
-    """x with a x = b for a small symmetric positive definite a, given as
-    lists (a is overwritten by its Cholesky factor), in plain floats: at
-    order 5 or less that costs less than one numpy call.  None when a
-    pivot is not positive (or is NaN)."""
-    n = len(b)
-    x = list(b)
-    for i in range(n):
-        row = a[i]
-        for k in range(i + 1):
-            s = row[k]
-            for q in range(k):
-                s -= row[q] * a[k][q]
-            if k < i:
-                row[k] = s / a[k][k]
-            elif s > 0.0:
-                row[i] = math.sqrt(s)
-            else:
-                return None
-        s = x[i]
-        for q in range(i):
-            s -= row[q] * x[q]
-        x[i] = s / row[i]
-    for i in reversed(range(n)):
-        s = x[i]
-        for q in range(i + 1, n):
-            s -= a[q][i] * x[q]
-        x[i] = s / a[i][i]
-    return x
-
-
 class _Anderson:
     """Safeguarded type-II Anderson acceleration of a fixed-point map
     z -> T(z) on R^dim (Walker-Ni, SIAM J. Numer. Anal. 2011; the
@@ -408,14 +362,15 @@ class _Anderson:
 
     From the current point z_k, with g_k = T(z_k) and f_k known, a step
     extrapolates z_a = g_k - dG gamma, gamma solving
-    (dF'dF + lam I) gamma = dF' f_k with lam = _AA_REG trace(dF'dF), and
-    evaluates T(z_a).  It accepts z_a when ||T(z_a) - z_a|| <= ||f_k||;
-    otherwise it clears the memory and moves to the plain point g_k.  It
-    refuses to extrapolate (plain point, memory cleared) when the small
-    system is singular or non-finite or ||gamma||_1 > _AA_GAMMA_MAX.  A
-    cleared memory starts again from the plain point, like a restart, so
-    the next step is a plain one.  Every point handed back is an output
-    of T.
+    (dF'dF + lam I) gamma = dF' f_k with lam = _AA_REG trace(dF'dF) by
+    one LAPACK solve (``np.linalg.solve``), and evaluates T(z_a).  It
+    accepts z_a when ||T(z_a) - z_a|| <= ||f_k||; otherwise it clears the
+    memory and moves to the plain point g_k.  It refuses to extrapolate
+    (plain point, memory cleared) when LAPACK finds the small system
+    singular or ||gamma||_1 > _AA_GAMMA_MAX, a test that a non-finite
+    gamma fails too.  A cleared memory starts again from the plain point,
+    like a restart, so the next step is a plain one.  Every point handed
+    back is an output of T.
     """
 
     def __init__(self, evaluate, dim: int, aux_dim: int):
@@ -423,7 +378,7 @@ class _Anderson:
         self._dim = dim
         self._df = np.empty((_AA_MEMORY, dim))
         self._dg = np.empty((_AA_MEMORY, dim + aux_dim))
-        self._gram = [[0.0] * _AA_MEMORY for _ in range(_AA_MEMORY)]
+        self._gram = np.zeros((_AA_MEMORY, _AA_MEMORY))
         self.size = 0
         self._head = 0
         self._cur = None  # (x' = (g, L g), f, ||f||, dF' f) at z_k
@@ -459,15 +414,14 @@ class _Anderson:
         """gamma for the right-hand side dF' f_k, or None when the
         extrapolation is refused."""
         j = self.size
-        lhs = [row[:j] for row in self._gram[:j]]
-        reg = _AA_REG * sum([lhs[i][i] for i in range(j)])
-        for i in range(j):
-            lhs[i][i] += reg
-        gamma = _spd_solve(lhs, rhs)
-        # a NaN weight fails the bound too
-        if gamma is None or not sum(map(abs, gamma)) <= _AA_GAMMA_MAX:
+        lhs = self._gram[:j, :j].copy()
+        lhs.flat[:: j + 1] += _AA_REG * lhs.trace()
+        try:
+            gamma = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError:
             return None
-        return np.array(gamma)
+        # a NaN weight fails the bound too
+        return gamma if np.abs(gamma).sum() <= _AA_GAMMA_MAX else None
 
     def _visit(self, x):
         trial = self._evaluate(x)
@@ -489,15 +443,14 @@ class _Anderson:
             kept = self.size
             self.size = j = min(kept + 1, _AA_MEMORY)
             self._head = (h + 1) % _AA_MEMORY
-            row = (df[:j] @ df[h]).tolist()
-            for i, v in enumerate(row):
-                self._gram[h][i] = self._gram[i][h] = v
+            row = df[:j] @ df[h]
+            self._gram[h, :j] = self._gram[:j, h] = row
             # dF' f without a second pass over dF: f = f0 + df_h, so each
             # kept entry is its old value df_i' f0 plus df_i' df_h
-            rhs = row[:]
-            for i in range(kept):
-                rhs[i] += rhs0[i]
-            rhs[h] = float(df[h] @ f)
+            rhs = row.copy()
+            if kept:
+                rhs[:kept] += rhs0
+            rhs[h] = df[h] @ f
         self._cur = (g, f, f_norm, rhs)
         return out
 
@@ -520,7 +473,7 @@ def solve_regularized(problem: LinearConicProblem, params: RegParams | None = No
         return solve_simple(problem, params)
     cone = problem.cone
     a = problem.a
-    b_scale = 1.0 + float(np.linalg.norm(problem.b))
+    b_scale, _ = _scales(problem)
     carry: dict = {}
 
     def prox_step(k, t, p, y, u, ap, worst):
@@ -545,7 +498,7 @@ def solve_regularized(problem: LinearConicProblem, params: RegParams | None = No
             rep.gradient_fallbacks,
         )
 
-    return _outer_loop(problem, params, prox_step, 1.0 + problem.c.norm())
+    return _outer_loop(problem, params, prox_step)
 
 
 def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
@@ -603,9 +556,8 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
         p, y, s, aty = project_step(t, p, u, ap)
         return p, y, s / t, a.apply_vec(p), aty, 1, 0
 
-    c_scale = 1.0 + float(np.linalg.norm(c_vec))
     if not params.adapt_t:
-        return _outer_loop(problem, params, sweep, c_scale)
+        return _outer_loop(problem, params, sweep)
 
     # accelerated: the fixed point is z = (p, t u), carrying A p along
     dim = cone.dim
@@ -629,4 +581,4 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
             out, evaluations = anderson.step()
         return (*out, evaluations, 0)
 
-    return _outer_loop(problem, params, accelerated_sweep, c_scale)
+    return _outer_loop(problem, params, accelerated_sweep)

@@ -72,6 +72,22 @@ class TestDeterminism:
         assert code1 == code2
         assert strip_time(rep1) == strip_time(rep2)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sos-check", fixture_path("motzkin.txt"), "--degree", "4",
+             "--max-outer", "200", "--adapt-t"],
+            ["theta", fixture_path("c5.col"), "--solver", "regularized",
+             "--inner", "quasi_newton"],
+        ],
+        ids=["anderson_sweep", "carried_lbfgs_pairs"],
+    )
+    def test_byte_identical_reports_on_stateful_paths(self, capsys, argv):
+        code1, rep1 = run(capsys, argv)
+        code2, rep2 = run(capsys, argv)
+        assert code1 == code2
+        assert strip_time(rep1) == strip_time(rep2)
+
     def test_gen_deterministic_per_seed(self, capsys, tmp_path):
         p1 = tmp_path / "a.dat-s"
         p2 = tmp_path / "b.dat-s"

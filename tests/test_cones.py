@@ -452,6 +452,19 @@ class TestProjectAffine:
             AffineMap(cone, sp.csr_matrix(rows), [1.0, 2.0]).gram
         assert exc.value.pivot is not None
 
+    @pytest.mark.parametrize("dense_limit", [4000, 4], ids=["cholesky", "sparse_lu"])
+    def test_nearly_dependent_rows_name_the_pivot(self, dense_limit, monkeypatch):
+        # row 5 is row 4 up to 1e-13: LAPACK rejects pivot 5 outright, and
+        # SuperLU returns |U_55| ~ 1e-15, below the floor m eps max diag(AA')
+        monkeypatch.setattr(cones.GramFactorization, "DENSE_LIMIT", dense_limit)
+        r = rng(0)
+        rows = r.standard_normal((5, 8))
+        rows[4] = rows[3] + 1e-13 * r.standard_normal(8)
+        amap = AffineMap(ConeSpec(nonneg=8), sp.csr_matrix(rows), np.ones(5))
+        with pytest.raises(FactorizationError) as exc:
+            cones.GramFactorization(amap)
+        assert exc.value.pivot == 5
+
     def test_asymmetric_row_rejected(self):
         cone = ConeSpec(psd_dims=(2,))
         row = np.array([[0.0, 1.0, 0.0, 0.0]])  # only (0,1), not (1,0)

@@ -21,7 +21,7 @@ from conicproj import (
     solve_simple,
 )
 from conicproj import dualproj, regsolver
-from conftest import rng
+from conftest import random_affine, random_point, rng
 
 
 def scalar_problem():
@@ -391,12 +391,12 @@ class TestAcceleratedSweep:
         outer = regsolver._outer_loop
         restart = regsolver._Anderson.restart
 
-        def recording_loop(problem, params, step, c_scale):
+        def recording_loop(problem, params, step):
             def recorded(k, t, *rest):
                 ts.append(t)
                 return step(k, t, *rest)
 
-            return outer(problem, params, recorded, c_scale)
+            return outer(problem, params, recorded)
 
         def recording_restart(self, x):
             restarts.append(len(ts) - 1)  # the sweep it happens in
@@ -574,14 +574,14 @@ class TestSolveRegularized:
         # show a solve without a step.
         prob, _ = cp.random_sos_instance(n_vars, 3, "full", seed=200 + n_vars)
         steps = []
-        original = regsolver.solve_ssnewton
+        original = dualproj._SOLVERS["ssnewton"]
 
         def recorded(*args, **kwargs):
             out = original(*args, **kwargs)
             steps.append(out[2].iterations)
             return out
 
-        monkeypatch.setattr(regsolver, "solve_ssnewton", recorded)
+        monkeypatch.setitem(dualproj._SOLVERS, "ssnewton", recorded)
         _, rep = solve_regularized(
             prob,
             RegParams(
@@ -632,6 +632,26 @@ class TestResiduals:
             prob.a.adjoint_vec(y) - prob.c.ravel()
         ) / (1.0 + prob.c.norm())
         assert np.isclose(rd, expected)
+
+    @pytest.mark.parametrize(
+        "solve, params",
+        [
+            (solve_simple, RegParams(max_outer=50)),
+            (solve_simple, RegParams(max_outer=50, adapt_t=True)),
+            (solve_regularized, RegParams(max_outer=10, inner="quasi_newton")),
+            (solve_regularized, RegParams(max_outer=10, inner="ssnewton")),
+        ],
+        ids=["simple", "simple_adapt_t", "quasi_newton", "ssnewton"],
+    )
+    def test_reported_residuals_are_those_of_residuals(self, solve, params):
+        # on this objective 1 + ||c|| summed block by block and in one
+        # piece differ in the last bit: every solver must use one scale
+        r = rng(0)
+        cone = ConeSpec(psd_dims=(4,), nonneg=3)
+        c = random_point(r, cone)
+        prob = LinearConicProblem(c=c, a=random_affine(r, cone, 2), cone=cone)
+        trip, rep = solve(prob, params)
+        assert (rep.primal_residual, rep.dual_residual) == residuals(prob, trip)
 
 
 class TestGramFactorize:
