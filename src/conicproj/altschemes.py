@@ -17,6 +17,7 @@ from .cones import (
     BlockPoint,
     ConeSpec,
     InputError,
+    _project_affine_vec,
     _project_ambient,
 )
 from .report import CONVERGED, ITERATION_LIMIT, SolveReport
@@ -49,11 +50,6 @@ class TwoSetProblem:
         return cls(c=problem.c, cone=problem.cone, eq=problem.eq)
 
 
-def _affine_project_vec(eq: AffineMap, fact, v: np.ndarray) -> np.ndarray:
-    corr = fact.solve(eq.apply_vec(v) - eq.rhs)
-    return v - eq.adjoint_vec(corr)
-
-
 def alternating_projections(
     problem: TwoSetProblem, max_iter: int = 5000, tol: float = 1e-8
 ):
@@ -62,18 +58,18 @@ def alternating_projections(
     Finds a point of the intersection, not the projection of c (that is
     Dykstra's job).  Returns the cone-side iterate.
     """
-    eq, fact = problem.eq, problem.eq.gram
+    eq = problem.eq
     cone = problem.cone
     start = time.perf_counter()
     report = SolveReport()
-    y = _affine_project_vec(eq, fact, problem.c.ravel())
+    y = _project_affine_vec(eq, problem.c.ravel())
     x = y
     status = ITERATION_LIMIT
     gap = np.inf
     affres = np.inf
     for k in range(1, max_iter + 1):
         x, _ = _project_ambient(cone, y)
-        y = _affine_project_vec(eq, fact, x)
+        y = _project_affine_vec(eq, x)
         gap = float(np.linalg.norm(x - y))
         affres = float(np.linalg.norm(eq.apply_vec(x) - eq.rhs))
         report.iterations = k
@@ -100,7 +96,7 @@ def dykstra(
     makes x_k converge to the projection of c onto the intersection.  Stops
     when ||x_k - y_k|| <= tol.
     """
-    eq, fact = problem.eq, problem.eq.gram
+    eq = problem.eq
     cone = problem.cone
     c = problem.c.ravel()
     s = np.zeros_like(c)
@@ -111,7 +107,7 @@ def dykstra(
     gap = np.inf
     for k in range(1, max_iter + 1):
         x, _ = _project_ambient(cone, c + s)
-        y = _affine_project_vec(eq, fact, x)
+        y = _project_affine_vec(eq, x)
         s = s + (y - x)
         if record_iterates:
             report.iterate_history.append(BlockPoint.from_vector(cone, x))
@@ -143,10 +139,10 @@ def admm_projection(
     """
     if not (np.isfinite(beta) and beta > 0):
         raise InputError(f"beta must be finite and positive, got {beta}")
-    eq, fact = problem.eq, problem.eq.gram
+    eq = problem.eq
     cone = problem.cone
     c = problem.c.ravel()
-    y = _affine_project_vec(eq, fact, c)
+    y = _project_affine_vec(eq, c)
     z = np.zeros_like(c)
     start = time.perf_counter()
     report = SolveReport()
@@ -155,7 +151,7 @@ def admm_projection(
     res = np.inf
     for k in range(1, max_iter + 1):
         x, _ = _project_ambient(cone, (beta * y + z + c) / (1.0 + beta))
-        y_new = _affine_project_vec(eq, fact, (beta * x - z + c) / (1.0 + beta))
+        y_new = _project_affine_vec(eq, (beta * x - z + c) / (1.0 + beta))
         z = z - beta * (x - y_new)
         res = max(
             float(np.linalg.norm(x - y_new)),

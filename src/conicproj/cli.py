@@ -230,13 +230,7 @@ def _dims(cone, m) -> dict:
 def _load_conic_problem(path: str) -> LinearConicProblem:
     text = _read(path)
     if path.endswith(".json"):
-        parts = io.parse_problem_json(text)
-        obj = parts["objective"]
-        if obj is None:
-            obj = BlockPoint.zeros(parts["cone"])
-        if parts["ineq"] is not None:
-            raise InputError("solve expects equality constraints only")
-        return LinearConicProblem(c=obj, a=parts["eq"], cone=parts["cone"])
+        return io.conic_problem_from_json(text)
     return io.parse_sdpa(text)
 
 

@@ -573,9 +573,6 @@ class AffineMap:
     def adjoint_vec(self, y) -> np.ndarray:
         return self.adjoint_matrix @ np.asarray(y, dtype=float)
 
-    def residual(self, x: BlockPoint) -> np.ndarray:
-        return self.apply(x) - self.rhs
-
     @cached_property
     def adjoint_matrix(self) -> sp.csr_matrix:
         """A^T in CSR form, so each adjoint product is one row-wise pass."""
@@ -668,16 +665,15 @@ def gram_factorize(amap: AffineMap) -> GramFactorization:
     return amap.gram
 
 
-def project_affine(
-    amap: AffineMap, x: BlockPoint, fact: GramFactorization | None = None
-) -> BlockPoint:
+def _project_affine_vec(amap: AffineMap, v: np.ndarray) -> np.ndarray:
+    """Raw-vector projection onto {x: Ax = b}: v - A^T [AA^T]^{-1} (Av - b)."""
+    corr = amap.gram.solve(amap.apply_vec(v) - amap.rhs)
+    return v - amap.adjoint_vec(corr)
+
+
+def project_affine(amap: AffineMap, x: BlockPoint) -> BlockPoint:
     """Projection onto {x: Ax = b}: x - A^T [AA^T]^{-1} (Ax - b)."""
-    if fact is None:
-        fact = amap.gram
-    corr = fact.solve(amap.residual(x))
-    return BlockPoint.from_vector(
-        amap.cone, x.ravel() - amap.adjoint_vec(corr)
-    )
+    return BlockPoint.from_vector(amap.cone, _project_affine_vec(amap, x.ravel()))
 
 
 # ---------------------------------------------------------------------------

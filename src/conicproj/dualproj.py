@@ -20,10 +20,6 @@ equal to Dykstra's alternating projections), a limited-memory quasi-Newton
 method with weak Wolfe line search, and a semismooth Newton-CG method using
 one element of the Clarke generalized Jacobian of the cone projection, its
 CG preconditioned by [AA^T]^{-1}.
-
-A positive ``scale`` t and a linear ``tilt`` turn the same machinery into
-the inner subproblem of the regularization solvers, with
-x(y) = P_K(c + t(A'y - tilt)) and theta(y) = b'y + (||c||^2-||x||^2)/(2t).
 """
 
 from __future__ import annotations
@@ -69,31 +65,20 @@ __all__ = [
 class ProjectionProblem:
     """Data of the conic least-squares problem.
 
-    ``c`` is the point being projected (the prox center when reused by the
-    regularization solvers), ``eq`` the equality rows, ``ineq`` optional
-    inequality rows in the >= orientation, ``scale`` the prox parameter t,
-    finite and positive (default 1 gives the plain projection) and ``tilt``
-    the optional linear objective shift of the regularized subproblem.
+    ``c`` is the point being projected, ``eq`` the equality rows and
+    ``ineq`` optional inequality rows in the >= orientation.
     """
 
     c: BlockPoint
     eq: AffineMap
     cone: ConeSpec
     ineq: AffineMap | None = None
-    scale: float = 1.0
-    tilt: BlockPoint | None = None
 
     def __post_init__(self):
         if self.c.cone != self.cone or self.eq.cone != self.cone:
             raise InputError("problem blocks do not conform to the cone spec")
         if self.ineq is not None and self.ineq.cone != self.cone:
             raise InputError("inequality rows do not conform to the cone spec")
-        if self.tilt is not None and self.tilt.cone != self.cone:
-            raise InputError("tilt does not conform to the cone spec")
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise InputError(
-                f"scale must be finite and positive, got {self.scale}"
-            )
         if self.eq.m + self.m_ineq < 1:
             raise InputError("problem has no affine constraints")
 
@@ -140,12 +125,8 @@ class _Workspace:
     def __init__(self, problem: ProjectionProblem):
         self.problem = problem
         self.cone = problem.cone
-        self.t = float(problem.scale)
         self.c_vec = problem.c.ravel()
         self.c_sq = float(self.c_vec @ self.c_vec)
-        self.tilt_vec = (
-            problem.tilt.ravel() if problem.tilt is not None else None
-        )
         self.eq = problem.eq
         self.ineq = problem.ineq
         self.b_eq = problem.eq.rhs
@@ -155,14 +136,11 @@ class _Workspace:
         s = self.eq.adjoint_vec(y)
         if z is not None and self.ineq is not None:
             s = s + self.ineq.adjoint_vec(z)
-        if self.tilt_vec is not None:
-            s = s - self.tilt_vec
-        w = self.c_vec + self.t * s
-        x, infos = _project_ambient(self.cone, w, want_info)
+        x, infos = _project_ambient(self.cone, self.c_vec + s, want_info)
         theta = float(self.b_eq @ y)
         if z is not None and self.b_ineq is not None:
             theta += float(self.b_ineq @ z)
-        theta += (self.c_sq - float(x @ x)) / (2.0 * self.t)
+        theta += (self.c_sq - float(x @ x)) / 2.0
         gy = self.b_eq - self.eq.apply_vec(x)
         gz = (
             self.b_ineq - self.ineq.apply_vec(x)
@@ -200,7 +178,7 @@ _WOLFE_C2 = 0.9
 _WOLFE_TRIALS = 40
 
 
-def _wolfe(phi, f0, slope0, gnorm0, alpha0=1.0):
+def _wolfe(phi, f0, slope0, gnorm0):
     """Weak Wolfe search on a descent direction by expansion + bisection.
 
     ``phi(alpha)`` returns (f, slope, gnorm, payload), gnorm being the
@@ -218,7 +196,7 @@ def _wolfe(phi, f0, slope0, gnorm0, alpha0=1.0):
     """
     noise = 1e-12 * (1.0 + abs(f0))
     lo, hi = 0.0, np.inf
-    alpha = alpha0
+    alpha = 1.0
     best = None  # lowest f: (f, alpha, payload)
     lowest_grad = None  # lowest gradient norm: (gnorm, f, alpha, payload)
 
@@ -266,10 +244,9 @@ def solve_fixed_metric(
 ):
     """Gradient ascent on theta in the metric W = [AA^T]^{-1} with unit step.
 
-    Equality constraints only.  With scale t the step is W g / t.  The
-    primal iterates x_k = P_K(c + t(A'y_k - tilt)) coincide iterate for
-    iterate with Dykstra's corrected alternating projections (t = 1).
-    Stops when ||grad theta|| = ||A x - b|| <= tol.
+    Equality constraints only.  The primal iterates x_k = P_K(c + A'y_k)
+    coincide iterate for iterate with Dykstra's corrected alternating
+    projections.  Stops when ||grad theta|| = ||A x - b|| <= tol.
     """
     if problem.m_ineq:
         raise InputError("fixed-metric solver handles equality constraints only")
@@ -296,7 +273,7 @@ def solve_fixed_metric(
             break
         if k == max_iter:
             break
-        y = y + fact.solve(g) / ws.t
+        y = y + fact.solve(g)
     report.status = status
     report.primal_residual = gnorm
     report.dual_residual = 0.0
@@ -496,11 +473,11 @@ def solve_ssnewton(
 ):
     """Semismooth Newton-CG ascent on theta (equality constraints only).
 
-    The generalized Hessian element H = t * A (dP_K) A^T is accessed only
+    The generalized Hessian element H = A (dP_K) A^T is accessed only
     through products H d via the cone-projection Jacobian; the Newton system
     H d = grad theta is solved inexactly by CG with forcing sequence
     eta = min(0.1, sqrt(||grad||)), preconditioned by (AA^T)^{-1} from the
-    cached factorization: since 0 <= dP_K <= I, H <= t AA^T, with equality
+    cached factorization: since 0 <= dP_K <= I, H <= AA^T, with equality
     where the projection is the identity, and on assemblies whose AA^T is
     diagonal this scales each row by its Gram entry.  Steps are
     safeguarded by a weak Wolfe search, falling back to a gradient step when
@@ -536,7 +513,7 @@ def solve_ssnewton(
         def apply_h(dvec):
             lifted = ws.eq.adjoint_vec(dvec)
             jac = cone_jacobian_apply(ws.cone, infos, lifted)
-            return ws.t * ws.eq.apply_vec(jac)
+            return ws.eq.apply_vec(jac)
 
         eta = min(0.1, np.sqrt(gnorm))
         d, cg_iters, breakdown = _pcg(

@@ -48,6 +48,7 @@ __all__ = [
     "blockpoint_from_json",
     "parse_problem_json",
     "projection_problem_from_json",
+    "conic_problem_from_json",
 ]
 
 
@@ -460,3 +461,14 @@ def projection_problem_from_json(text: str) -> ProjectionProblem:
     return ProjectionProblem(
         c=center, eq=parts["eq"], cone=parts["cone"], ineq=parts["ineq"]
     )
+
+
+def conic_problem_from_json(text: str) -> LinearConicProblem:
+    """Native JSON file -> LinearConicProblem (objective defaults to zero)."""
+    parts = parse_problem_json(text)
+    if parts["ineq"] is not None:
+        raise InputError("solve expects equality constraints only")
+    obj = parts["objective"]
+    if obj is None:
+        obj = BlockPoint.zeros(parts["cone"])
+    return LinearConicProblem(c=obj, a=parts["eq"], cone=parts["cone"])

@@ -63,14 +63,16 @@ class Polynomial:
     """Sparse multivariate polynomial: exponent multi-index -> coefficient.
 
     Zero coefficients are dropped on construction; exponents are tuples of
-    ``num_vars`` nonnegative ints.  A non-integral exponent or a non-finite
-    coefficient raises :class:`InputError` naming the term.
+    ``num_vars`` >= 1 nonnegative ints.  A non-integral exponent or a
+    non-finite coefficient raises :class:`InputError` naming the term.
     """
 
     num_vars: int
     terms: dict
 
     def __post_init__(self):
+        if self.num_vars < 1:
+            raise InputError(f"nvars must be >= 1, got {self.num_vars}")
         clean = {}
         for alpha, coeff in self.terms.items():
             term = alpha

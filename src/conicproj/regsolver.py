@@ -240,6 +240,10 @@ def prox_eval(
     """One (truncated) proximal step: approximately minimize
     <c, x> + ||x - p||^2 / (2t) over the intersection, via its dual.
 
+    Times t, the objective is ||x - (p - t c)||^2 / 2 plus a constant: the
+    step is the plain projection of p - t c onto the intersection, whose
+    multiplier is t y (Malick-Povh-Rendl-Wiegele, SIAM J. Optim. 2009).
+    The dual engine solves that projection, warm-started at t y0.
     Returns (x, y, u, inner_report) with u recovered from the final cone
     projection, so p + t(A'y - c) = t u + x holds exactly.
     ``inner_tol`` is an absolute bound on ||A x - b||; ``t`` must be
@@ -247,19 +251,19 @@ def prox_eval(
     """
     if inner not in _SOLVERS:
         raise InputError(f"unknown inner solver {inner!r}")
-    sub = ProjectionProblem(
-        c=p, eq=problem.a, cone=problem.cone, scale=t, tilt=problem.c
-    )
+    if not (np.isfinite(t) and t > 0):
+        raise InputError(f"t must be finite and positive, got {t}")
+    sub = ProjectionProblem(c=p - t * problem.c, eq=problem.a, cone=problem.cone)
+    if y0 is not None:
+        y0 = t * np.asarray(y0, dtype=float)
     # only the quasi-Newton engine keeps state across outer iterations
     carry = {"carry_state": carry_state} if inner == "quasi_newton" else {}
     x, d, rep = _SOLVERS[inner](
         sub, tol=inner_tol, max_iter=max_inner, y0=y0, **carry
     )
-    x_vec = x.ravel()
-    w = p.ravel() + t * (problem.a.adjoint_vec(d.y) - problem.c.ravel())
-    u_vec = (w - x_vec) / t
+    u_vec = (sub.c.ravel() + problem.a.adjoint_vec(d.y) - x.ravel()) / t
     u = BlockPoint.from_vector(problem.cone, u_vec)
-    return x, d.y, u, rep
+    return x, d.y / t, u, rep
 
 
 def _outer_loop(problem, params, step):

@@ -257,6 +257,11 @@ class TestExitCodes:
         )
         assert "--center" in err or "line 1" in err
 
+    def test_solve_json_with_inequalities_is_4(self, capsys, tmp_path):
+        ineq = JSON_PROBLEM_NONNEG[:-1] + ', "ineq": {"rows": [[[1, 0]]], "rhs": [0]}}'
+        err = _run_input_error(capsys, tmp_path, "solve", ("j.json", ineq), [])
+        assert "solve expects equality constraints only" in err
+
     def test_unknown_flag_is_4(self, capsys):
         assert run_cli(["theta", "--bogus"]) == 4
         capsys.readouterr()
@@ -288,6 +293,22 @@ class TestSolveAndSolutions:
         rp, rd = residuals(prob, trip)
         assert abs(rp - rep["primal_residual"]) <= 1e-12
         assert abs(rd - rep["dual_residual"]) <= 1e-12
+
+    def test_solve_json_problem(self, capsys, tmp_path):
+        # min x1 + 2 x2 over x >= 0, x1 + x2 = 1: optimum x = (1, 0); the
+        # same problem without an objective is a feasibility problem
+        prob = tmp_path / "p.json"
+        sol = tmp_path / "sol.json"
+        for objective, value in ((', "objective": [[1, 2]]}', 1.0), ("}", 0.0)):
+            prob.write_text(JSON_PROBLEM_NONNEG[:-1] + objective)
+            code, rep = run(
+                capsys,
+                ["solve", str(prob), "--tol", "1e-9", "--solution-out", str(sol)],
+            )
+            assert code == 0 and rep["status"] == "converged"
+            assert abs(rep["objective"] - value) <= 1e-7
+        p = np.array(json.loads(sol.read_text())["p"][0])
+        assert abs(p.sum() - 1.0) <= 1e-8 and p.min() >= 0.0
 
     def test_nearcorr_command(self, capsys, tmp_path):
         mat = tmp_path / "c.txt"
@@ -424,6 +445,14 @@ class TestGen:
         assert code == 0
         p = parse_polynomial(out2.read_text())
         assert p == cp.structured_polymin_instance(3)
+
+    def test_gen_structured_without_variables_is_4(self, capsys, tmp_path):
+        # the polynomial reader rejects nvars 0, so gen must not write it
+        out = tmp_path / "s.txt"
+        code = run_cli(["gen", "structured", "--out", str(out), "--num-vars", "0"])
+        captured = capsys.readouterr()
+        assert code == 4 and "nvars must be >= 1" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_gen_requires_seed(self, capsys, tmp_path):
         code = run_cli(["gen", "sos", "--out", str(tmp_path / "x.dat-s")])

@@ -131,31 +131,6 @@ class TestEvalTheta:
         with pytest.raises(InputError):
             eval_theta(prob, DualPoint(np.array([np.nan, 0.0]), np.zeros(0)))
 
-    def test_scaled_tilted_variant(self):
-        # x(y) = P_K(c + t (A'y - tilt)) and grad = b - A x for any t
-        r = rng(25)
-        cone = ConeSpec(psd_dims=(3,))
-        eq = random_affine(r, cone, 2)
-        prob = ProjectionProblem(
-            c=random_point(r, cone),
-            eq=eq,
-            cone=cone,
-            scale=0.37,
-            tilt=random_point(r, cone),
-        )
-        y = r.standard_normal(2)
-        ev = eval_theta(prob, DualPoint(y, np.zeros(0)))
-        w = prob.c.ravel() + 0.37 * (eq.adjoint_vec(y) - prob.tilt.ravel())
-        x_ref = cp.project_cone(cone, BlockPoint.from_vector(cone, w))
-        assert np.allclose(ev.x.ravel(), x_ref.ravel())
-        eps = 1e-6
-        for i in range(2):
-            dy = np.zeros(2)
-            dy[i] = eps
-            tp = eval_theta(prob, DualPoint(y + dy, np.zeros(0))).theta
-            tm = eval_theta(prob, DualPoint(y - dy, np.zeros(0))).theta
-            assert abs((tp - tm) / (2 * eps) - ev.grad_y[i]) <= 1e-5
-
 
 class TestSolvers:
     @pytest.mark.parametrize(

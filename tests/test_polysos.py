@@ -39,6 +39,11 @@ class TestPolynomial:
         for v in (-2.0, 0.0, 1.5):
             assert np.isclose(q(np.array([v])), (v * v - 1.0) ** 2)
 
+    @pytest.mark.parametrize("num_vars", [0, -1])
+    def test_no_variables_rejected(self, num_vars):
+        with pytest.raises(InputError, match="nvars must be >= 1"):
+            Polynomial(num_vars, {})
+
     def test_bad_exponent(self):
         with pytest.raises(InputError):
             Polynomial(2, {(1,): 1.0})

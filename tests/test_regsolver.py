@@ -74,15 +74,14 @@ class TestProxEval:
             assert abs(x.dot(u)) <= 1e-10 * (1 + x.norm() * u.norm())
 
     def test_inner_gradient_matches_finite_differences(self):
-        # the tilted dual of the prox subproblem, checked coordinatewise
+        # the dual of the prox subproblem at t = 0.7, the projection of
+        # p - t c, checked coordinatewise
         prob, _ = cp.random_sos_instance(2, 1, "full", seed=5)
         r = rng(51)
         from conftest import random_point
 
         p = random_point(r, prob.cone)
-        sub = cp.ProjectionProblem(
-            c=p, eq=prob.a, cone=prob.cone, scale=0.7, tilt=prob.c
-        )
+        sub = cp.ProjectionProblem(c=p - 0.7 * prob.c, eq=prob.a, cone=prob.cone)
         y = r.standard_normal(prob.m)
         ev = cp.eval_theta(sub, cp.DualPoint(y, np.zeros(0)))
         eps = 1e-6
@@ -94,9 +93,25 @@ class TestProxEval:
             fd = (tp - tm) / (2 * eps)
             assert abs(fd - ev.grad_y[i]) <= 1e-6 * (1 + abs(fd))
 
+    @pytest.mark.parametrize("t", [0.25, 1.0, 3.0])
+    def test_prox_step_is_the_projection_of_p_minus_tc(self, t):
+        # the prox step of min <c, x> + ||x - p||^2/(2t) is the projection
+        # of p - t c, its multiplier t y; theta on C7 plus a chord has c != 0
+        edges = {(i, (i + 1) % 7) for i in range(7)} | {(0, 3)}
+        prob = cp.build_theta(cp.Graph(7, frozenset(edges)))
+        p = cp.project_cone(prob.cone, random_point(rng(52), prob.cone))
+        x, y, u, rep = prox_eval(prob, p, t=t, inner="ssnewton", inner_tol=1e-11)
+        sub = cp.ProjectionProblem(c=p - t * prob.c, eq=prob.a, cone=prob.cone)
+        x_ref, d_ref, rep_ref = dualproj.solve_projection(
+            sub, "ssnewton", tol=1e-11
+        )
+        assert rep.converged() and rep_ref.converged()
+        assert np.max(np.abs(x.ravel() - x_ref.ravel())) <= 1e-10
+        assert np.max(np.abs(y - d_ref.y / t)) <= 1e-10
+
     @pytest.mark.parametrize("t", [0.0, -1.0, np.inf, np.nan])
     def test_bad_t(self, t):
-        # rejected by the subproblem's scale check, before any arithmetic
+        # rejected by prox_eval's own check, before any arithmetic
         prob = scalar_problem()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
