@@ -123,7 +123,6 @@ class _Workspace:
     """Raw-vector view of a ProjectionProblem for the solver hot paths."""
 
     def __init__(self, problem: ProjectionProblem):
-        self.problem = problem
         self.cone = problem.cone
         self.c_vec = problem.c.ravel()
         self.c_sq = float(self.c_vec @ self.c_vec)

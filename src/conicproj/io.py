@@ -190,48 +190,32 @@ def write_sdpa(problem: LinearConicProblem, comment: str | None = None) -> str:
     """Serialize to canonical SDPA sparse text.
 
     Canonical layout: PSD blocks in cone order followed by one merged
-    diagonal block; entries sorted by (matno, blkno, i, j); 17 significant
-    digits; zero entries omitted.  parse/write round-trip is lossless for
-    files already in this layout.
+    diagonal block; the upper-triangle nonzeros of F0 = -c and of each row
+    of A, sorted by (matno, blkno, i, j); 17 significant digits.  Duplicate
+    stored entries of A are summed and stored zeros omitted.  parse/write
+    round-trip is lossless for files already in this layout.
     """
     cone = problem.cone
     if cone.soc_dims:
         raise InputError("SDPA cannot represent second-order cone blocks")
     sizes = list(cone.psd_dims) + ([-cone.nonneg] if cone.nonneg else [])
-    lines = []
-    if comment:
-        for row in comment.splitlines():
-            lines.append(f"* {row}")
-    lines.append(str(problem.m))
-    lines.append(str(len(sizes)))
-    lines.append(" ".join(str(v) for v in sizes))
-    lines.append(" ".join(_fmt(v) for v in problem.b))
-
-    nlp_block = len(cone.psd_dims) + 1
-
-    def emit(matno, vec, out):
-        at = 0
-        for bi, d in enumerate(cone.psd_dims, start=1):
-            block = vec[at:at + d * d].reshape(d, d)
-            at += d * d
-            for i in range(d):
-                for j in range(i, d):
-                    if block[i, j] != 0.0:
-                        out.append(
-                            f"{matno} {bi} {i + 1} {j + 1} {_fmt(block[i, j])}"
-                        )
-        if cone.nonneg:
-            diag = vec[at:at + cone.nonneg]
-            for i in range(cone.nonneg):
-                if diag[i] != 0.0:
-                    out.append(
-                        f"{matno} {nlp_block} {i + 1} {i + 1} {_fmt(diag[i])}"
-                    )
-
-    emit(0, -problem.c.ravel(), lines)  # F0 = -c
-    amat = problem.a.matrix
-    for r in range(problem.m):
-        emit(r + 1, np.asarray(amat.getrow(r).todense()).ravel(), lines)
+    lines = [f"* {row}" for row in (comment or "").splitlines()]
+    lines += [str(problem.m), str(len(sizes)), " ".join(str(v) for v in sizes),
+              " ".join(_fmt(v) for v in problem.b)]
+    blkno, i, j = (np.empty(cone.dim, dtype=np.int64) for _ in range(3))
+    for k, (kind, d, sl) in enumerate(cone.blocks, start=1):
+        blkno[sl] = k
+        if kind == "psd":
+            i[sl], j[sl] = divmod(np.arange(d * d), d)
+        else:
+            i[sl] = j[sl] = np.arange(d)
+    f = sp.vstack([sp.csr_matrix(-problem.c.ravel()), problem.a.matrix]).tocoo()
+    f.sum_duplicates()
+    keep = (f.data != 0.0) & (i[f.col] <= j[f.col])
+    matno, col, val = f.row[keep], f.col[keep], f.data[keep]
+    for e in np.lexsort((j[col], i[col], blkno[col], matno)):
+        a = col[e]
+        lines.append(f"{matno[e]} {blkno[a]} {i[a] + 1} {j[a] + 1} {_fmt(val[e])}")
     return "\n".join(lines) + "\n"
 
 

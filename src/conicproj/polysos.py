@@ -385,6 +385,8 @@ def random_sos_instance(num_vars: int, d: int, rank: str = "full", seed=None):
 def random_polymin_instance(num_vars: int, d: int, seed=None) -> Polynomial:
     """Random coercive minimization instance: a unit-norm random polynomial
     of total degree < 2d plus the leading terms sum_i v_i^{2d}."""
+    if d < 1:
+        raise InputError(f"need degree >= 1, got {d}")
     rng = _rng(seed)
     lower = monomials_upto(num_vars, 2 * d - 1)
     coeffs = rng.standard_normal(len(lower))

@@ -454,6 +454,16 @@ class TestGen:
         assert code == 4 and "nvars must be >= 1" in captured.err
         assert captured.out == "" and not out.exists()
 
+    def test_gen_polymin_degree_zero_names_the_bound(self, capsys, tmp_path):
+        out = tmp_path / "f"
+        code = run_cli(
+            ["gen", "polymin", "--num-vars", "2", "--degree", "0",
+             "--seed", "1", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 4 and "degree >= 1" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_gen_requires_seed(self, capsys, tmp_path):
         code = run_cli(["gen", "sos", "--out", str(tmp_path / "x.dat-s")])
         capsys.readouterr()

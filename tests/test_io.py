@@ -4,11 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import conicproj as cp
 from conicproj import InputError
 from conicproj.cli import run_cli
 from conicproj.io import (
+    _fmt,
     blockpoint_from_json,
     blockpoint_to_json,
     parse_dimacs,
@@ -104,6 +106,125 @@ class TestSdpa:
         )
         with pytest.raises(InputError):
             write_sdpa(prob)
+
+
+def _reference_write_sdpa(problem, comment=None):
+    """The dense per-row writer that ``write_sdpa`` replaced, kept verbatim
+    as the byte-for-byte reference."""
+    cone = problem.cone
+    if cone.soc_dims:
+        raise InputError("SDPA cannot represent second-order cone blocks")
+    sizes = list(cone.psd_dims) + ([-cone.nonneg] if cone.nonneg else [])
+    lines = []
+    if comment:
+        for row in comment.splitlines():
+            lines.append(f"* {row}")
+    lines.append(str(problem.m))
+    lines.append(str(len(sizes)))
+    lines.append(" ".join(str(v) for v in sizes))
+    lines.append(" ".join(_fmt(v) for v in problem.b))
+
+    nlp_block = len(cone.psd_dims) + 1
+
+    def emit(matno, vec, out):
+        at = 0
+        for bi, d in enumerate(cone.psd_dims, start=1):
+            block = vec[at:at + d * d].reshape(d, d)
+            at += d * d
+            for i in range(d):
+                for j in range(i, d):
+                    if block[i, j] != 0.0:
+                        out.append(
+                            f"{matno} {bi} {i + 1} {j + 1} {_fmt(block[i, j])}"
+                        )
+        if cone.nonneg:
+            diag = vec[at:at + cone.nonneg]
+            for i in range(cone.nonneg):
+                if diag[i] != 0.0:
+                    out.append(
+                        f"{matno} {nlp_block} {i + 1} {i + 1} {_fmt(diag[i])}"
+                    )
+
+    emit(0, -problem.c.ravel(), lines)  # F0 = -c
+    amat = problem.a.matrix
+    for r in range(problem.m):
+        emit(r + 1, np.asarray(amat.getrow(r).todense()).ravel(), lines)
+    return "\n".join(lines) + "\n"
+
+
+def _irregular_problem():
+    """PSD 2 + PSD 3 + orthant 2 with a stored zero, a row that is not
+    symmetric on block 1 (entry (2,1) without (1,2)) and a duplicated
+    stored entry (0.5 + 0.25 at orthant position 1)."""
+    cone = cp.ConeSpec(psd_dims=(2, 3), nonneg=2)
+    mat = sp.csr_matrix(
+        (
+            np.array([1.0, 0.0, 2.0, 3.0, 0.5, 0.25, 4.0, -1.0]),
+            np.array([0, 1, 5, 5, 13, 13, 14, 2]),
+            np.array([0, 3, 8]),
+        ),
+        shape=(2, cone.dim),
+    )
+    c = np.zeros(cone.dim)
+    c[0], c[6], c[14] = 1.5, -2.0, 3.0
+    return cp.LinearConicProblem(
+        c=cp.BlockPoint.from_vector(cone, c),
+        a=cp.AffineMap(cone, mat, [1.0, 2.0], check=False),
+        cone=cone,
+    )
+
+
+def _theta_c7_chord():
+    edges = {(k, (k + 1) % 7) for k in range(7)} | {(0, 3)}
+    return cp.build_theta(cp.Graph(7, frozenset(edges)))
+
+
+GENERATED = {
+    "sos-n3-d2-full": lambda: cp.random_sos_instance(3, 2, "full", seed=1)[0],
+    "sos-n4-d2-one": lambda: cp.random_sos_instance(4, 2, "one", seed=1)[0],
+    "sos-n5-d3-full": lambda: cp.random_sos_instance(5, 3, "full", seed=1)[0],
+    "theta-c7-chord": _theta_c7_chord,
+    "structured-polymin-n3": lambda: cp.build_polymin(
+        cp.structured_polymin_instance(3)
+    )[0],
+}
+
+
+class TestWriteSdpa:
+    @pytest.mark.parametrize("name", SDPA_FIXTURES)
+    def test_fixture_bytes_equal_reference(self, name):
+        prob = parse_sdpa(fixture_text(name))
+        assert write_sdpa(prob, "a\nb") == _reference_write_sdpa(prob, "a\nb")
+
+    @pytest.mark.parametrize("name", sorted(GENERATED))
+    def test_generated_bytes_equal_reference(self, name):
+        prob = GENERATED[name]()
+        assert write_sdpa(prob, name) == _reference_write_sdpa(prob, name)
+
+    @pytest.mark.parametrize("name", sorted(GENERATED))
+    def test_generated_roundtrip(self, name):
+        prob = GENERATED[name]()
+        back = parse_sdpa(write_sdpa(prob))
+        assert back.cone == prob.cone
+        assert np.array_equal(back.b, prob.b)
+        assert np.array_equal(back.c.ravel(), prob.c.ravel())
+        assert (back.a.matrix != prob.a.matrix).nnz == 0
+
+    def test_irregular_rows_bytes_equal_reference(self):
+        prob = _irregular_problem()
+        text = write_sdpa(prob)
+        assert text == _reference_write_sdpa(prob)
+        # the duplicate is summed, the stored zero and the lower entry dropped
+        assert text.splitlines()[4:] == [
+            "0 1 1 1 -1.5",
+            "0 2 1 3 2",
+            "0 3 2 2 -3",
+            "1 1 1 1 1",
+            "1 2 1 2 2",
+            "2 2 1 2 3",
+            "2 3 1 1 0.75",
+            "2 3 2 2 4",
+        ]
 
 
 class TestDimacs:

@@ -353,6 +353,12 @@ class TestRandomGenerators:
         with pytest.raises(InputError):
             random_polymin_instance(2, 2)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_polymin_instance_needs_degree_one(self, d):
+        # the lower part has degree 2d - 1, so d = 0 must not reach the basis
+        with pytest.raises(InputError, match=f"degree >= 1, got {d}"):
+            random_polymin_instance(2, d, seed=1)
+
     def test_polymin_instance_structure(self):
         p = random_polymin_instance(5, 2, seed=4)
         # leading terms exactly sum_i v_i^4
