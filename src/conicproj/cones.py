@@ -11,10 +11,12 @@ blockwise Frobenius / Euclidean products, which coincides with the dot
 product of the full-square vectorizations used throughout.
 
 All functions here are pure and all types are immutable after construction,
-so everything is safe to call concurrently.  The one cache on a value type,
-``SpectralDecomp.jacobian_weights``, holds read-only arrays derived
-deterministically from the spectrum; two threads that race to fill it
-compute the same arrays.
+so everything is safe to call concurrently.  The caches on a value type,
+``SpectralDecomp``'s descending ``eigenvalues``, sign-canonical
+``eigenvectors`` and ``jacobian_weights``, hold read-only arrays derived
+deterministically from LAPACK's output; two threads that race to fill one
+compute the same arrays.  ``AffineMap`` caches ``adjoint_matrix`` and
+``gram`` the same way.
 """
 
 from __future__ import annotations
@@ -268,17 +270,37 @@ def symmetrize(m) -> np.ndarray:
 class SpectralDecomp:
     """Eigendecomposition of a symmetric matrix.
 
-    ``eigenvalues`` sorted descending, ``eigenvectors`` the matching
-    orthonormal columns.  Column signs are canonicalized (largest-magnitude
-    entry positive) for reproducibility.
+    Holds LAPACK's output as it came: ``raw_values`` ascending and
+    ``raw_vectors`` the matching orthonormal columns, with whatever signs
+    LAPACK gave them.  The public form, ``eigenvalues`` sorted descending
+    and ``eigenvectors`` the matching columns with canonical signs
+    (largest-magnitude entry positive, for reproducibility), is computed on
+    first read and cached, so the PSD projection, which needs neither,
+    does not pay for it.  Every array is read-only.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    raw_values: np.ndarray
+    raw_vectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.size
+        return self.raw_values.size
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        w = self.raw_values[::-1].copy()
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        u = self.raw_vectors[:, ::-1]
+        pick = np.abs(u).argmax(axis=0)
+        signs = np.sign(u[pick, np.arange(u.shape[1])])
+        signs[signs == 0] = 1.0
+        u = np.ascontiguousarray(u * signs)
+        u.setflags(write=False)
+        return u
 
     def reconstruct(self) -> np.ndarray:
         u = self.eigenvectors
@@ -329,38 +351,44 @@ def _symmetric_input(m) -> np.ndarray:
     the input is symmetrized (with a warning beyond the 1e-12 relative
     tolerance) unless it is exactly symmetric already."""
     m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
+    # the entrywise test: a finite m.sum() would prove the same, but keeping
+    # an overflowing sum quiet takes an np.errstate that costs more than the
+    # sum saves
+    if not np.isfinite(m).all():
         raise InputError("matrix has non-finite entries")
-    if m.ndim == 2 and np.array_equal(m, m.T):
+    if m.ndim == 2 and m.shape[0] == m.shape[1] and (m == m.T).all():
         return m
     return symmetrize(m)
+
+
+def _symmetric_part(x: np.ndarray) -> np.ndarray:
+    """(x + x^T)/2 as a new C-contiguous array, bit for bit; adding into
+    a copied transpose runs about twice as fast as x + x.T."""
+    out = x.T.copy()
+    out += x
+    out *= 0.5
+    return out
 
 
 def eig_sym(m) -> SpectralDecomp:
     """Spectral decomposition with descending eigenvalues.
 
-    The input is symmetrized on ingestion (with a warning beyond the 1e-12
-    relative tolerance) unless it is exactly symmetric already; non-finite
-    entries and LAPACK failures raise.
+    One call of LAPACK ``dsyevd`` on the lower triangle, the routine behind
+    ``np.linalg.eigh``.  The input is symmetrized on ingestion (with a
+    warning beyond the 1e-12 relative tolerance) unless it is exactly
+    symmetric already; non-finite entries and LAPACK failures raise.
     """
     msym = _symmetric_input(m)
-    try:
-        w, u = np.linalg.eigh(msym)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+    w, z, info = scipy.linalg.lapack.dsyevd(msym, compute_v=1, lower=1)
+    if info != 0:
         raise NumericalError(
             f"eigendecomposition failed for a {msym.shape[0]}x{msym.shape[0]} "
-            f"matrix (||M||={np.linalg.norm(msym):.3e}): {exc}"
-        ) from exc
-    w = w[::-1].copy()
-    u = u[:, ::-1]
-    # canonical column signs: largest-magnitude entry of each vector positive
-    pick = np.abs(u).argmax(axis=0)
-    signs = np.sign(u[pick, np.arange(u.shape[1])])
-    signs[signs == 0] = 1.0
-    u = np.ascontiguousarray(u * signs)
+            f"matrix (||M||={np.linalg.norm(msym):.3e}): LAPACK dsyevd info "
+            f"{info}"
+        )
     w.setflags(write=False)
-    u.setflags(write=False)
-    return SpectralDecomp(w, u)
+    z.setflags(write=False)
+    return SpectralDecomp(w, z)
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +396,17 @@ def eig_sym(m) -> SpectralDecomp:
 
 # A PSD block whose previous projection kept at most n/8 positive
 # eigenvalues is projected from those eigenpairs alone.  Measured with one
-# BLAS thread, the partial route wins below that line at every order
-# tried from 1 to 150 (at order 100: 0.35-0.40 ms at 0-2 positive eigenvalues and
-# 1.0 ms at 12, against 1.3-1.7 ms for the full decomposition); the two
-# break even between n/5 and n/4, and at n/4 and above the full
-# decomposition is faster (2.7 ms against 1.6 ms at order 100, r = 36).
+# BLAS thread (medians of 15 rounds) against the full route of
+# :func:`project_psd`, which skips the sign canonicalization, the partial
+# route takes this share of the full route's time:
+#
+#     r        order 21   order 36   order 100
+#     n/8      0.67       0.66       0.84 (0.95 against 1.13 ms)
+#     n/5      0.74       0.91       1.17
+#     n/4      0.85       0.95       1.37
+#
+# So it wins at n/8 at every order; at order 100 the two break even
+# between n/8 and n/5, and at smaller orders near n/4.
 _PARTIAL_RANK_FRACTION = 8
 
 
@@ -381,14 +415,21 @@ def project_psd(c) -> tuple[np.ndarray, SpectralDecomp]:
 
     Returns the projection together with the decomposition of the input so
     that callers can reuse it for generalized Jacobians.  Only the positive
-    eigenpairs (a prefix, eigenvalues being descending) enter the
-    reconstruction.
+    eigenpairs enter the reconstruction, in descending order.  Column signs
+    cancel in U diag(lam) U^T and a sign flip is exact, so LAPACK's raw
+    columns give the same bits as the canonical ones without paying for
+    them.
     """
     dec = eig_sym(c)
-    r = int(np.count_nonzero(dec.eigenvalues > 0.0))
-    u = dec.eigenvectors[:, :r]
-    x = (u * dec.eigenvalues[:r]) @ u.T
-    return (x + x.T) / 2.0, dec
+    w = dec.raw_values
+    n = w.size
+    r = int(np.count_nonzero(w > 0.0))  # ascending: the positive ones end it
+    # descending and C-contiguous like the canonical columns: numpy 1.x runs
+    # a product with a reversed view through its own loop instead of BLAS,
+    # slower and summing in another order
+    u = np.ascontiguousarray(dec.raw_vectors[:, n - r :][:, ::-1])
+    x = (u * w[n - r :][::-1]) @ u.T
+    return _symmetric_part(x), dec
 
 
 def _project_psd_positive(c) -> tuple[np.ndarray, int]:
@@ -412,7 +453,7 @@ def _project_psd_positive(c) -> tuple[np.ndarray, int]:
         )
     u = z[:, :r]
     x = (u * w[:r]) @ u.T
-    return (x + x.T) / 2.0, r
+    return _symmetric_part(x), r
 
 
 def project_soc(x) -> np.ndarray:
@@ -478,7 +519,7 @@ def _project_ambient(
                 if want_info:
                     infos.append(dec)
                 if ranks is not None:
-                    ranks[i] = int(np.count_nonzero(dec.eigenvalues > 0.0))
+                    ranks[i] = int(np.count_nonzero(dec.raw_values > 0.0))
             out[sl] = x.ravel()
         elif kind == "soc":
             out[sl] = project_soc(part)
@@ -706,11 +747,7 @@ def psd_jacobian_apply(dec: SpectralDecomp, h) -> np.ndarray:
     n = dec.dim
     if h.shape != (n, n):
         raise InputError(f"direction shape {h.shape} != ({n}, {n})")
-    # (H + H^T)/2, bitwise; adding into a copied transpose runs about twice
-    # as fast as h + h.T
-    hs = h.T.copy()
-    hs += h
-    hs *= 0.5
+    hs = _symmetric_part(h)
     positive_side, v, q = dec.jacobian_weights
     if v.shape[1] == 0:  # empty own side: J is 0 (r = 0) or the identity
         return np.zeros((n, n)) if positive_side else hs

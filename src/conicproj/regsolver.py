@@ -208,8 +208,11 @@ def _scales(problem):
 
 def _residuals_vec(problem, ap, aty, u_vec, c_vec, b_scale, c_scale):
     """Scaled residuals from the products ``ap`` = A p and ``aty`` = A'y."""
-    rp = float(np.linalg.norm(ap - problem.a.rhs)) / b_scale
-    rd = float(np.linalg.norm(aty - u_vec - c_vec)) / c_scale
+    r = ap - problem.a.rhs
+    rp = math.sqrt(r @ r) / b_scale  # bitwise np.linalg.norm(r)
+    r = aty - u_vec
+    r -= c_vec
+    rd = math.sqrt(r @ r) / c_scale
     return rp, rd
 
 
@@ -546,19 +549,28 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
     c_vec = problem.c.ravel()
     b = a.rhs
     ranks = [None] * len(cone.blocks)
+    # scratch for u + c and for w, rewritten by every sweep; nothing a
+    # sweep returns lives in them
+    uc_buf = np.empty(cone.dim)
+    w_buf = np.empty(cone.dim)
 
     def project_step(t, p, u, ap):
         # the y-step, then w = p + t (A'y - c) split by the projection:
         # returns (p', y, w - p', A'y)
-        y = fact.solve(a.apply_vec(u + c_vec) + (b - ap) / t)
+        rhs = a.apply_vec(np.add(u, c_vec, out=uc_buf))
+        rhs += (b - ap) / t
+        y = fact.solve(rhs)
         aty = a.adjoint_vec(y)
-        w = p + t * (aty - c_vec)
+        w = np.subtract(aty, c_vec, out=w_buf)
+        w *= t
+        w += p
         p, _ = _project_ambient(cone, w, ranks=ranks)
-        return p, y, w - p, aty
+        return p, y, np.subtract(w, p), aty
 
     def sweep(k, t, p, y, u, ap, worst):
         p, y, s, aty = project_step(t, p, u, ap)
-        return p, y, s / t, a.apply_vec(p), aty, 1, 0
+        s /= t
+        return p, y, s, a.apply_vec(p), aty, 1, 0
 
     if not params.adapt_t:
         return _outer_loop(problem, params, sweep)
@@ -571,7 +583,9 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
         t = t_now
         p, y, s, aty = project_step(t, x[:dim], x[dim : 2 * dim] / t, x[2 * dim :])
         ap = a.apply_vec(p)
-        return np.concatenate((p, s, ap)), (p, y, s / t, ap, aty)
+        out = np.concatenate((p, s, ap))
+        s /= t
+        return out, (p, y, s, ap, aty)
 
     anderson = _Anderson(evaluate, 2 * dim, problem.m)
 

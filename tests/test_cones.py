@@ -1,8 +1,10 @@
 import functools
+import types
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import conicproj as cp
@@ -262,6 +264,216 @@ class TestPartialSpectrum:
         monkeypatch.setattr(cones.scipy.linalg.lapack, "dsyevx", failing)
         with pytest.raises(cp.NumericalError, match="info 3"):
             cones._project_psd_positive(np.eye(4))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# The PSD kernels as they were before the projection read LAPACK's raw
+# eigenpairs: np.linalg.eigh, descending order and canonical signs on every
+# call, and (x + x^T)/2; the decomposition is the pair (eigenvalues,
+# eigenvectors).  The kernels under test must give the same bits.
+
+
+def _ref_symmetric_input(m):
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise InputError("matrix has non-finite entries")
+    if m.ndim == 2 and np.array_equal(m, m.T):
+        return m
+    return cp.symmetrize(m)
+
+
+def _ref_eig_sym(m):
+    w, u = np.linalg.eigh(_ref_symmetric_input(m))
+    w = w[::-1].copy()
+    u = u[:, ::-1]
+    pick = np.abs(u).argmax(axis=0)
+    signs = np.sign(u[pick, np.arange(u.shape[1])])
+    signs[signs == 0] = 1.0
+    return w, np.ascontiguousarray(u * signs)
+
+
+def _ref_project_psd(c):
+    w, u = _ref_eig_sym(c)
+    r = int(np.count_nonzero(w > 0.0))
+    u_pos = u[:, :r]
+    x = (u_pos * w[:r]) @ u_pos.T
+    return (x + x.T) / 2.0, (w, u)
+
+
+def _ref_project_psd_positive(c):
+    msym = _ref_symmetric_input(c)
+    w, z, r, _, info = scipy.linalg.lapack.dsyevx(msym, range="V", vl=0.0, vu=np.inf)
+    assert info == 0
+    u = z[:, :r]
+    x = (u * w[:r]) @ u.T
+    return (x + x.T) / 2.0, r
+
+
+def _ref_project_ambient(cone, v, want_info=False, ranks=None):
+    out = np.empty_like(v)
+    infos = [] if want_info else None
+    for i, (kind, d, sl) in enumerate(cone.blocks):
+        part = v[sl]
+        if kind == "psd":
+            hint = None if ranks is None else ranks[i]
+            if hint is not None and not want_info and 8 * hint <= d:
+                x, ranks[i] = _ref_project_psd_positive(part.reshape(d, d))
+            else:
+                x, dec = _ref_project_psd(part.reshape(d, d))
+                if want_info:
+                    infos.append(dec)
+                if ranks is not None:
+                    ranks[i] = int(np.count_nonzero(dec[0] > 0.0))
+            out[sl] = x.ravel()
+        elif kind == "soc":
+            out[sl] = project_soc(part)
+            if want_info:
+                infos.append(part.copy())
+        else:
+            np.maximum(part, 0.0, out=out[sl])
+            if want_info:
+                infos.append(part.copy())
+    return out, infos
+
+
+class TestRawEigenpairs:
+    """The projection reads LAPACK's raw eigenpairs; the canonical form is
+    built only when read.  Both give the reference kernels' bits."""
+
+    @staticmethod
+    def _symmetric(r, n):
+        g = r.standard_normal((n, n)) * 10.0 ** r.uniform(-3, 3)
+        return (g + g.T) / 2.0
+
+    @staticmethod
+    def _assert_same_projection(cone, v, want_info, hints):
+        ranks, ref_ranks = list(hints), list(hints)
+        out, infos = cones._project_ambient(cone, v, want_info, ranks=ranks)
+        ref, ref_infos = _ref_project_ambient(cone, v, want_info, ranks=ref_ranks)
+        assert _same_bits(out, ref)
+        assert ranks == ref_ranks
+        if not want_info:
+            assert infos is None
+            return
+        assert len(infos) == len(ref_infos)
+        for (kind, _, _), info, ref_info in zip(cone.blocks, infos, ref_infos):
+            if kind == "psd":
+                assert _same_bits(info.eigenvalues, ref_info[0])
+                assert _same_bits(info.eigenvectors, ref_info[1])
+            else:
+                assert _same_bits(info, ref_info)
+
+    @pytest.mark.parametrize("want_info", [False, True])
+    @pytest.mark.parametrize("n", list(range(1, 41)) + [100])
+    def test_random_blocks_match_reference(self, n, want_info):
+        r = rng(2000 + n)
+        cone = ConeSpec(psd_dims=(n,))
+        for trial in range(4):
+            m = self._symmetric(r, n)
+            if trial == 1:  # low rank, so that the partial route is taken
+                g = r.standard_normal((n, max(1, n // 8)))
+                m = g @ g.T - 0.05 * np.eye(n)
+            positive = int(np.count_nonzero(np.linalg.eigvalsh(m) > 0))
+            for hints in ([None], [0], [positive], [n]):
+                self._assert_same_projection(cone, m.ravel(), want_info, hints)
+
+    @pytest.mark.parametrize("want_info", [False, True])
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.eye(5),
+            -np.eye(4),
+            np.zeros((3, 3)),
+            np.diag([2.0, 0.0, 0.0, -1.0, 2.0]),
+            np.diag([0.0, 3.0, 0.0]),
+            np.ones((4, 4)),  # eigenvalues 4, 0, 0, 0
+        ],
+        ids=["eye", "minus_eye", "zero", "diag_zeros", "diag_zeros_2", "ones"],
+    )
+    def test_repeated_and_zero_eigenvalues_match_reference(self, m, want_info):
+        cone = ConeSpec(psd_dims=(m.shape[0],))
+        for hints in ([None], [0], [m.shape[0]]):
+            self._assert_same_projection(cone, m.ravel(), want_info, hints)
+
+    @pytest.mark.parametrize("want_info", [False, True])
+    def test_mixed_cone_matches_reference(self, want_info):
+        cone = ConeSpec(psd_dims=(16, 3, 1), soc_dims=(3, 1), nonneg=2)
+        r = rng(2100)
+        for _ in range(5):
+            v = random_point(r, cone, scale=3.0).ravel()
+            for psd_hints in ([None] * 3, [0, 0, 0], [2, 3, 1]):
+                hints = psd_hints + [None] * 3
+                self._assert_same_projection(cone, v, want_info, hints)
+
+    def test_canonical_form_is_built_only_when_read(self):
+        r = rng(2200)
+        lam = np.array([2.0, 0.7, 1e-12, -0.4, -1.5, -3.0])
+        q, _ = np.linalg.qr(r.standard_normal((6, 6)))
+        c = (q * lam) @ q.T
+        c = (c + c.T) / 2.0
+        x, dec = project_psd(c)
+        assert not {"eigenvalues", "eigenvectors", "jacobian_weights"} & set(vars(dec))
+        ref_x, (w, u) = _ref_project_psd(c)
+        assert _same_bits(x, ref_x)
+        assert _same_bits(dec.eigenvalues, w) and _same_bits(dec.eigenvectors, u)
+        assert {"eigenvalues", "eigenvectors"} <= set(vars(dec))
+        ref_dec = types.SimpleNamespace(dim=6, eigenvalues=w, eigenvectors=u)
+        weights = dec.jacobian_weights
+        ref_weights = cones.SpectralDecomp.jacobian_weights.func(ref_dec)
+        assert weights[0] == ref_weights[0]
+        assert all(_same_bits(a, b) for a, b in zip(weights[1:], ref_weights[1:]))
+        h = r.standard_normal((6, 6))
+        assert _same_bits(
+            psd_jacobian_apply(dec, h), TestPsdJacobian._per_call(ref_dec, h)
+        )
+        arrays = (dec.raw_values, dec.raw_vectors, dec.eigenvalues, dec.eigenvectors)
+        for arr in (*arrays, *weights[1:]):
+            assert not arr.flags.writeable
+        assert dec.eigenvalues is dec.eigenvalues  # cached, not rebuilt
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def failing(a, **kwargs):
+            n = a.shape[0]
+            return np.zeros(n), np.zeros((n, n)), 2
+
+        monkeypatch.setattr(cones.scipy.linalg.lapack, "dsyevd", failing)
+        with pytest.raises(cp.NumericalError, match="info 2"):
+            eig_sym(np.eye(4))
+
+
+class TestSymmetricInput:
+    """The eigensolvers' ingestion rule."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+        ids=["nan", "inf", "minus_inf", "inf_and_minus_inf"],
+    )
+    def test_nonfinite_entries_raise(self, bad):
+        m = np.eye(4)
+        for k, value in enumerate(bad):
+            m[k, 3 - k] = m[3 - k, k] = value
+        with pytest.raises(InputError, match="non-finite"):
+            cones._symmetric_input(m)
+
+    def test_finite_entries_whose_sum_overflows_are_accepted(self):
+        m = np.full((3, 3), 1e308)
+        m[0, 2] = m[2, 0] = -1e308
+        assert cones._symmetric_input(m) is m
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (3, 1), (3,), (2, 2, 2)])
+    def test_non_square_input_raises(self, shape):
+        with pytest.raises(InputError, match="square"):
+            cones._symmetric_input(np.ones(shape))
+
+    def test_asymmetric_input_warns_and_is_symmetrized(self):
+        m = np.array([[1.0, 2.0], [0.0, 1.0]])
+        with pytest.warns(UserWarning, match="symmetrized"):
+            out = cones._symmetric_input(m)
+        assert _same_bits(out, (m + m.T) / 2.0)
 
 
 class TestAdjointMatrix:
@@ -639,10 +851,6 @@ class TestPsdJacobian:
         jac = w + w.T
         return jac if positive_side else hs - jac
 
-    @staticmethod
-    def _same_bits(a, b):
-        return a.shape == b.shape and a.tobytes() == b.tobytes()
-
     def test_weights_computed_once_per_decomposition(self, monkeypatch):
         calls = []
         compute = cones.SpectralDecomp.jacobian_weights.func
@@ -659,7 +867,7 @@ class TestPsdJacobian:
         _, dec = project_psd(self._spectral_point(r, lam))
         hs = [r.standard_normal((5, 5)) for _ in range(3)]
         for h in hs:
-            assert self._same_bits(
+            assert _same_bits(
                 psd_jacobian_apply(dec, h), self._per_call(dec, h)
             )
         assert calls == [dec]
@@ -696,11 +904,11 @@ class TestPsdJacobian:
         assert v.shape == (n, 0) and q.shape == (0, n)
         for h in (r.standard_normal((n, n)), np.zeros((n, n))):
             jh = psd_jacobian_apply(dec, h)
-            assert self._same_bits(jh, self._per_call(dec, h))
+            assert _same_bits(jh, self._per_call(dec, h))
             if side:
                 assert not np.any(jh)
             else:
-                assert self._same_bits(jh, (h + h.T) / 2.0)
+                assert _same_bits(jh, (h + h.T) / 2.0)
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_bitwise_equal_to_per_call_weights(self, symmetric):
@@ -715,7 +923,7 @@ class TestPsdJacobian:
                 h = r.standard_normal((n, n))
                 if symmetric:
                     h = (h + h.T) / 2.0
-                assert self._same_bits(
+                assert _same_bits(
                     psd_jacobian_apply(dec, h), self._per_call(dec, h)
                 )
 

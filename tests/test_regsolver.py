@@ -241,6 +241,104 @@ class TestSweepCost:
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
+def _reference_solve_simple(problem, params):
+    """solve_simple as it was before its sweep reused buffers: every array
+    fresh, on the library's _outer_loop and _Anderson."""
+    from conicproj import cones
+
+    cone, a = problem.cone, problem.a
+    c_vec, b = problem.c.ravel(), a.rhs
+    ranks = [None] * len(cone.blocks)
+
+    def project_step(t, p, u, ap):
+        y = a.gram.solve(a.apply_vec(u + c_vec) + (b - ap) / t)
+        aty = a.adjoint_vec(y)
+        w = p + t * (aty - c_vec)
+        p, _ = cones._project_ambient(cone, w, ranks=ranks)
+        return p, y, w - p, aty
+
+    def sweep(k, t, p, y, u, ap, worst):
+        p, y, s, aty = project_step(t, p, u, ap)
+        return p, y, s / t, a.apply_vec(p), aty, 1, 0
+
+    if not params.adapt_t:
+        return regsolver._outer_loop(problem, params, sweep)
+    dim = cone.dim
+    t_now = None
+
+    def evaluate(x):
+        t = t_now
+        p, y, s, aty = project_step(t, x[:dim], x[dim : 2 * dim] / t, x[2 * dim :])
+        ap = a.apply_vec(p)
+        return np.concatenate((p, s, ap)), (p, y, s / t, ap, aty)
+
+    anderson = regsolver._Anderson(evaluate, 2 * dim, problem.m)
+
+    def accelerated_sweep(k, t, p, y, u, ap, worst):
+        nonlocal t_now
+        if t != t_now:
+            t_now = t
+            return (*anderson.restart(np.concatenate((p, t * u, ap))), 1, 0)
+        out, evaluations = anderson.step()
+        return (*out, evaluations, 0)
+
+    return regsolver._outer_loop(problem, params, accelerated_sweep)
+
+
+class TestSweepMatchesReference:
+    @pytest.mark.parametrize(
+        "instance, adapt_t",
+        [("motzkin-d4", False), ("theta-c5", True), ("theta-c5", False)],
+    )
+    def test_bitwise_equal_iterates_after_300_sweeps(
+        self, instance, adapt_t, monkeypatch
+    ):
+        if instance == "motzkin-d4":
+            prob = cp.build_sos_feasibility(cp.motzkin(), 4)
+        else:
+            prob = c5_theta()
+        params = RegParams(
+            inner="one_iteration", max_outer=300, outer_tol=1e-300, adapt_t=adapt_t
+        )
+        # the sweep writes u + c and w into buffers it keeps between sweeps:
+        # record what every sweep returns, with a copy, to show that no later
+        # sweep writes into it
+        returned = []
+        outer_loop = regsolver._outer_loop
+
+        def recording_loop(problem, params, step):
+            def recorded(*args):
+                out = step(*args)
+                returned.extend((arr, arr.copy()) for arr in out[:5])
+                return out
+
+            return outer_loop(problem, params, recorded)
+
+        monkeypatch.setattr(regsolver, "_outer_loop", recording_loop)
+        trip, rep = solve_simple(prob, params)
+        monkeypatch.undo()
+        assert len(returned) == 5 * 300
+        assert all(arr.tobytes() == copy.tobytes() for arr, copy in returned)
+        ref_trip, ref_rep = _reference_solve_simple(prob, params)
+        assert rep.iterations == ref_rep.iterations == 300
+        assert rep.inner_iterations == ref_rep.inner_iterations
+        for got, want in (
+            (trip.p.ravel(), ref_trip.p.ravel()),
+            (trip.y, ref_trip.y),
+            (trip.u.ravel(), ref_trip.u.ravel()),
+        ):
+            assert got.tobytes() == want.tobytes()
+        # the residuals as np.linalg.norm gives them
+        a = prob.a
+        b_scale = 1.0 + np.linalg.norm(prob.b)
+        c_scale = 1.0 + prob.c.norm()
+        p, u = ref_trip.p.ravel(), ref_trip.u.ravel()
+        rd = np.linalg.norm(a.adjoint_vec(ref_trip.y) - u - prob.c.ravel())
+        assert rep.primal_residual == np.linalg.norm(a.apply_vec(p) - prob.b) / b_scale
+        assert rep.dual_residual == rd / c_scale
+        assert rep.objective == ref_rep.objective
+
+
 class TestPartialSpectrumSweep:
     def test_low_rank_blocks_skip_the_full_decomposition(self, monkeypatch):
         # theta of the edgeless graph on 16 vertices is 16, attained by the
