@@ -15,11 +15,12 @@ so the overall stopping test is the pair of scaled infeasibilities
     max{ ||A p - b|| / (1 + ||b||),  ||A'y - u - c|| / (1 + ||c||) }.
 
 Both solvers run one outer loop and differ only in its step.
-``solve_regularized`` steps by ``prox_eval`` with a dual engine as inner
-solver; ``solve_simple`` is the one-inner-iteration scheme, whose step is
-the exact y-step maximizing the augmented dual Lagrangian (AA^T factorized
-once) followed by one cone projection that yields the new p and u as
-by-products.
+``solve_simple`` is the one-inner-iteration scheme, whose step (the sweep)
+is the exact y-step maximizing the augmented dual Lagrangian (AA^T
+factorized once) followed by one cone projection that yields the new p and
+u as by-products.  ``solve_regularized`` sweeps until the residual pair
+reaches ``_PHASE1_TOL`` (or half its outer budget is spent), then steps by
+``prox_eval`` with a dual engine as inner solver.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .cones import (
     AffineMap,
     BlockPoint,
     ConeSpec,
+    FactorizationError,
     GramFactorization,
     InputError,
     _project_ambient,
@@ -84,10 +86,20 @@ _AA_REG = 1e-8
 _AA_GAMMA_MAX = 100.0
 
 # inexact proximal-point criterion (Rockafellar 1976, as SDPNAL applies it,
-# Zhao-Sun-Toh 2010): the inner tolerance of outer iteration k is at most
+# Zhao-Sun-Toh 2010): the inner tolerance of each prox step is at most
 # _INNER_KAPPA times the previous outer iterate's worst scaled residual, so
 # a warm start that already meets the schedule still has to move y
 _INNER_KAPPA = 0.1
+
+# two-phase regularized solve: solve_regularized sweeps (the step of
+# solve_simple) while the previous outer iterate's max(rp, rd) exceeds
+# _PHASE1_TOL and at most max_outer // 2 sweeps have run, then takes prox
+# steps from the sweep's (p, y, u) for good, as SDPNAL+ warm-starts its
+# Newton-CG phase from ADMM (Yang-Sun-Toh, Math. Prog. Comp. 2015).  A
+# looser switch is a trap: handed over at 1e-2, before the rank of the
+# rank-one criterion-8 instance N=5 had settled, Newton took 2912 CG
+# iterations on it, against 781 from zero and 18 from 1e-3
+_PHASE1_TOL = 1e-3
 
 # divergence rule: every _DIVERGE_PERIOD outer iterations, report
 # suspected_infeasible when ||y|| exceeds _DIVERGE_BOUND while the primal
@@ -136,16 +148,19 @@ class RegParams:
     defaults from here.
 
     ``eps0``/``decay`` define the summable inner tolerance schedule
-    eps0 / k^decay, decay > 1.  The inner tolerance of outer iteration
-    k is eps_k = max(outer_tol/10, min(eps0 / k^decay, kappa max(rp,
-    rd))), with (rp, rd) the previous outer iterate's scaled residuals
-    and kappa the module constant ``_INNER_KAPPA``.  The optional
+    eps0 / k^decay, decay > 1.  The inner tolerance of prox step k is
+    eps_k = max(outer_tol/10, min(eps0 / k^decay, kappa max(rp, rd))),
+    with (rp, rd) the previous outer iterate's scaled residuals and kappa
+    the module constant ``_INNER_KAPPA``.  The optional
     prox-parameter balancing ``adapt_t`` (off by default) shrinks t when
     the primal residual dominates and grows it when the dual residual does
     (t multiplies the dual-infeasibility penalty, and the dual residual
     itself scales like 1/t, so the opposite direction self-amplifies); its
     fixed band, factor, clamp and waiting period are the ``_T_*``
-    constants of this module.  In ``solve_simple``, ``adapt_t`` also runs
+    constants of this module.  ``max_outer`` counts every outer
+    iteration: in ``solve_regularized`` the sweeps of its first phase (at
+    most ``max_outer // 2`` of them) as well as its prox steps.  In
+    ``solve_simple``, ``adapt_t`` also runs
     the sweep as a safeguarded Anderson step (memory, regularization and
     weight bound are the ``_AA_*`` constants): on the benchmark's
     G(100, 0.3) theta instance the solve takes 1577 cone projections
@@ -182,7 +197,7 @@ class RegParams:
             )
 
     def inner_tol(self, k: int, residual: float = math.inf) -> float:
-        """Scaled inner tolerance at outer iteration k (1-based), given the
+        """Scaled inner tolerance of prox step k (1-based), given the
         worst scaled residual max(rp, rd) of the previous outer iterate;
         the default ``inf`` gives the plain schedule.  Never above the
         schedule, so the tolerances stay summable."""
@@ -462,11 +477,70 @@ class _Anderson:
         return out
 
 
-def solve_regularized(problem: LinearConicProblem, params: RegParams | None = None):
-    """Proximal outer loop with a dual projection method as inner solver.
+def _sweep(problem: LinearConicProblem):
+    """The one-iteration sweep of :func:`solve_simple`, the only code that
+    runs it: ``solve_simple`` steps by it, with or without Anderson, and
+    ``solve_regularized`` takes it as its first phase.
 
-    The inner solve at outer iteration k is stopped at
-    ||A x - b|| <= eps_k (1 + ||b||), eps_k = ``params.inner_tol(k, r)``
+    Factorizes AA^T (cached on the map) and returns (project_step, sweep).
+    ``project_step(t, p, u, ap)`` is the y-step followed by the split of
+    w = p + t (A'y - c) by one cone projection, returning
+    (p', y, w - p', A'y); ``sweep`` is the plain outer step of
+    :func:`_outer_loop` built on it.  Both keep the ranks of the previous
+    projection for the partial-spectrum route.
+    """
+    cone = problem.cone
+    a = problem.a
+    fact = gram_factorize(a)
+    c_vec = problem.c.ravel()
+    b = a.rhs
+    ranks = [None] * len(cone.blocks)
+    # scratch for u + c and for w, rewritten by every sweep; nothing a
+    # sweep returns lives in them
+    uc_buf = np.empty(cone.dim)
+    w_buf = np.empty(cone.dim)
+
+    def project_step(t, p, u, ap):
+        rhs = a.apply_vec(np.add(u, c_vec, out=uc_buf))
+        rhs += (b - ap) / t
+        y = fact.solve(rhs)
+        aty = a.adjoint_vec(y)
+        w = np.subtract(aty, c_vec, out=w_buf)
+        w *= t
+        w += p
+        p, _ = _project_ambient(cone, w, ranks=ranks)
+        return p, y, np.subtract(w, p), aty
+
+    def sweep(k, t, p, y, u, ap, worst):
+        p, y, s, aty = project_step(t, p, u, ap)
+        s /= t
+        return p, y, s, a.apply_vec(p), aty, 1, 0
+
+    return project_step, sweep
+
+
+def solve_regularized(problem: LinearConicProblem, params: RegParams | None = None):
+    """Proximal outer loop with a dual projection method as inner solver,
+    warm-started by the sweep of :func:`solve_simple`.
+
+    Phase 1 sweeps while the previous outer iterate's worst scaled
+    residual max(rp, rd) exceeds ``_PHASE1_TOL`` = 1e-3 and at most
+    ``params.max_outer // 2`` sweeps have run; then phase 2 takes prox
+    steps from the sweep's (p, y, u) until the loop stops, never sweeping
+    again.  Newton from zero spends most of its work finding the rank of
+    the solution, which the cheap sweeps settle first (SDPNAL+ warm-starts
+    its Newton-CG phase from ADMM for this reason, and the sweep is ADMM on
+    the dual).  Sweeps count as outer iterations, each as one inner
+    iteration; they are plain sweeps, without Anderson acceleration, also
+    under ``params.adapt_t``.  A problem that never reaches the switch
+    tolerance, such as an infeasible one, spends half of ``max_outer``
+    sweeping.  AA^T is factorized only when the budget allows a sweep, so
+    ``max_outer = 1`` is one prox step.  When the rows of A are dependent,
+    AA^T cannot be factorized for the sweep, and the prox steps start from
+    zero.
+
+    The inner solve of the k-th prox step (k counts no sweep) is stopped
+    at ||A x - b|| <= eps_k (1 + ||b||), eps_k = ``params.inner_tol(k, r)``
     with r the worst scaled residual of the previous outer iterate: the
     summable schedule, cut to a tenth of r once the outer loop has got
     ahead of it, so that no outer iteration starts from a warm start that
@@ -505,7 +579,29 @@ def solve_regularized(problem: LinearConicProblem, params: RegParams | None = No
             rep.gradient_fallbacks,
         )
 
-    return _outer_loop(problem, params, prox_step)
+    # AA^T is factorized only when a sweep may run: max_outer = 1 stays one
+    # prox step
+    budget = params.max_outer // 2
+    sweep = None
+    if budget:
+        try:
+            sweep = _sweep(problem)[1]
+        except FactorizationError:
+            # dependent rows leave AA^T singular: no sweep phase, and the
+            # quasi-Newton engine, which never factorizes AA^T, still runs
+            budget = 0
+    swept = 0
+
+    def step(k, t, p, y, u, ap, worst):
+        nonlocal swept
+        if swept == k - 1 and worst > _PHASE1_TOL and k <= budget:
+            swept = k
+            return sweep(k, t, p, y, u, ap, worst)
+        # the schedule counts prox steps only: indexed by k, it would start
+        # phase 2 at its floor (4x the CG iterations of polymin N=3)
+        return prox_step(k - swept, t, p, y, u, ap, worst)
+
+    return _outer_loop(problem, params, step)
 
 
 def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
@@ -543,40 +639,13 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
         if params is None
         else params
     )
-    cone = problem.cone
-    a = problem.a
-    fact = gram_factorize(a)
-    c_vec = problem.c.ravel()
-    b = a.rhs
-    ranks = [None] * len(cone.blocks)
-    # scratch for u + c and for w, rewritten by every sweep; nothing a
-    # sweep returns lives in them
-    uc_buf = np.empty(cone.dim)
-    w_buf = np.empty(cone.dim)
-
-    def project_step(t, p, u, ap):
-        # the y-step, then w = p + t (A'y - c) split by the projection:
-        # returns (p', y, w - p', A'y)
-        rhs = a.apply_vec(np.add(u, c_vec, out=uc_buf))
-        rhs += (b - ap) / t
-        y = fact.solve(rhs)
-        aty = a.adjoint_vec(y)
-        w = np.subtract(aty, c_vec, out=w_buf)
-        w *= t
-        w += p
-        p, _ = _project_ambient(cone, w, ranks=ranks)
-        return p, y, np.subtract(w, p), aty
-
-    def sweep(k, t, p, y, u, ap, worst):
-        p, y, s, aty = project_step(t, p, u, ap)
-        s /= t
-        return p, y, s, a.apply_vec(p), aty, 1, 0
-
+    project_step, sweep = _sweep(problem)
     if not params.adapt_t:
         return _outer_loop(problem, params, sweep)
 
     # accelerated: the fixed point is z = (p, t u), carrying A p along
-    dim = cone.dim
+    a = problem.a
+    dim = problem.cone.dim
     t_now = None
 
     def evaluate(x):

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -590,7 +591,10 @@ class TestNewtonStepCost:
     def test_at_most_two_evals_per_newton_step(self, monkeypatch):
         # one evaluation opens each inner solve; after that a Newton step
         # takes at most two line-search trials on average, also at the
-        # floating-point floor of theta where the Armijo test flips coins
+        # floating-point floor of theta where the Armijo test flips coins.
+        # Newton from zero: with the sweep phase this instance converges
+        # before any prox step
+        monkeypatch.setattr(regsolver, "_PHASE1_TOL", math.inf)
         prob, _ = cp.random_sos_instance(5, 3, "full", seed=205)
         counts = {"eval": 0, "steps": 0}
         original_eval = dualproj._Workspace.eval
@@ -684,7 +688,9 @@ class TestSolveRegularized:
         # meet it: y stays put and the outer iteration is wasted.  The inner
         # report's ``iterations`` counts Newton steps; ``inner_iterations``
         # counts CG iterations and falls back to evaluations, so it cannot
-        # show a solve without a step.
+        # show a solve without a step.  Newton from zero: with the sweep
+        # phase this instance converges before any prox step.
+        monkeypatch.setattr(regsolver, "_PHASE1_TOL", math.inf)
         prob, _ = cp.random_sos_instance(n_vars, 3, "full", seed=200 + n_vars)
         steps = []
         original = dualproj._SOLVERS["ssnewton"]
@@ -710,12 +716,136 @@ class TestSolveRegularized:
         assert len(steps) == rep.iterations <= 20
         assert min(steps) >= 1
 
+    @pytest.mark.parametrize("n_vars", [5, 6, 7])
+    def test_every_prox_step_moves_on_rank_one_sos(self, n_vars, monkeypatch):
+        # the rank-one twin of the test above, through the sweep phase:
+        # sweeps first, then prox steps that each take a Newton step
+        prob, _ = cp.random_sos_instance(n_vars, 3, "one", seed=300 + n_vars)
+        log = _record_phases(monkeypatch, "ssnewton")
+        _, rep = solve_regularized(prob, _criterion_8_params(1e-6))
+        assert rep.converged()
+        phases = "".join(kind for kind, _, _ in log)
+        assert re.fullmatch("s+p+", phases)
+        assert len(phases) == rep.iterations
+        assert min(out[2].iterations for _, _, out in log if out) >= 1
+
     def test_iteration_cap_status(self):
         trip, rep = solve_regularized(
             c5_theta(), RegParams(max_outer=2, outer_tol=1e-14)
         )
         assert rep.status == "iteration_limit"
         assert rep.iterations == 2
+
+
+def _criterion_8_params(outer_tol):
+    return RegParams(
+        inner="ssnewton",
+        outer_tol=outer_tol,
+        eps0=1e-4,
+        decay=3.0,
+        max_outer=300,
+        max_inner=200,
+    )
+
+
+def _record_phases(monkeypatch, inner):
+    """Log the steps of solve_regularized in order: ("s", y, None) for a
+    sweep, ("p", y0, engine output) for a prox step's inner solve."""
+    log = []
+    make_sweep = regsolver._sweep
+
+    def recording_factory(problem):
+        project_step, sweep = make_sweep(problem)
+
+        def recorded(*args):
+            out = sweep(*args)
+            log.append(("s", out[1].copy(), None))
+            return out
+
+        return project_step, recorded
+
+    engine = dualproj._SOLVERS[inner]
+
+    def recorded_engine(*args, y0=None, **kwargs):
+        out = engine(*args, y0=y0, **kwargs)
+        log.append(("p", y0, out))
+        return out
+
+    monkeypatch.setattr(regsolver, "_sweep", recording_factory)
+    monkeypatch.setitem(dualproj._SOLVERS, inner, recorded_engine)
+    return log
+
+
+class TestTwoPhase:
+    @pytest.mark.parametrize("n_vars", [5, 6, 7])
+    def test_full_rank_sos_converges_in_the_sweep_phase(self, n_vars, monkeypatch):
+        # the affine projection of 0 is almost feasible here: a few sweeps
+        # reach 1e-9 and Newton is never called
+        prob, _ = cp.random_sos_instance(n_vars, 3, "full", seed=200 + n_vars)
+        log = _record_phases(monkeypatch, "ssnewton")
+        _, rep = solve_regularized(prob, _criterion_8_params(1e-9))
+        assert rep.converged()
+        assert rep.iterations <= 10
+        assert [kind for kind, _, _ in log] == ["s"] * rep.iterations
+        assert rep.inner_iterations == rep.iterations
+
+    def test_newton_starts_from_the_sweep_on_rank_one_sos(self, monkeypatch):
+        # from zero, Newton's global phase spends 781 CG iterations finding
+        # the rank of this instance; from the sweep's iterate, a few dozen
+        prob, _ = cp.random_sos_instance(5, 3, "one", seed=305)
+        log = _record_phases(monkeypatch, "ssnewton")
+        _, rep = solve_regularized(prob, _criterion_8_params(1e-6))
+        assert rep.converged()
+        kinds = [kind for kind, _, _ in log]
+        first = kinds.index("p")
+        assert first >= 1 and "s" not in kinds[first:]
+        # t stays at t0 = 1, and prox_eval hands the engine t y
+        assert np.array_equal(log[first][1], log[first - 1][1])
+        cg = sum(out[2].inner_iterations for _, _, out in log[first:])
+        assert cg < 200
+        assert rep.inner_iterations == first + cg
+
+    @pytest.mark.parametrize("inner", ["fixed_metric", "quasi_newton", "ssnewton"])
+    def test_infeasible_problem_spends_half_the_budget_sweeping(
+        self, inner, monkeypatch
+    ):
+        # x = -1 against x >= 0 never reaches the switch tolerance: the
+        # sweep phase ends on its budget, max_outer // 2, and never returns
+        cone = ConeSpec(nonneg=1)
+        amap = AffineMap(cone, sp.csr_matrix(np.array([[1.0]])), [-1.0])
+        prob = LinearConicProblem(c=BlockPoint.zeros(cone), a=amap, cone=cone)
+        log = _record_phases(monkeypatch, inner)
+        _, rep = solve_regularized(
+            prob, RegParams(inner=inner, max_outer=21, max_inner=20)
+        )
+        assert rep.status == "iteration_limit"
+        assert rep.iterations == 21
+        assert "".join(kind for kind, _, _ in log) == "s" * 10 + "p" * 11
+        assert np.array_equal(log[10][1], log[9][1])
+
+    def test_dependent_rows_skip_the_sweep_phase(self, monkeypatch):
+        # the sweep factorizes AA^T, which repeated rows make singular; the
+        # quasi-Newton engine never factorizes it and still solves
+        cone = ConeSpec(nonneg=2)
+        amap = AffineMap(cone, sp.csr_matrix(np.ones((2, 2))), [1.0, 1.0])
+        prob = LinearConicProblem(
+            c=BlockPoint(cone, [np.array([1.0, 2.0])]), a=amap, cone=cone
+        )
+        log = _record_phases(monkeypatch, "quasi_newton")
+        trip, rep = solve_regularized(prob, RegParams(max_outer=200))
+        assert rep.converged()
+        assert np.allclose(trip.p.ravel(), [1.0, 0.0])
+        assert [kind for kind, _, _ in log] == ["p"] * rep.iterations
+
+    def test_one_outer_iteration_is_a_prox_step(self, monkeypatch):
+        # max_outer // 2 = 0 sweeps, so AA^T is never factorized
+        def no_factorization(a):
+            raise AssertionError("AA^T factorized without a sweep budget")
+
+        monkeypatch.setattr(regsolver, "gram_factorize", no_factorization)
+        log = _record_phases(monkeypatch, "quasi_newton")
+        solve_regularized(scalar_problem(), RegParams(max_outer=1))
+        assert [kind for kind, _, _ in log] == ["p"]
 
 
 class TestResiduals:
