@@ -11,7 +11,10 @@ blockwise Frobenius / Euclidean products, which coincides with the dot
 product of the full-square vectorizations used throughout.
 
 All functions here are pure and all types are immutable after construction,
-so everything is safe to call concurrently.  The caches on a value type,
+so everything is safe to call concurrently, with one exception: the
+sweep's per-block ``_WarmState``, which ``_project_ambient`` updates in
+place.  Each state is owned by one solve, which creates it, and is never
+shared with another solve or thread.  The caches on a value type,
 ``SpectralDecomp``'s descending ``eigenvalues``, sign-canonical
 ``eigenvectors`` and ``jacobian_weights``, hold read-only arrays derived
 deterministically from LAPACK's output; two threads that race to fill one
@@ -29,6 +32,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "InputError",
@@ -456,6 +460,169 @@ def _project_psd_positive(c) -> tuple[np.ndarray, int]:
     return _symmetric_part(x), r
 
 
+# A PSD block of at least this order whose state holds the eigenbasis of an
+# earlier full decomposition is projected from that basis (the warm route
+# of _project_psd_warm) before any full decomposition is tried.  Measured
+# on a 2-vCPU Intel Xeon virtual machine with one OpenBLAS thread, along
+# whole sweeps (solve_simple; Motzkin SOS of degree d at its benchmark
+# tolerance, theta of G(n, 0.3) with adapt_t; at most 3000 sweeps), with
+# the route forced at every order and each input
+# also projected by project_psd back to back: medians per call in µs, and
+# the time of the routing (failures and back-off included) over that of
+# project_psd on the inputs that the partial route does not take:
+#
+#     order  sweeps of      success  failure  project_psd  share
+#     36     Motzkin d=7      179      306       166       1.11
+#     45     Motzkin d=8      286      461       317       0.94
+#     45     theta            198      426       268       0.85
+#     55     Motzkin d=9      289      485       366       0.87
+#     55     theta            347      741       497       0.75
+#     66     Motzkin d=10     447      663       607       0.81
+#     66     theta            513     1112       760       0.72
+#     84     theta            645     1586      1117       0.65
+#     100    theta            770     1950      1419       0.65
+#     120    theta           1050     2544      1831       0.67
+#
+# So the route loses at order 36, wins little at 45 (the Motzkin d=8 share
+# read 0.92-0.98 over four runs) and clearly from 55 on.
+# An attempt fails after _WARM_MAX_STEPS Jacobi steps: on the benchmark's
+# theta-gnp inputs (order 100) the routing ran 1.47-1.56x faster than
+# project_psd with 6 steps, 1.60-1.64x with 8 and 1.62-1.63x with 10.
+_WARM_MIN_ORDER = 48
+_WARM_MAX_STEPS = 8
+
+
+class _WarmState:
+    """One PSD block's memory of the earlier projections of one solve.
+
+    A state is owned by one solve (``regsolver._sweep`` makes one per cone
+    block) and never shared: :func:`_project_ambient` updates it in place
+    at every projection of its block.  ``rank`` is the number of positive
+    eigenvalues at the previous projection (None before the first), the
+    hint of the partial route.  ``basis`` is the eigenbasis V of the
+    block's last full decomposition, positive side first, kept when the
+    order is at least ``_WARM_MIN_ORDER`` and 0 < rank < order (else None),
+    and ``riccati`` the last Riccati solution Z relative to V.
+    ``failures`` counts consecutive failed warm attempts and ``wait`` the
+    projections still to pass before the next attempt.
+    """
+
+    __slots__ = ("rank", "basis", "riccati", "failures", "wait")
+
+    def __init__(self):
+        self.rank = None
+        self.basis = None
+        self.riccati = None
+        self.failures = 0
+        self.wait = 0
+
+    def refresh(self, dec: SpectralDecomp) -> None:
+        """Take the rank and, on a large enough block, the basis of a full
+        decomposition; Z restarts at zero, which is exact for it."""
+        w, z = dec.raw_values, dec.raw_vectors
+        n = w.size
+        r = int(np.count_nonzero(w > 0.0))  # ascending: the positive ones end it
+        self.rank = r
+        self.basis = None
+        if n >= _WARM_MIN_ORDER and 0 < r < n:
+            self.basis = np.concatenate((z[:, n - r :], z[:, : n - r]), axis=1)
+            self.riccati = np.zeros((n - r, r))
+
+
+def _project_psd_warm(msym: np.ndarray, state: _WarmState) -> np.ndarray | None:
+    """Projection onto the PSD cone from the eigenbasis V of an earlier
+    decomposition (Stewart, SIAM Review 15, 1973), or None when it cannot
+    be certified.  ``msym`` must have passed :func:`_symmetric_input`.
+
+    With r = ``state.rank``, B = V'MV splits into blocks B11 (r x r, the
+    previous positive side), B12 = B21' and B22.  The columns of
+    [I; Z] span an invariant subspace of B when Z solves the Riccati
+    equation R(Z) = B21 + B22 Z - Z B11 - Z B12 Z = 0; at most
+    ``_WARM_MAX_STEPS`` Jacobi steps Z <- Z - R_ij / (d2_i - d1_j), with
+    d1 and d2 the two parts of diag(B), drive max |R| below
+    1e-15 max |diag B|, starting from the last solution.  Then
+    Y1 = [I; Z] and Y2 = [-Z'; I] are orthogonal, and by congruence B is
+    positive definite on span Y1 and negative definite on span Y2 exactly
+    when LAPACK ``dpotrf`` accepts both S = Y1'BY1 and -Y2'BY2.  With
+    I + Z'Z = L1 L1' and S = Ls Ls', U = V Y1 L1^{-T} is orthonormal,
+    U'MU = L1^{-1} S L1^{-T}, and the projection U (U'MU) U' = T T' with
+    T = V Y1 (L1 L1')^{-1} Ls.  Up to rounding it is the exact projection
+    of a matrix within sqrt(2) ||R||_F of M: Y2'BY1 = R, so the coupling
+    that it drops between span U and its complement has norm at most
+    ||R||_F, and the projection is nonexpansive.
+
+    The attempt gives up at once when diag(B) no longer splits as r
+    positive entries then n - r negative ones, and fails when the steps do
+    not converge or a certificate is refused.  A failure sets a back-off:
+    after f consecutive failures the next attempt waits 2^f - 1
+    projections.  A success keeps Z for the next attempt and clears the
+    count.  V itself changes only with a full decomposition.
+    """
+    v, r = state.basis, state.rank
+    b = v.T @ (msym @ v)
+    diag = b.diagonal()
+    d1, d2 = diag[:r], diag[r:]
+    x = None
+    if (d1 > 0.0).all() and (d2 < 0.0).all():
+        x = _riccati_projection(b, v, r, d1, d2, state)
+    if x is None:
+        state.failures += 1
+        state.wait = 2**state.failures - 1
+    else:
+        state.failures = 0
+    return x
+
+
+def _riccati_projection(b, v, r, d1, d2, state):
+    """The steps and certificates of :func:`_project_psd_warm` on
+    B = V'MV; returns the projection, or None."""
+    lapack = scipy.linalg.lapack
+    tol = 1e-15 * max(d1.max(), -d2.min())
+    denom = np.subtract.outer(d2, d1)
+    b1, b2 = b[:, :r], b[:, r:]
+    z = state.riccati.copy()
+    by1 = np.empty((b.shape[0], r))
+    res = np.empty_like(z)
+    for step in range(_WARM_MAX_STEPS + 1):
+        # B Y1 = [F; B21 + B22 Z] with F = B11 + B12 Z, so R(Z) = (B Y1)_2 - Z F
+        np.matmul(b2, z, out=by1)
+        by1 += b1
+        f = by1[:r]
+        np.matmul(z, f, out=res)
+        np.subtract(by1[r:], res, out=res)
+        if np.abs(res).max() <= tol:
+            break
+        if step == _WARM_MAX_STEPS:
+            return None
+        res /= denom
+        z -= res
+    g = z.T @ z
+    g.flat[:: r + 1] += 1.0  # I + Z'Z
+    l1, info = lapack.dpotrf(g, lower=1, clean=0)
+    if info:
+        return None
+    s = z.T @ by1[r:]
+    s += f  # Y1'BY1
+    ls, info = lapack.dpotrf(s, lower=1, clean=1)
+    if info:
+        return None
+    by2 = b1 @ z.T
+    np.subtract(b2, by2, out=by2)  # B Y2
+    neg = z @ by2[:r]
+    neg -= by2[r:]  # -Y2'BY2
+    _, info = lapack.dpotrf(neg, lower=1, clean=0)
+    if info:
+        return None
+    # (I + Z'Z)^{-1} Ls = L1^{-T} (L1^{-1} Ls)
+    k, _ = lapack.dtrtrs(l1, ls, lower=1, overwrite_b=1)
+    k, _ = lapack.dtrtrs(l1, k, lower=1, trans=1, overwrite_b=1)
+    y = v[:, r:] @ z
+    y += v[:, :r]  # V Y1
+    t = y @ k
+    state.riccati = z
+    return _symmetric_part(t @ t.T)
+
+
 def project_soc(x) -> np.ndarray:
     """Projection onto the second-order cone {(u, t): ||u|| <= t}.
 
@@ -484,7 +651,7 @@ def project_soc(x) -> np.ndarray:
 
 
 def _project_ambient(
-    cone: ConeSpec, v: np.ndarray, want_info: bool = False, ranks=None
+    cone: ConeSpec, v: np.ndarray, want_info: bool = False, states=None
 ):
     """Blockwise projection of a raw ambient vector; the solver hot path.
 
@@ -492,34 +659,51 @@ def _project_ambient(
     SpectralDecomp for PSD blocks and the pre-projection block for vector
     blocks; they parametrize the generalized Jacobian at this point.
 
-    ``ranks``, when given, holds one entry per block of ``cone.blocks``:
-    the number of positive eigenvalues each PSD block had at the caller's
-    previous projection (None before the first).  It is updated in place.
-    A PSD block whose entry is at most 1/_PARTIAL_RANK_FRACTION of its
-    order is projected from its positive eigenpairs alone
-    (:func:`_project_psd_positive`); every other block, and every block
-    when ``want_info`` is set, takes the full decomposition.  Both routes
-    return the same projection up to rounding, whatever the entry: a stale
-    one costs time, not accuracy.
+    ``states``, when given, holds one entry per block of ``cone.blocks``:
+    a :class:`_WarmState` for each PSD block, owned by the caller's solve
+    and updated in place (entries of other blocks are ignored).  A PSD
+    block is then routed in this order:
+
+    1. when its previous projection kept at most 1/_PARTIAL_RANK_FRACTION
+       of its order positive eigenvalues, from its positive eigenpairs
+       alone (:func:`_project_psd_positive`);
+    2. when its order is at least ``_WARM_MIN_ORDER``, its state holds the
+       basis of an earlier full decomposition and no back-off is pending,
+       from that basis (:func:`_project_psd_warm`);
+    3. otherwise, and when the warm route fails, by the full decomposition
+       of :func:`project_psd`, which refreshes the basis.
+
+    A PSD block takes the full route when ``want_info`` is set or it has
+    no state, and that route still refreshes a state that is given.  All
+    routes return the same projection up to rounding, whatever the state:
+    a stale one costs time, not accuracy.
     """
     out = np.empty_like(v)
     infos = [] if want_info else None
     for i, (kind, d, sl) in enumerate(cone.blocks):
         part = v[sl]
         if kind == "psd":
-            hint = None if ranks is None else ranks[i]
-            if (
-                hint is not None
-                and not want_info
-                and _PARTIAL_RANK_FRACTION * hint <= d
+            m = part.reshape(d, d)
+            state = None if states is None else states[i]
+            routed = state is not None and not want_info
+            x = None
+            if routed and state.rank is not None and (
+                _PARTIAL_RANK_FRACTION * state.rank <= d
             ):
-                x, ranks[i] = _project_psd_positive(part.reshape(d, d))
-            else:
-                x, dec = project_psd(part.reshape(d, d))
+                x, state.rank = _project_psd_positive(m)
+                state.basis = None
+            elif routed and state.basis is not None:
+                if state.wait:
+                    state.wait -= 1
+                else:
+                    m = _symmetric_input(m)
+                    x = _project_psd_warm(m, state)
+            if x is None:
+                x, dec = project_psd(m)
                 if want_info:
                     infos.append(dec)
-                if ranks is not None:
-                    ranks[i] = int(np.count_nonzero(dec.raw_values > 0.0))
+                if state is not None:
+                    state.refresh(dec)
             out[sl] = x.ravel()
         elif kind == "soc":
             out[sl] = project_soc(part)
@@ -551,6 +735,22 @@ def project_polar(cone: ConeSpec, x: BlockPoint) -> BlockPoint:
 
 # ---------------------------------------------------------------------------
 # affine maps and the Gram factorization
+
+
+def _csr_matvec(mat: sp.csr_matrix, v) -> np.ndarray:
+    """mat @ v for a vector v, computed by scipy's CSR kernel on the
+    matrix's own arrays into a fresh zeroed output: the same bits as
+    ``mat @ v`` without the dispatch of the ``@`` operator, which costs
+    about as much as the product on the small maps of the sweeps.  The
+    kernel reads len(v) unchecked, so a vector of the wrong shape raises
+    InputError (a ValueError, as scipy's own check raises) first."""
+    rows, cols = mat.shape
+    v = np.asarray(v, dtype=float)
+    if v.shape != (cols,):
+        raise InputError(f"vector shape {v.shape} != ({cols},)")
+    out = np.zeros(rows)
+    _sparsetools.csr_matvec(rows, cols, mat.indptr, mat.indices, mat.data, v, out)
+    return out
 
 
 class AffineMap:
@@ -606,13 +806,15 @@ class AffineMap:
 
     def apply(self, x: BlockPoint) -> np.ndarray:
         """A x, i.e. the vector of <A_i, x>."""
-        return self.matrix @ x.ravel()
+        return self.apply_vec(x.ravel())
 
-    def apply_vec(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
+    def apply_vec(self, v) -> np.ndarray:
+        """A v for a raw ambient vector v."""
+        return _csr_matvec(self.matrix, v)
 
     def adjoint_vec(self, y) -> np.ndarray:
-        return self.adjoint_matrix @ np.asarray(y, dtype=float)
+        """A'y as a raw ambient vector."""
+        return _csr_matvec(self.adjoint_matrix, y)
 
     @cached_property
     def adjoint_matrix(self) -> sp.csr_matrix:

@@ -39,6 +39,7 @@ from .cones import (
     GramFactorization,
     InputError,
     _project_ambient,
+    _WarmState,
     gram_factorize,
 )
 # solve_ssnewton stays bound here, uncalled: bench/selftest.py checks that
@@ -165,7 +166,10 @@ class RegParams:
     weight bound are the ``_AA_*`` constants): on the benchmark's
     G(100, 0.3) theta instance the solve takes 1577 cone projections
     (1563 sweeps, 14 rejected extrapolations) against 2511 with the
-    rebalancing alone.
+    rebalancing alone.  How the sweep projects a PSD block (partial
+    spectrum, warm basis or full decomposition) has no knob here: the
+    thresholds are the measured module constants of ``cones``, and the
+    results agree up to rounding whichever route is taken.
     """
 
     t0: float = 1.0
@@ -486,15 +490,19 @@ def _sweep(problem: LinearConicProblem):
     ``project_step(t, p, u, ap)`` is the y-step followed by the split of
     w = p + t (A'y - c) by one cone projection, returning
     (p', y, w - p', A'y); ``sweep`` is the plain outer step of
-    :func:`_outer_loop` built on it.  Both keep the ranks of the previous
-    projection for the partial-spectrum route.
+    :func:`_outer_loop` built on it.  Both share one
+    ``cones._WarmState`` per PSD block, private to this solve: the rank of
+    the previous projection for the partial-spectrum route and the
+    eigenbasis of the last full decomposition for the warm route.
     """
     cone = problem.cone
     a = problem.a
     fact = gram_factorize(a)
     c_vec = problem.c.ravel()
     b = a.rhs
-    ranks = [None] * len(cone.blocks)
+    states = [
+        _WarmState() if kind == "psd" else None for kind, _, _ in cone.blocks
+    ]
     # scratch for u + c and for w, rewritten by every sweep; nothing a
     # sweep returns lives in them
     uc_buf = np.empty(cone.dim)
@@ -508,7 +516,7 @@ def _sweep(problem: LinearConicProblem):
         w = np.subtract(aty, c_vec, out=w_buf)
         w *= t
         w += p
-        p, _ = _project_ambient(cone, w, ranks=ranks)
+        p, _ = _project_ambient(cone, w, states=states)
         return p, y, np.subtract(w, p), aty
 
     def sweep(k, t, p, y, u, ap, worst):
@@ -619,8 +627,12 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
     shared with the residual check and A p_{k+1} also with the next sweep.
     A PSD block whose projection at the previous sweep kept few positive
     eigenvalues (at most an eighth of its order) is projected from those
-    eigenpairs alone; see ``cones._project_ambient``.
-    ``params.inner`` is ignored.
+    eigenpairs alone, and a block of order at least
+    ``cones._WARM_MIN_ORDER`` from a certified update of the eigenbasis
+    of its last full decomposition, so that most sweeps of a large block
+    skip the decomposition; see ``cones._project_ambient``.  That state
+    belongs to this solve alone: two solves of one problem give the same
+    bits.  ``params.inner`` is ignored.
 
     With ``params.adapt_t`` the sweep is the map T(z) on z = (p, t u),
     accelerated by :class:`_Anderson`: each outer iteration evaluates T

@@ -117,3 +117,14 @@ def complement_graph(graph):
             if (i, j) not in graph.edges
         ),
     )
+
+
+def gnp_theta(n, p, seed):
+    """The Lovász theta problem of a G(n, p) graph drawn from ``seed``; its
+    one PSD block has order n."""
+    from conicproj import Graph, build_theta
+
+    iu = np.triu_indices(n, 1)
+    keep = rng(seed).uniform(size=iu[0].size) < p
+    edges = zip(iu[0][keep].tolist(), iu[1][keep].tolist())
+    return build_theta(Graph(n, frozenset(edges)))

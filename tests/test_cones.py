@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import conicproj as cp
-from conicproj import cones
+from conicproj import cones, regsolver
 from conicproj import (
     AffineMap,
     BlockPoint,
@@ -23,7 +23,14 @@ from conicproj import (
     project_soc,
     psd_jacobian_apply,
 )
-from conftest import fixture_text, random_affine, random_cone, random_point, rng
+from conftest import (
+    fixture_text,
+    gnp_theta,
+    random_affine,
+    random_cone,
+    random_point,
+    rng,
+)
 
 
 class TestEigSym:
@@ -171,6 +178,19 @@ class TestPsdKernels:
         return [out.eigenvalues.tobytes(), out.eigenvectors.tobytes()]
 
 
+def _project_with_ranks(cone, v, want_info=False, ranks=None):
+    """``cones._project_ambient`` with the partial route's hints as a list
+    of ranks, one per block (None before the first projection), updated in
+    place like the states it stands for; the warm route, which needs the
+    basis of an earlier call, is never taken."""
+    states = [cones._WarmState() for _ in ranks]
+    for state, hint in zip(states, ranks):
+        state.rank = hint
+    out = cones._project_ambient(cone, v, want_info, states=states)
+    ranks[:] = [state.rank for state in states]
+    return out
+
+
 class TestPartialSpectrum:
     """The sweep's partial route: positive eigenpairs only, chosen by the
     previous projection's positive count."""
@@ -210,7 +230,7 @@ class TestPartialSpectrum:
         full, _ = cones._project_ambient(cone, m.ravel())
         calls = self._count_eig_sym(monkeypatch)
         ranks = [hint]
-        part, _ = cones._project_ambient(cone, m.ravel(), ranks=ranks)
+        part, _ = _project_with_ranks(cone, m.ravel(), ranks=ranks)
         assert calls[0] == 0
         assert ranks == [positive]
         assert np.max(np.abs(part - full)) <= 1e-12 * np.linalg.norm(m)
@@ -226,7 +246,7 @@ class TestPartialSpectrum:
         calls = self._count_eig_sym(monkeypatch)
         for hint in (None, 13):  # 8 * 13 > 100
             ranks = [hint]
-            out, _ = cones._project_ambient(cone, m.ravel(), ranks=ranks)
+            out, _ = _project_with_ranks(cone, m.ravel(), ranks=ranks)
             assert ranks == [13]
             assert np.array_equal(out, ref)
         assert calls[0] == 2
@@ -238,14 +258,14 @@ class TestPartialSpectrum:
         positive = [int(np.count_nonzero(d.eigenvalues > 0)) for d in ref_infos[:2]]
         calls = self._count_eig_sym(monkeypatch)
         ranks = [None] * 4
-        out, _ = cones._project_ambient(cone, v, ranks=ranks)
+        out, _ = _project_with_ranks(cone, v, ranks=ranks)
         assert calls[0] == 2 and np.array_equal(out, ref)
         assert ranks == positive + [None, None]
         ranks = [0, 0, None, None]
-        out, infos = cones._project_ambient(cone, v, want_info=True, ranks=ranks)
+        out, infos = _project_with_ranks(cone, v, want_info=True, ranks=ranks)
         assert calls[0] == 4 and np.array_equal(out, ref) and len(infos) == 4
         ranks = [0, 0, None, None]
-        out, _ = cones._project_ambient(cone, v, ranks=ranks)
+        out, _ = _project_with_ranks(cone, v, ranks=ranks)
         assert calls[0] == 4
         assert ranks == positive + [None, None]
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.linalg.norm(v)
@@ -264,6 +284,152 @@ class TestPartialSpectrum:
         monkeypatch.setattr(cones.scipy.linalg.lapack, "dsyevx", failing)
         with pytest.raises(cp.NumericalError, match="info 3"):
             cones._project_psd_positive(np.eye(4))
+
+
+@functools.lru_cache(maxsize=None)
+def _theta_sweep_inputs(sweeps):
+    """The matrices that the first ``sweeps`` sweeps of theta on a
+    G(64, 0.3) graph project (solve_simple with adapt_t), read-only."""
+    prob = gnp_theta(64, 0.3, 3)
+    inputs = []
+    original = regsolver._project_ambient
+
+    def recording(cone, v, *args, **kwargs):
+        inputs.append(v.reshape(64, 64).copy())
+        return original(cone, v, *args, **kwargs)
+
+    regsolver._project_ambient = recording
+    try:
+        cp.solve_simple(
+            prob, cp.RegParams(inner="one_iteration", max_outer=sweeps, adapt_t=True)
+        )
+    finally:
+        regsolver._project_ambient = original
+    for m in inputs:
+        m.setflags(write=False)
+    return tuple(inputs)
+
+
+class TestWarmRoute:
+    """The sweep's warm route: a certified update of the eigenbasis of the
+    block's last full decomposition."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Count full decompositions and warm attempts, and record whether
+        each attempt succeeded."""
+        calls = {"eig_sym": 0, "warm": []}
+        eig, warm = cones.eig_sym, cones._project_psd_warm
+
+        def counted_eig(m):
+            calls["eig_sym"] += 1
+            return eig(m)
+
+        def counted_warm(m, state):
+            out = warm(m, state)
+            calls["warm"].append(out is not None)
+            return out
+
+        monkeypatch.setattr(cones, "eig_sym", counted_eig)
+        monkeypatch.setattr(cones, "_project_psd_warm", counted_warm)
+        return calls
+
+    @staticmethod
+    def _project(m, state):
+        n = m.shape[0]
+        x, _ = cones._project_ambient(ConeSpec(psd_dims=(n,)), m.ravel(), states=[state])
+        return x.reshape(n, n)
+
+    def test_sweep_sequence_matches_full_route(self, monkeypatch):
+        inputs = _theta_sweep_inputs(400)
+        refs = [project_psd(m)[0] for m in inputs]
+        calls = self._spy(monkeypatch)
+        state = cones._WarmState()
+        partial = 0
+        for m, ref in zip(inputs, refs):
+            attempts, full = len(calls["warm"]), calls["eig_sym"]
+            x = self._project(m, state)
+            warm = calls["warm"][attempts:] == [True]
+            full = calls["eig_sym"] > full  # also after a failed attempt
+            partial += not (warm or full)
+            assert np.array_equal(x, x.T)
+            if full:
+                assert _same_bits(x, ref)
+            elif warm:
+                assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+            else:  # the partial route, as TestPartialSpectrum bounds it
+                assert np.max(np.abs(x - ref)) <= 1e-12 * np.linalg.norm(m)
+        successes = sum(calls["warm"])
+        assert successes >= 50
+        assert calls["eig_sym"] + successes + partial == len(inputs)
+
+    def test_inertia_change_takes_full_route(self, monkeypatch):
+        m = _theta_sweep_inputs(400)[-1]
+        state = cones._WarmState()
+        self._project(m, state)
+        assert state.basis is not None
+        calls = self._spy(monkeypatch)
+        x = self._project(-m, state)
+        assert calls == {"eig_sym": 1, "warm": [False]}
+        ref, dec = project_psd(-m)
+        assert _same_bits(x, ref)
+        assert state.rank == int(np.count_nonzero(dec.raw_values > 0.0))
+        assert (state.failures, state.wait) == (1, 1)
+
+    def test_failures_back_off_exponentially(self, monkeypatch):
+        # alternating W and -W fails every attempt: after f consecutive
+        # failures the next attempt waits 2^f - 1 projections
+        m = _theta_sweep_inputs(400)[-1]
+        state = cones._WarmState()
+        self._project(m, state)
+        calls = self._spy(monkeypatch)
+        attempts = []
+        for k in range(1, 16):
+            before = len(calls["warm"])
+            self._project(-m if k % 2 else m, state)
+            if len(calls["warm"]) > before:
+                attempts.append(k)
+        assert attempts == [1, 3, 7, 15]
+        assert calls["warm"] == [False] * 4
+        assert calls["eig_sym"] == 15
+
+    def test_success_keeps_basis_and_riccati_solution(self, monkeypatch):
+        inputs = _theta_sweep_inputs(400)
+        state = cones._WarmState()
+        self._project(inputs[-2], state)
+        basis = state.basis
+        calls = self._spy(monkeypatch)
+        self._project(inputs[-1], state)
+        assert calls == {"eig_sym": 0, "warm": [True]}
+        assert state.basis is basis and (state.failures, state.wait) == (0, 0)
+        r = state.rank
+        assert state.riccati.shape == (64 - r, r) and np.any(state.riccati)
+
+    def test_ingestion_rule_holds_on_the_warm_route(self, monkeypatch):
+        m = _theta_sweep_inputs(400)[-1]
+        primed = [cones._WarmState() for _ in range(2)]
+        for state in primed:
+            self._project(m, state)
+        calls = self._spy(monkeypatch)
+        for bad in (np.nan, np.inf):
+            w = m.copy()
+            w[3, 5] = w[5, 3] = bad
+            with pytest.raises(InputError, match="non-finite"):
+                self._project(w, primed[0])
+        skew = np.triu(rng(60).standard_normal((64, 64)), 1) * 1e-9
+        w = m + skew - skew.T
+        with pytest.warns(UserWarning, match="symmetrized"):
+            x = self._project(w, primed[0])
+        assert _same_bits(x, self._project((w + w.T) / 2.0, primed[1]))
+        assert calls == {"eig_sym": 0, "warm": [True, True]}
+
+    def test_blocks_below_the_threshold_keep_no_basis(self):
+        for n in (cones._WARM_MIN_ORDER - 1, cones._WARM_MIN_ORDER):
+            m = TestPsdKernels._with_spectrum(np.linspace(-1.0, 2.0, n), 70 + n)
+            state = cones._WarmState()
+            self._project(m, state)
+            assert state.rank == int(np.count_nonzero(np.linspace(-1.0, 2.0, n) > 0))
+            assert (state.basis is not None) == (n >= cones._WARM_MIN_ORDER)
 
 
 def _same_bits(a, b):
@@ -351,7 +517,7 @@ class TestRawEigenpairs:
     @staticmethod
     def _assert_same_projection(cone, v, want_info, hints):
         ranks, ref_ranks = list(hints), list(hints)
-        out, infos = cones._project_ambient(cone, v, want_info, ranks=ranks)
+        out, infos = _project_with_ranks(cone, v, want_info, ranks=ranks)
         ref, ref_infos = _ref_project_ambient(cone, v, want_info, ranks=ref_ranks)
         assert _same_bits(out, ref)
         assert ranks == ref_ranks
@@ -498,6 +664,45 @@ class TestAdjointMatrix:
         y = rng(26).standard_normal(amap.m)
         assert np.array_equal(amap.adjoint_vec(y), amap.matrix.T @ y)
         assert sp.isspmatrix_csr(amap.adjoint_matrix)
+
+
+class TestCsrProducts:
+    """apply_vec and adjoint_vec call scipy's private CSR kernel on the
+    map's arrays; these tests catch a change of that module."""
+
+    @staticmethod
+    def _map(kind):
+        if kind == "motzkin":
+            return cp.build_sos_feasibility(cp.motzkin(), 5).a
+        return TestAdjointMatrix._map(kind)
+
+    @pytest.mark.parametrize("kind", ["motzkin", "theta", "mixed-sdpa", "mixed-soc"])
+    def test_products_equal_the_operator_bitwise(self, kind):
+        amap = self._map(kind)
+        r = rng(27)
+        n = amap.matrix.shape[1]
+        for v, y in (
+            (r.standard_normal(n), r.standard_normal(amap.m)),
+            (r.standard_normal(2 * n)[::2], r.standard_normal(2 * amap.m)[::2]),
+            (np.arange(n), list(range(amap.m))),
+        ):
+            assert _same_bits(amap.apply_vec(v), amap.matrix @ v)
+            assert _same_bits(amap.adjoint_vec(y), amap.adjoint_matrix @ np.asarray(y))
+        x = random_point(r, amap.cone)
+        assert _same_bits(amap.apply(x), amap.matrix @ x.ravel())
+
+    @pytest.mark.parametrize("kind", ["motzkin", "theta", "mixed-sdpa", "mixed-soc"])
+    def test_wrong_length_raises_before_the_kernel(self, kind):
+        amap = self._map(kind)
+        n = amap.matrix.shape[1]
+        for size in (0, n - 1, n + 1):
+            with pytest.raises(InputError, match="vector shape"):
+                amap.apply_vec(np.ones(size))
+        for size in (0, amap.m - 1, amap.m + 1):
+            with pytest.raises(ValueError, match="vector shape"):
+                amap.adjoint_vec(np.ones(size))
+        with pytest.raises(InputError):
+            amap.apply_vec(np.ones((n, 1)))
 
 
 class TestProjectSoc:

@@ -22,7 +22,7 @@ from conicproj import (
     solve_simple,
 )
 from conicproj import dualproj, regsolver
-from conftest import random_affine, random_point, rng
+from conftest import gnp_theta, random_affine, random_point, rng
 
 
 def scalar_problem():
@@ -249,13 +249,13 @@ def _reference_solve_simple(problem, params):
 
     cone, a = problem.cone, problem.a
     c_vec, b = problem.c.ravel(), a.rhs
-    ranks = [None] * len(cone.blocks)
+    states = [cones._WarmState() for _ in cone.blocks]
 
     def project_step(t, p, u, ap):
         y = a.gram.solve(a.apply_vec(u + c_vec) + (b - ap) / t)
         aty = a.adjoint_vec(y)
         w = p + t * (aty - c_vec)
-        p, _ = cones._project_ambient(cone, w, ranks=ranks)
+        p, _ = cones._project_ambient(cone, w, states=states)
         return p, y, w - p, aty
 
     def sweep(k, t, p, y, u, ap, worst):
@@ -362,6 +362,90 @@ class TestPartialSpectrumSweep:
         assert rep.converged()
         assert abs(-rep.objective - 16.0) <= 1e-4
         assert 1 <= calls[0] < rep.iterations
+
+
+class TestWarmRouteSweep:
+    """The warm route of the cone projection runs only inside the sweep,
+    on blocks of order at least cones._WARM_MIN_ORDER."""
+
+    @staticmethod
+    def _count_attempts(monkeypatch):
+        from conicproj import cones
+
+        calls = [0]
+        original = cones._project_psd_warm
+
+        def counted(m, state):
+            calls[0] += 1
+            return original(m, state)
+
+        monkeypatch.setattr(cones, "_project_psd_warm", counted)
+        return calls
+
+    def test_consecutive_solves_give_the_same_bits(self, monkeypatch):
+        prob = gnp_theta(64, 0.3, 3)
+        calls = self._count_attempts(monkeypatch)
+        params = RegParams(inner="one_iteration", max_outer=400, adapt_t=True)
+        runs = []
+        for _ in range(2):
+            calls[0] = 0
+            trip, rep = solve_simple(prob, params)
+            runs.append((trip, rep, calls[0]))
+        (trip, rep, attempts), (trip2, rep2, attempts2) = runs
+        assert attempts == attempts2 > 0
+        assert (rep.status, rep.iterations, rep.inner_iterations) == (
+            rep2.status,
+            rep2.iterations,
+            rep2.inner_iterations,
+        )
+        assert (rep.primal_residual, rep.dual_residual) == (
+            rep2.primal_residual,
+            rep2.dual_residual,
+        )
+        for got, want in ((trip.p, trip2.p), (trip.u, trip2.u)):
+            assert got.ravel().tobytes() == want.ravel().tobytes()
+        assert trip.y.tobytes() == trip2.y.tobytes()
+
+    def test_regularized_solve_attempts_in_its_sweep_phase_only(self, monkeypatch):
+        calls = self._count_attempts(monkeypatch)
+        prob = gnp_theta(64, 0.3, 3)
+        _, rep = solve_regularized(prob, RegParams(inner="ssnewton", max_outer=40))
+        assert rep.iterations == 40
+        assert 0 < calls[0] <= 20
+
+    @pytest.mark.parametrize("adapt_t", [False, True])
+    def test_blocks_of_order_21_and_36_never_attempt(self, monkeypatch, adapt_t):
+        calls = self._count_attempts(monkeypatch)
+        for d, order in ((5, 21), (7, 36)):
+            prob = cp.build_sos_feasibility(cp.motzkin(), d)
+            assert prob.cone.psd_dims == (order,)
+            solve_simple(
+                prob, RegParams(inner="one_iteration", max_outer=300, adapt_t=adapt_t)
+            )
+        assert calls[0] == 0
+
+    def test_dykstra_and_the_dual_engines_pass_no_state(self, monkeypatch):
+        from conicproj import altschemes
+
+        calls = self._count_attempts(monkeypatch)
+        seen = []
+        for module in (dualproj, altschemes):
+            original = module._project_ambient
+
+            def spy(cone, v, want_info=False, states=None, _original=original):
+                seen.append(states)
+                return _original(cone, v, want_info, states)
+
+            monkeypatch.setattr(module, "_project_ambient", spy)
+        g = rng(80).standard_normal((60, 60))
+        c = (g + g.T) / 2.0 / np.sqrt(60) + np.eye(60)
+        for method in ("ssnewton", "quasi_newton", "fixed_metric", "dykstra"):
+            cp.nearest_correlation(c, method, max_iter=30)
+        prob = gnp_theta(64, 0.3, 3)
+        for inner in ("ssnewton", "quasi_newton", "fixed_metric"):
+            prox_eval(prob, BlockPoint.zeros(prob.cone), 1.0, inner, max_inner=20)
+        assert len(seen) > 100 and all(states is None for states in seen)
+        assert calls[0] == 0
 
 
 class _Map:
