@@ -2,7 +2,8 @@
 
 Alternating projections (feasibility only), Dykstra's corrected variant
 (converges to the projection itself), and the alternating direction method
-on the duplicated-variable splitting x in K, y in P.
+on the duplicated-variable splitting x in K, y in P.  All three run on
+one loop, ``_iterate``; each scheme supplies only its update.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .cones import (
     _project_affine_vec,
     _project_ambient,
 )
-from .report import CONVERGED, ITERATION_LIMIT, SolveReport
+from .report import CONVERGED, SolveReport
 
 __all__ = [
     "TwoSetProblem",
@@ -50,37 +51,53 @@ class TwoSetProblem:
         return cls(c=problem.c, cone=problem.cone, eq=problem.eq)
 
 
+def _iterate(cone, first, step, max_iter, tol, record_iterates=False):
+    """The loop of every scheme here.
+
+    ``first`` is (x, primal, dual) before any iteration; ``step()`` makes
+    one iteration and returns the same triple.  Stops when both residuals
+    are at most tol, or after max_iter iterations, and returns x as a
+    ``BlockPoint`` with a report of the last residuals.
+    """
+    start = time.perf_counter()
+    report = SolveReport()
+    x, primal, dual = first
+    for k in range(1, max_iter + 1):
+        x, primal, dual = step()
+        if record_iterates:
+            report.iterate_history.append(BlockPoint.from_vector(cone, x))
+        report.iterations = k
+        if primal <= tol and dual <= tol:
+            report.status = CONVERGED
+            break
+    report.primal_residual = primal
+    report.dual_residual = dual
+    report.wall_time = time.perf_counter() - start
+    return BlockPoint.from_vector(cone, x), report
+
+
 def alternating_projections(
     problem: TwoSetProblem, max_iter: int = 5000, tol: float = 1e-8
 ):
     """Alternate P_K and the affine projection until the gap closes.
 
     Finds a point of the intersection, not the projection of c (that is
-    Dykstra's job).  Returns the cone-side iterate.
+    Dykstra's job).  Returns the cone-side iterate x.  The primal residual
+    is ||A x - b||, the dual residual the gap ||x - y|| to the affine-side
+    iterate; it stops when both are at most tol.
     """
     eq = problem.eq
     cone = problem.cone
-    start = time.perf_counter()
-    report = SolveReport()
     y = _project_affine_vec(eq, problem.c.ravel())
-    x = y
-    status = ITERATION_LIMIT
-    gap = np.inf
-    affres = np.inf
-    for k in range(1, max_iter + 1):
+
+    def step():
+        nonlocal y
         x, _ = _project_ambient(cone, y)
         y = _project_affine_vec(eq, x)
-        gap = float(np.linalg.norm(x - y))
         affres = float(np.linalg.norm(eq.apply_vec(x) - eq.rhs))
-        report.iterations = k
-        if gap <= tol and affres <= tol:
-            status = CONVERGED
-            break
-    report.status = status
-    report.primal_residual = affres
-    report.dual_residual = gap
-    report.wall_time = time.perf_counter() - start
-    return BlockPoint.from_vector(cone, x), report
+        return x, affres, float(np.linalg.norm(x - y))
+
+    return _iterate(cone, (y, np.inf, np.inf), step, max_iter, tol)
 
 
 def dykstra(
@@ -93,33 +110,23 @@ def dykstra(
 
     The correction s accumulates the difference between the affine and cone
     iterates (the corrected point is c + s, starting from s = 0), which
-    makes x_k converge to the projection of c onto the intersection.  Stops
-    when ||x_k - y_k|| <= tol.
+    makes x_k converge to the projection of c onto the intersection.  The
+    primal residual is ||x_k - y_k||, the dual residual 0; it stops when
+    the primal one is at most tol.
     """
     eq = problem.eq
     cone = problem.cone
     c = problem.c.ravel()
     s = np.zeros_like(c)
-    start = time.perf_counter()
-    report = SolveReport()
-    status = ITERATION_LIMIT
-    x = c
-    gap = np.inf
-    for k in range(1, max_iter + 1):
+
+    def step():
+        nonlocal s
         x, _ = _project_ambient(cone, c + s)
         y = _project_affine_vec(eq, x)
         s = s + (y - x)
-        if record_iterates:
-            report.iterate_history.append(BlockPoint.from_vector(cone, x))
-        gap = float(np.linalg.norm(x - y))
-        report.iterations = k
-        if gap <= tol:
-            status = CONVERGED
-            break
-    report.status = status
-    report.primal_residual = gap
-    report.wall_time = time.perf_counter() - start
-    return BlockPoint.from_vector(cone, x), report
+        return x, float(np.linalg.norm(x - y)), 0.0
+
+    return _iterate(cone, (c, np.inf, 0.0), step, max_iter, tol, record_iterates)
 
 
 def admm_projection(
@@ -134,8 +141,9 @@ def admm_projection(
         y_{k+1} = P_A((beta x_{k+1} - z_k + c) / (1 + beta))
         z_{k+1} = z_k - beta (x_{k+1} - y_{k+1})
 
-    beta defaults to 1 (no adaptive rule).  Stops when
-    max(||x - y||, beta ||y_k - y_{k-1}||) <= tol.
+    beta defaults to 1 (no adaptive rule).  The primal residual is
+    max(||x_{k+1} - y_{k+1}||, beta ||y_{k+1} - y_k||), the dual residual
+    0; it stops when the primal one is at most tol.
     """
     if not (np.isfinite(beta) and beta > 0):
         raise InputError(f"beta must be finite and positive, got {beta}")
@@ -144,25 +152,18 @@ def admm_projection(
     c = problem.c.ravel()
     y = _project_affine_vec(eq, c)
     z = np.zeros_like(c)
-    start = time.perf_counter()
-    report = SolveReport()
-    status = ITERATION_LIMIT
-    x = y
-    res = np.inf
-    for k in range(1, max_iter + 1):
+
+    def step():
+        nonlocal y, z
         x, _ = _project_ambient(cone, (beta * y + z + c) / (1.0 + beta))
         y_new = _project_affine_vec(eq, (beta * x - z + c) / (1.0 + beta))
         z = z - beta * (x - y_new)
+        # a NaN y_new makes the first argument NaN, so max() drops none
         res = max(
             float(np.linalg.norm(x - y_new)),
             beta * float(np.linalg.norm(y_new - y)),
         )
         y = y_new
-        report.iterations = k
-        if res <= tol:
-            status = CONVERGED
-            break
-    report.status = status
-    report.primal_residual = res
-    report.wall_time = time.perf_counter() - start
-    return BlockPoint.from_vector(cone, x), report
+        return x, res, 0.0
+
+    return _iterate(cone, (y, np.inf, 0.0), step, max_iter, tol)

@@ -247,10 +247,6 @@ def _reg_params(args) -> RegParams:
     )
 
 
-def _run_conic(args, problem: LinearConicProblem):
-    return solve_regularized(problem, _reg_params(args))
-
-
 def _finish(args, report: dict, solution: dict) -> int:
     """Write the solution file (if asked for), emit the report and return
     the exit code."""
@@ -331,7 +327,7 @@ def _cmd_project(args) -> int:
 
 def _cmd_solve(args) -> int:
     problem = _load_conic_problem(args.input)
-    trip, rep = _run_conic(args, problem)
+    trip, rep = solve_regularized(problem, _reg_params(args))
     return _finish_conic(args, problem, trip, rep, rep.objective)
 
 
@@ -358,7 +354,7 @@ def _cmd_nearcorr(args) -> int:
 def _cmd_sos_check(args) -> int:
     poly = io.parse_polynomial(_read(args.input))
     problem = polysos.build_sos_feasibility(poly, args.degree)
-    trip, rep = _run_conic(args, problem)
+    trip, rep = solve_regularized(problem, _reg_params(args))
     dual_obj = float(problem.b @ trip.y)
     return _finish_conic(
         args, problem, trip, rep, rep.objective,
@@ -369,7 +365,7 @@ def _cmd_sos_check(args) -> int:
 def _cmd_polymin(args) -> int:
     poly = io.parse_polynomial(_read(args.input))
     problem, offset = polysos.build_polymin(poly)
-    trip, rep = _run_conic(args, problem)
+    trip, rep = solve_regularized(problem, _reg_params(args))
     bound = offset - rep.objective
     gram = np.asarray(trip.p.blocks[0])
     lam_min = float(np.linalg.eigvalsh(gram)[0])
@@ -382,7 +378,7 @@ def _cmd_polymin(args) -> int:
 def _cmd_theta(args) -> int:
     graph = io.parse_dimacs(_read(args.input))
     problem = polysos.build_theta(graph)
-    trip, rep = _run_conic(args, problem)
+    trip, rep = solve_regularized(problem, _reg_params(args))
     theta = -rep.objective  # stored as min <-J, X>
     return _finish_conic(
         args, problem, trip, rep, theta,

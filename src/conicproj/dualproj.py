@@ -245,10 +245,13 @@ def solve_fixed_metric(
 
     Equality constraints only.  The primal iterates x_k = P_K(c + A'y_k)
     coincide iterate for iterate with Dykstra's corrected alternating
-    projections.  Stops when ||grad theta|| = ||A x - b|| <= tol.
+    projections.  Stops when ||grad theta|| = ||A x - b|| <= tol or after
+    ``max_iter`` steps; ``max_iter = 0`` evaluates theta at y0 only.
     """
     if problem.m_ineq:
         raise InputError("fixed-metric solver handles equality constraints only")
+    if max_iter < 0:
+        raise InputError(f"max_iter must be nonnegative, got {max_iter}")
     ws = _Workspace(problem)
     fact = problem.eq.gram
     tol = problem.default_tol() if tol is None else float(tol)
@@ -275,7 +278,6 @@ def solve_fixed_metric(
         y = y + fact.solve(g)
     report.status = status
     report.primal_residual = gnorm
-    report.dual_residual = 0.0
     report.objective = theta
     report.inner_iterations = report.iterations
     report.wall_time = time.perf_counter() - start
@@ -414,7 +416,6 @@ def solve_quasi_newton(
     theta, gy, gz, x = payload
     report.status = status
     report.primal_residual = _kkt_residual(gy, gz, v[me:] if mi else None)
-    report.dual_residual = 0.0
     report.objective = theta
     report.inner_iterations = evals
     report.wall_time = time.perf_counter() - start
@@ -544,7 +545,6 @@ def solve_ssnewton(
 
     report.status = status
     report.primal_residual = float(np.linalg.norm(g))
-    report.dual_residual = 0.0
     report.objective = theta
     report.wall_time = time.perf_counter() - start
     if report.inner_iterations == 0:

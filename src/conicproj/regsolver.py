@@ -426,11 +426,9 @@ class _Anderson:
             return self._visit(g), 1
         gamma = self._weights(rhs)
         if gamma is not None:
-            x = gamma @ self._dg[: self.size]
-            np.subtract(g, x, out=x)
+            x = g - gamma @ self._dg[: self.size]
             trial = self._evaluate(x)
-            f = x[: self._dim]
-            np.subtract(trial[0][: self._dim], f, out=f)
+            f = trial[0][: self._dim] - x[: self._dim]
             f_norm_trial = math.sqrt(f @ f)
             if f_norm_trial <= f_norm:
                 return self._advance(trial, f, f_norm_trial), 1
@@ -493,7 +491,8 @@ def _sweep(problem: LinearConicProblem):
     :func:`_outer_loop` built on it.  Both share one
     ``cones._WarmState`` per PSD block, private to this solve: the rank of
     the previous projection for the partial-spectrum route and the
-    eigenbasis of the last full decomposition for the warm route.
+    eigenbasis of the last full decomposition for the warm route.  The
+    sweep keeps no buffers: every array a step returns is fresh.
     """
     cone = problem.cone
     a = problem.a
@@ -503,21 +502,13 @@ def _sweep(problem: LinearConicProblem):
     states = [
         _WarmState() if kind == "psd" else None for kind, _, _ in cone.blocks
     ]
-    # scratch for u + c and for w, rewritten by every sweep; nothing a
-    # sweep returns lives in them
-    uc_buf = np.empty(cone.dim)
-    w_buf = np.empty(cone.dim)
 
     def project_step(t, p, u, ap):
-        rhs = a.apply_vec(np.add(u, c_vec, out=uc_buf))
-        rhs += (b - ap) / t
-        y = fact.solve(rhs)
+        y = fact.solve(a.apply_vec(u + c_vec) + (b - ap) / t)
         aty = a.adjoint_vec(y)
-        w = np.subtract(aty, c_vec, out=w_buf)
-        w *= t
-        w += p
+        w = p + t * (aty - c_vec)
         p, _ = _project_ambient(cone, w, states=states)
-        return p, y, np.subtract(w, p), aty
+        return p, y, w - p, aty
 
     def sweep(k, t, p, y, u, ap, worst):
         p, y, s, aty = project_step(t, p, u, ap)

@@ -12,7 +12,7 @@ from conicproj import (
     alternating_projections,
     dykstra,
 )
-from conicproj.cones import _project_ambient
+from conicproj.cones import _project_affine_vec, _project_ambient
 from conicproj.dualproj import correlation_problem
 from conftest import rng
 
@@ -168,6 +168,27 @@ class TestAdmm:
         for beta in (0.0, np.inf, np.nan):
             with pytest.raises(cp.InputError, match="finite and positive"):
                 admm_projection(two_set(C_2X2), beta=beta)
+
+
+@pytest.mark.parametrize(
+    "scheme", [alternating_projections, dykstra, admm_projection]
+)
+def test_loop_bookkeeping(scheme):
+    prob = two_set(C_2X2)
+    c = prob.c.ravel()
+    x, rep = scheme(prob, max_iter=0)
+    start = c if scheme is dykstra else _project_affine_vec(prob.eq, c)
+    assert np.array_equal(x.ravel(), start)
+    assert rep.status == "iteration_limit" and rep.iterations == 0
+    dual = np.inf if scheme is alternating_projections else 0.0
+    assert (rep.primal_residual, rep.dual_residual) == (np.inf, dual)
+
+    x, rep = scheme(prob, tol=0.0, max_iter=3)
+    assert rep.status == "iteration_limit" and rep.iterations == 3
+    if scheme is dykstra:
+        x, rep = dykstra(prob, tol=0.0, max_iter=3, record_iterates=True)
+        assert len(rep.iterate_history) == 3
+        assert np.array_equal(rep.iterate_history[-1].ravel(), x.ravel())
 
 
 class TestTwoSetProblem:

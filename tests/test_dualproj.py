@@ -221,6 +221,16 @@ class TestSolvers:
         with pytest.raises(InputError):
             solve_ssnewton(prob)
 
+    def test_fixed_metric_iteration_cap(self):
+        prob = correlation_problem(C_2X2)
+        with pytest.raises(InputError, match="max_iter"):
+            solve_fixed_metric(prob, max_iter=-1)
+        # max_iter = 0 is one evaluation at y = 0: x = P_K(c)
+        x, _, rep = solve_fixed_metric(prob, max_iter=0, record_iterates=True)
+        assert rep.status == "iteration_limit" and rep.iterations == 0
+        assert len(rep.iterate_history) == 1
+        assert np.array_equal(x.ravel(), cp.project_psd(C_2X2)[0].ravel())
+
     def test_iterates_match_dykstra(self):
         r = rng(28)
         for _ in range(3):

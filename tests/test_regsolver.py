@@ -243,8 +243,8 @@ class TestSweepCost:
 
 
 def _reference_solve_simple(problem, params):
-    """solve_simple as it was before its sweep reused buffers: every array
-    fresh, on the library's _outer_loop and _Anderson."""
+    """solve_simple's sweep written out on its own, on the library's
+    _outer_loop and _Anderson."""
     from conicproj import cones
 
     cone, a = problem.cone, problem.a
@@ -301,7 +301,6 @@ class TestSweepMatchesReference:
         params = RegParams(
             inner="one_iteration", max_outer=300, outer_tol=1e-300, adapt_t=adapt_t
         )
-        # the sweep writes u + c and w into buffers it keeps between sweeps:
         # record what every sweep returns, with a copy, to show that no later
         # sweep writes into it
         returned = []
