@@ -230,6 +230,12 @@ def _wolfe(phi, f0, slope0, gnorm0):
     return fallback()
 
 
+def _check_max_iter(max_iter: int) -> None:
+    """Engines take ``max_iter >= 0``; 0 evaluates theta at y0 only."""
+    if max_iter < 0:
+        raise InputError(f"max_iter must be nonnegative, got {max_iter}")
+
+
 # ---------------------------------------------------------------------------
 # fixed-metric gradient ascent (the dual face of Dykstra)
 
@@ -250,8 +256,7 @@ def solve_fixed_metric(
     """
     if problem.m_ineq:
         raise InputError("fixed-metric solver handles equality constraints only")
-    if max_iter < 0:
-        raise InputError(f"max_iter must be nonnegative, got {max_iter}")
+    _check_max_iter(max_iter)
     ws = _Workspace(problem)
     fact = problem.eq.gram
     tol = problem.default_tol() if tol is None else float(tol)
@@ -344,6 +349,7 @@ def solve_quasi_newton(
     skipped whenever the clamp activates.  ``carry_state`` lets an outer
     loop retain curvature pairs between restarts.
     """
+    _check_max_iter(max_iter)
     ws = _Workspace(problem)
     me, mi = problem.m_eq, problem.m_ineq
     tol = problem.default_tol() if tol is None else float(tol)
@@ -485,6 +491,7 @@ def solve_ssnewton(
     """
     if problem.m_ineq:
         raise InputError("semismooth Newton handles equality constraints only")
+    _check_max_iter(max_iter)
     ws = _Workspace(problem)
     m = problem.m_eq
     tol = problem.default_tol() if tol is None else float(tol)

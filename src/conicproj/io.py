@@ -59,36 +59,120 @@ def _fmt(v: float) -> str:
 # ---------------------------------------------------------------------------
 # SDPA sparse
 
+# block-size, vector and entry lines may use commas, parens or braces
+_SEPARATORS = str.maketrans(",(){}", "     ")
+# The entry section is joined with " \n " and translated in one pass: the
+# separators become spaces and each "\n" the end-of-line token "\0".  A NUL
+# inside a line becomes "\1", which int() and float() reject just as they
+# reject NUL, so "\0" tokens mark the line ends and nothing else.
+_ENTRY_SECTION = str.maketrans(",(){}\0\n", "     \1\0")
+
+# the entry rules in the order each line is checked, as message templates;
+# index 0 is the field count, checked first
+_ENTRY_RULES = (
+    "expected 'matno blkno i j value', got {s!r}",
+    "malformed entry {s!r}",
+    "non-finite value in {s!r}",
+    "matrix number {matno} out of range 0..{m}",
+    "block number {blkno} out of range 1..{nblock}",
+    "indices ({i},{j}) out of range for block of size {dim}",
+    "off-diagonal entry ({i},{j}) in a diagonal block",
+    "lower-triangle entry ({i},{j}); pass strict=False to fold",
+    "duplicate entry for matrix {matno} at ({i},{j})",
+)
+
 
 def _sdpa_fields(line: str) -> list[str]:
-    # block-size and vector lines may use commas, parens or braces
-    return line.replace(",", " ").replace("(", " ").replace(")", " ") \
-               .replace("{", " ").replace("}", " ").split()
+    return line.translate(_SEPARATORS).split()
+
+
+def _entry_message(code: int, s: str, m: int, sizes: list[int]) -> str:
+    """The message of rule ``code`` (an index into _ENTRY_RULES) for the
+    entry line ``s``; from rule 3 on, its four integers parse."""
+    names = {"s": s, "m": m, "nblock": len(sizes)}
+    if code >= 3:
+        matno, blkno, i, j = map(int, _sdpa_fields(s)[:4])
+        dim = abs(sizes[blkno - 1]) if 1 <= blkno <= len(sizes) else None
+        names.update(matno=matno, blkno=blkno, i=i, j=j, dim=dim)
+    return _ENTRY_RULES[code].format(**names)
+
+
+def _read_column(tokens: list[str], read) -> tuple[np.ndarray, np.ndarray]:
+    """The tokens as an array, each read by ``read`` (int or float), and a
+    mask of those it rejects (read as 0).  Integers beyond int64 are
+    clipped to its range, which every range check rejects."""
+    dtype = np.int64 if read is int else np.float64
+    rejected = np.zeros(len(tokens), dtype=bool)
+    try:
+        return np.array(tokens, dtype=dtype), rejected
+    except (ValueError, OverflowError):  # a rare token: read one at a time
+        pass
+    values = np.zeros(len(tokens), dtype=dtype)
+    big = np.iinfo(np.int64).max
+    for k, tok in enumerate(tokens):
+        try:
+            v = read(tok)
+        except ValueError:
+            rejected[k] = True
+        else:
+            values[k] = min(max(v, -big - 1), big) if read is int else v
+    return values, rejected
+
+
+def _entry_columns(entries: list[str]):
+    """Tokenize the entry lines once.
+
+    Returns the number ``n`` of leading lines that have five fields, and
+    for those lines the columns matno, blkno, i, j (int64) and value
+    (float) with a mask of the lines where int() or float() rejects a field.
+    """
+    tokens = " \n ".join([*entries, ""]).translate(_ENTRY_SECTION).split()
+    n = len(entries)
+    if len(tokens) != 6 * n or tokens[5::6].count("\0") != n:
+        # the first "\0" off every sixth token, or field on it, lies in the
+        # first line whose fields are not five
+        ends = np.fromiter((t == "\0" for t in tokens), bool, len(tokens))
+        sixth = np.arange(len(tokens)) % 6 == 5
+        n = int(np.flatnonzero(ends != sixth)[0]) // 6
+    columns = [tokens[k:6 * n:6] for k in range(5)]
+    del tokens
+    rejected = np.zeros(n, dtype=bool)
+    for k, read in enumerate((int, int, int, int, float)):
+        columns[k], bad = _read_column(columns[k], read)
+        rejected |= bad
+    return n, columns, rejected
 
 
 def parse_sdpa(text: str, strict: bool = True) -> LinearConicProblem:
-    """Parse an SDPA sparse problem into standard form min <c,x>, Ax=b, x in K."""
-    lines = text.splitlines()
-    body = []
-    for lineno, raw in enumerate(lines, start=1):
-        s = raw.strip()
-        if not s or s[0] in "*\"":
-            continue
-        body.append((lineno, s))
+    """Parse an SDPA sparse problem into standard form min <c,x>, Ax=b, x in K.
+
+    Lines that are blank or start with ``*`` or ``"`` are comments,
+    anywhere in the file.  The commas, parentheses and braces ``,(){}`` are
+    read as spaces.  Each entry line holds ``matno blkno i j value``: the
+    four integers as Python's ``int()`` reads them and the value as
+    ``float()`` does.  In strict mode a lower-triangle entry or a repeated
+    (matno, position) is an error; with ``strict=False`` lower-triangle
+    entries are folded and repeated entries summed in line order.  An error
+    raises InputError naming the first offending line.
+    """
+    lines = [raw.strip() for raw in text.splitlines()]
+    body = [k for k, s in enumerate(lines) if s and s[0] not in "*\""]
     if len(body) < 4:
         raise InputError("SDPA file is truncated: needs m, nblock, sizes, rhs")
 
-    def bad(lineno, msg):
-        return InputError(f"SDPA line {lineno}: {msg}")
+    def bad(k, msg):
+        return InputError(f"SDPA line {k + 1}: {msg}")
 
-    (ln_m, s_m), (ln_nb, s_nb), (ln_sz, s_sz), (ln_b, s_b) = body[:4]
+    (ln_m, s_m), (ln_nb, s_nb), (ln_sz, s_sz), (ln_b, s_b) = (
+        (k, lines[k]) for k in body[:4]
+    )
     try:
         m = int(_sdpa_fields(s_m)[0])
-    except ValueError:
+    except (IndexError, ValueError):
         raise bad(ln_m, f"expected constraint count, got {s_m!r}") from None
     try:
         nblock = int(_sdpa_fields(s_nb)[0])
-    except ValueError:
+    except (IndexError, ValueError):
         raise bad(ln_nb, f"expected block count, got {s_nb!r}") from None
     sizes = _sdpa_fields(s_sz)
     if len(sizes) != nblock:
@@ -113,73 +197,80 @@ def parse_sdpa(text: str, strict: bool = True) -> LinearConicProblem:
     nonneg = sum(-v for v in sizes if v < 0)
     cone = ConeSpec(psd_dims=psd_dims, nonneg=nonneg)
 
-    # ambient offset of each file block
-    offsets = []
-    psd_at = 0
-    lp_at = sum(d * d for d in psd_dims)
-    for v in sizes:
+    # per file block 1..nblock (row 0 stands for no block): order, diagonal
+    # flag and ambient offset
+    dim_of = np.array([0] + [abs(v) for v in sizes])
+    lp_of = np.array([False] + [v < 0 for v in sizes])
+    off_of = np.zeros(nblock + 1, dtype=np.int64)
+    psd_at, lp_at = 0, sum(d * d for d in psd_dims)
+    for k, v in enumerate(sizes, start=1):
         if v > 0:
-            offsets.append(("psd", v, psd_at))
-            psd_at += v * v
+            off_of[k], psd_at = psd_at, psd_at + v * v
         else:
-            offsets.append(("lp", -v, lp_at))
-            lp_at += -v
+            off_of[k], lp_at = lp_at, lp_at - v
 
-    entries: dict[tuple[int, int], float] = {}  # (matno, flat col) -> value
-    for lineno, s in body[4:]:
-        fields = _sdpa_fields(s)
-        if len(fields) != 5:
-            raise bad(lineno, f"expected 'matno blkno i j value', got {s!r}")
-        try:
-            matno, blkno, i, j = (int(v) for v in fields[:4])
-            value = float(fields[4])
-        except ValueError:
-            raise bad(lineno, f"malformed entry {s!r}") from None
-        if not math.isfinite(value):
-            raise bad(lineno, f"non-finite value in {s!r}")
-        if not 0 <= matno <= m:
-            raise bad(lineno, f"matrix number {matno} out of range 0..{m}")
-        if not 1 <= blkno <= nblock:
-            raise bad(lineno, f"block number {blkno} out of range 1..{nblock}")
-        kind, dim, off = offsets[blkno - 1]
-        if not (1 <= i <= dim and 1 <= j <= dim):
-            raise bad(lineno, f"indices ({i},{j}) out of range for block of size {dim}")
-        if kind == "lp":
-            if i != j:
-                raise bad(lineno, f"off-diagonal entry ({i},{j}) in a diagonal block")
-            cols = ((off + i - 1, value),)
-        else:
-            if i > j:
-                if strict:
-                    raise bad(
-                        lineno,
-                        f"lower-triangle entry ({i},{j}); pass strict=False to fold",
-                    )
-                i, j = j, i
-            a, c_ = i - 1, j - 1
-            if a == c_:
-                cols = ((off + a * dim + c_, value),)
-            else:
-                cols = ((off + a * dim + c_, value), (off + c_ * dim + a, value))
-        for col, val in cols:
-            key = (matno, col)
-            if key in entries:
-                if strict:
-                    raise bad(lineno, f"duplicate entry for matrix {matno} at ({i},{j})")
-                entries[key] += val
-            else:
-                entries[key] = val
+    entries = [lines[k] for k in body[4:]]
+    del lines
+    n, (matno, blkno, i, j, value), malformed = _entry_columns(entries)
 
+    # each rule as a mask over the lines; np.select keeps the first that
+    # fails on each line, numbered as in _ENTRY_RULES
+    blk = np.where((blkno >= 1) & (blkno <= nblock), blkno, 0)
+    dim, lp = dim_of[blk], lp_of[blk]
+    rule = np.select(
+        [
+            malformed,
+            ~np.isfinite(value),
+            (matno < 0) | (matno > m),
+            blk == 0,
+            (i < 1) | (i > dim) | (j < 1) | (j > dim),
+            lp & (i != j),
+            (i > j) & ~lp & bool(strict),
+        ],
+        list(range(1, 8)),
+    )
+    failed = np.flatnonzero(rule)
+    stop = int(failed[0]) if failed.size else n
+    # the lines before the first failure are valid: find their positions
+    matno, i, j, value = matno[:stop], i[:stop], j[:stop], value[:stop]
+    dim, off, lp = dim[:stop], off_of[blk[:stop]], lp[:stop]
+    lo, hi = np.minimum(i, j) - 1, np.maximum(i, j) - 1
+    upper = off + np.where(lp, lo, lo * dim + hi)
+    lower = off + np.where(lp, lo, hi * dim + lo)
+    # group repeated (matno, position) in line order
+    order = np.lexsort((upper, matno))
+    repeat = np.zeros(stop, dtype=bool)
+    repeat[1:] = (np.diff(matno[order]) == 0) & (np.diff(upper[order]) == 0)
+    # the first offending line: repeats were sought before `stop` only
+    if strict and repeat.any():
+        k, code = int(order[repeat].min()), 8
+    elif stop < n:
+        k, code = stop, int(rule[stop])
+    elif n < len(entries):
+        k, code = n, 0
+    else:
+        k = None
+    if k is not None:
+        raise bad(body[4 + k], _entry_message(code, entries[k], m, sizes))
+
+    # sum each group in line order, one rank of repeats at a time
+    group = np.cumsum(~repeat) - 1
+    first = order[~repeat]
+    total = value[first]
+    rank = np.arange(stop) - np.flatnonzero(~repeat)[group]
+    for r in range(1, int(rank.max(initial=0)) + 1):
+        at = rank == r
+        total[group[at]] += value[order[at]]
+    mirror = upper[first] != lower[first]
+    matno = np.concatenate([matno[first], matno[first][mirror]])
+    col = np.concatenate([upper[first], lower[first][mirror]])
+    total = np.concatenate([total, total[mirror]])
+    f0 = matno == 0
     c_vec = np.zeros(cone.dim)
-    rows, cols, vals = [], [], []
-    for (matno, col), val in entries.items():
-        if matno == 0:
-            c_vec[col] = -val  # c = -F0: minimize -<F0, x>
-        else:
-            rows.append(matno - 1)
-            cols.append(col)
-            vals.append(val)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(m, cone.dim))
+    c_vec[col[f0]] = -total[f0]  # c = -F0: minimize -<F0, x>
+    mat = sp.csr_matrix(
+        (total[~f0], (matno[~f0] - 1, col[~f0])), shape=(m, cone.dim)
+    )
     amap = AffineMap(cone, mat, b, check=False)
     return LinearConicProblem(
         c=BlockPoint.from_vector(cone, c_vec), a=amap, cone=cone

@@ -17,6 +17,7 @@ from conicproj import (
     solve_quasi_newton,
     solve_ssnewton,
 )
+from conicproj import dualproj
 from conicproj.dualproj import _pcg, _wolfe, correlation_problem
 from conftest import random_affine, random_cone, random_point, rng
 
@@ -221,15 +222,32 @@ class TestSolvers:
         with pytest.raises(InputError):
             solve_ssnewton(prob)
 
-    def test_fixed_metric_iteration_cap(self):
+    @pytest.mark.parametrize(
+        "solve", [solve_fixed_metric, solve_quasi_newton, solve_ssnewton],
+        ids=["solve_fixed_metric", "solve_quasi_newton", "solve_ssnewton"],
+    )
+    def test_fixed_metric_iteration_cap(self, solve, monkeypatch):
         prob = correlation_problem(C_2X2)
-        with pytest.raises(InputError, match="max_iter"):
-            solve_fixed_metric(prob, max_iter=-1)
+        with pytest.raises(
+            InputError, match="^max_iter must be nonnegative, got -1$"
+        ):
+            solve(prob, max_iter=-1)
         # max_iter = 0 is one evaluation at y = 0: x = P_K(c)
-        x, _, rep = solve_fixed_metric(prob, max_iter=0, record_iterates=True)
+        calls = []
+        evaluate = dualproj._Workspace.eval
+
+        def counted(ws, *args, **kwargs):
+            calls.append(1)
+            return evaluate(ws, *args, **kwargs)
+
+        monkeypatch.setattr(dualproj._Workspace, "eval", counted)
+        x, _, rep = solve(prob, max_iter=0)
         assert rep.status == "iteration_limit" and rep.iterations == 0
-        assert len(rep.iterate_history) == 1
+        assert len(calls) == 1
         assert np.array_equal(x.ravel(), cp.project_psd(C_2X2)[0].ravel())
+        if solve is solve_fixed_metric:
+            _, _, rep = solve(prob, max_iter=0, record_iterates=True)
+            assert len(rep.iterate_history) == 1
 
     def test_iterates_match_dykstra(self):
         r = rng(28)

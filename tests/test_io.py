@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 
@@ -7,7 +8,13 @@ import pytest
 import scipy.sparse as sp
 
 import conicproj as cp
-from conicproj import InputError
+from conicproj import (
+    AffineMap,
+    BlockPoint,
+    ConeSpec,
+    InputError,
+    LinearConicProblem,
+)
 from conicproj.cli import run_cli
 from conicproj.io import (
     _fmt,
@@ -88,6 +95,23 @@ class TestSdpa:
         bad_counts = "\n".join(["2", "1", "2", "1.0"])
         with pytest.raises(InputError):
             parse_sdpa(bad_counts)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("(\n1\n2\n1.0\n", "SDPA line 1: expected constraint count, got '('"),
+            ("* c\n1\n{}\n2\n1.0\n", "SDPA line 3: expected block count, got '{}'"),
+        ],
+        ids=["m-line", "nblock-line"],
+    )
+    def test_separator_only_header_line(self, text, named, tmp_path, capsys):
+        with pytest.raises(InputError) as exc:
+            parse_sdpa(text)
+        assert str(exc.value) == named
+        path = tmp_path / "bad.dat-s"
+        path.write_text(text)
+        assert run_cli(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 4
+        assert named in capsys.readouterr().err
 
     def test_offdiagonal_in_lp_block_rejected(self):
         text = "\n".join(["1", "1", "-2", "1.0", "1 1 1 2 1.0"])
@@ -225,6 +249,316 @@ class TestWriteSdpa:
             "2 3 1 1 0.75",
             "2 3 2 2 4",
         ]
+
+
+def _reference_sdpa_fields(line: str) -> list[str]:
+    # block-size and vector lines may use commas, parens or braces
+    return line.replace(",", " ").replace("(", " ").replace(")", " ") \
+               .replace("{", " ").replace("}", " ").split()
+
+
+def _reference_parse_sdpa(text: str, strict: bool = True) -> LinearConicProblem:
+    """The per-line parser that ``parse_sdpa`` replaced, kept verbatim as
+    the bit-for-bit and message-for-message reference."""
+    lines = text.splitlines()
+    body = []
+    for lineno, raw in enumerate(lines, start=1):
+        s = raw.strip()
+        if not s or s[0] in "*\"":
+            continue
+        body.append((lineno, s))
+    if len(body) < 4:
+        raise InputError("SDPA file is truncated: needs m, nblock, sizes, rhs")
+
+    def bad(lineno, msg):
+        return InputError(f"SDPA line {lineno}: {msg}")
+
+    (ln_m, s_m), (ln_nb, s_nb), (ln_sz, s_sz), (ln_b, s_b) = body[:4]
+    try:
+        m = int(_reference_sdpa_fields(s_m)[0])
+    except ValueError:
+        raise bad(ln_m, f"expected constraint count, got {s_m!r}") from None
+    try:
+        nblock = int(_reference_sdpa_fields(s_nb)[0])
+    except ValueError:
+        raise bad(ln_nb, f"expected block count, got {s_nb!r}") from None
+    sizes = _reference_sdpa_fields(s_sz)
+    if len(sizes) != nblock:
+        raise bad(ln_sz, f"expected {nblock} block sizes, got {len(sizes)}")
+    try:
+        sizes = [int(v) for v in sizes]
+    except ValueError:
+        raise bad(ln_sz, "block sizes must be integers") from None
+    if any(v == 0 for v in sizes):
+        raise bad(ln_sz, "zero block size")
+    bvals = _reference_sdpa_fields(s_b)
+    if len(bvals) != m:
+        raise bad(ln_b, f"expected {m} rhs values, got {len(bvals)}")
+    try:
+        b = np.array([float(v) for v in bvals])
+    except ValueError:
+        raise bad(ln_b, "rhs entries must be numeric") from None
+    if not np.all(np.isfinite(b)):
+        raise bad(ln_b, "rhs entries must be finite")
+
+    psd_dims = tuple(v for v in sizes if v > 0)
+    nonneg = sum(-v for v in sizes if v < 0)
+    cone = ConeSpec(psd_dims=psd_dims, nonneg=nonneg)
+
+    # ambient offset of each file block
+    offsets = []
+    psd_at = 0
+    lp_at = sum(d * d for d in psd_dims)
+    for v in sizes:
+        if v > 0:
+            offsets.append(("psd", v, psd_at))
+            psd_at += v * v
+        else:
+            offsets.append(("lp", -v, lp_at))
+            lp_at += -v
+
+    entries: dict[tuple[int, int], float] = {}  # (matno, flat col) -> value
+    for lineno, s in body[4:]:
+        fields = _reference_sdpa_fields(s)
+        if len(fields) != 5:
+            raise bad(lineno, f"expected 'matno blkno i j value', got {s!r}")
+        try:
+            matno, blkno, i, j = (int(v) for v in fields[:4])
+            value = float(fields[4])
+        except ValueError:
+            raise bad(lineno, f"malformed entry {s!r}") from None
+        if not math.isfinite(value):
+            raise bad(lineno, f"non-finite value in {s!r}")
+        if not 0 <= matno <= m:
+            raise bad(lineno, f"matrix number {matno} out of range 0..{m}")
+        if not 1 <= blkno <= nblock:
+            raise bad(lineno, f"block number {blkno} out of range 1..{nblock}")
+        kind, dim, off = offsets[blkno - 1]
+        if not (1 <= i <= dim and 1 <= j <= dim):
+            raise bad(lineno, f"indices ({i},{j}) out of range for block of size {dim}")
+        if kind == "lp":
+            if i != j:
+                raise bad(lineno, f"off-diagonal entry ({i},{j}) in a diagonal block")
+            cols = ((off + i - 1, value),)
+        else:
+            if i > j:
+                if strict:
+                    raise bad(
+                        lineno,
+                        f"lower-triangle entry ({i},{j}); pass strict=False to fold",
+                    )
+                i, j = j, i
+            a, c_ = i - 1, j - 1
+            if a == c_:
+                cols = ((off + a * dim + c_, value),)
+            else:
+                cols = ((off + a * dim + c_, value), (off + c_ * dim + a, value))
+        for col, val in cols:
+            key = (matno, col)
+            if key in entries:
+                if strict:
+                    raise bad(lineno, f"duplicate entry for matrix {matno} at ({i},{j})")
+                entries[key] += val
+            else:
+                entries[key] = val
+
+    c_vec = np.zeros(cone.dim)
+    rows, cols, vals = [], [], []
+    for (matno, col), val in entries.items():
+        if matno == 0:
+            c_vec[col] = -val  # c = -F0: minimize -<F0, x>
+        else:
+            rows.append(matno - 1)
+            cols.append(col)
+            vals.append(val)
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(m, cone.dim))
+    amap = AffineMap(cone, mat, b, check=False)
+    return LinearConicProblem(
+        c=BlockPoint.from_vector(cone, c_vec), a=amap, cone=cone
+    )
+
+
+def _assert_same_problem(got, want):
+    """Bit-for-bit equal parsed problems: cone, b, c and the CSR arrays."""
+    assert got.cone == want.cone
+    assert got.a.matrix.shape == want.a.matrix.shape
+    pairs = [
+        (got.b, want.b),
+        (got.c.ravel(), want.c.ravel()),
+        (got.a.matrix.indptr, want.a.matrix.indptr),
+        (got.a.matrix.indices, want.a.matrix.indices),
+        (got.a.matrix.data, want.a.matrix.data),
+    ]
+    for x, y in pairs:
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+
+
+def _entry_variant(text, seed):
+    """The same file with its entry lines shuffled, comment and blank lines
+    interleaved, and separators put inside the entries."""
+    lines = text.splitlines()
+    body = [k for k, s in enumerate(lines) if s.strip()[:1] not in ("", "*", '"')]
+    head, entries = lines[: body[3] + 1], [lines[k] for k in body[4:]]
+    r = np.random.default_rng(seed)
+    out = list(head)
+    for k in r.permutation(len(entries)):
+        f = entries[k].split()
+        out.append(
+            [
+                " ".join(f),
+                f"{f[0]},{f[1]},({f[2]},{f[3]}),{f[4]}",
+                f"  {{{f[0]} {f[1]}}} ({f[2]}, {f[3]})\t{f[4]}  ",
+            ][k % 3]
+        )
+        extra = int(r.integers(6))
+        if extra < 3:
+            out.append(["* comment 1 1 1 1", '" quoted 1 1 1 1', "   "][extra])
+    return "\n".join(out) + "\n"
+
+
+SOS_TEXTS = {
+    f"sos-n{n}-{rank}": (n, rank) for n in (5, 6, 7) for rank in ("full", "one")
+}
+
+# lenient-mode entries: lower-triangle entries and 2-, 3- and 9-way repeats
+# whose sums depend on the order of addition
+LENIENT_TEXT = "\n".join(
+    ["2", "2", "3 -2", "1 -1"]
+    + ["1 1 1 2 0.1", "1 1 2 1 0.2", "1 1 1 2 0.3"]
+    + ["0 1 3 1 1e-17", "0 1 1 3 1.0", "0 1 2 2 -0.7", "2 1 1 1 0.3"]
+    + [f"2 1 3 2 {v!r}" for v in (0.1, 0.7, 1e16, -1e16, 0.2, 0.3, 3.0, 0.1, 1e-3)]
+    + ["1 2 1 1 0.1", "1 2 1 1 0.2", "2 2 2 2 -1.5"]
+) + "\n"
+
+
+class TestParseSdpaReference:
+    """``parse_sdpa`` against the per-line parser it replaced: bit-equal
+    problems and equal error messages."""
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("name", SDPA_FIXTURES)
+    def test_fixtures(self, name, strict):
+        text = fixture_text(name)
+        _assert_same_problem(
+            parse_sdpa(text, strict), _reference_parse_sdpa(text, strict)
+        )
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("name", sorted(SOS_TEXTS))
+    def test_random_sos(self, name, strict):
+        n_vars, rank = SOS_TEXTS[name]
+        prob, _ = cp.random_sos_instance(n_vars, 3, rank, seed=n_vars)
+        text = write_sdpa(prob)
+        _assert_same_problem(
+            parse_sdpa(text, strict), _reference_parse_sdpa(text, strict)
+        )
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["mixed_blocks.dat-s", "sos_n3_d2.dat-s"])
+    def test_shuffled_commented_separated(self, name, seed, strict):
+        text = _entry_variant(fixture_text(name), seed)
+        _assert_same_problem(
+            parse_sdpa(text, strict), _reference_parse_sdpa(text, strict)
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lenient_lower_triangle_and_repeats(self, seed):
+        text = LENIENT_TEXT if seed == 0 else _entry_variant(LENIENT_TEXT, seed)
+        _assert_same_problem(
+            parse_sdpa(text, strict=False),
+            _reference_parse_sdpa(text, strict=False),
+        )
+
+    def test_lenient_sums_in_line_order(self):
+        prob = parse_sdpa(LENIENT_TEXT, strict=False)
+        row = prob.a.matrix.toarray()[0]
+        assert row[1] == row[3] == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+
+    def test_no_entries(self):
+        text = "2\n1\n2\n1 2\n* no entries\n"
+        for strict in (True, False):
+            prob = parse_sdpa(text, strict)
+            _assert_same_problem(prob, _reference_parse_sdpa(text, strict))
+            assert prob.a.matrix.nnz == 0
+
+
+# header of the error table: m = 2, a PSD block of order 2 and a diagonal
+# block of order 2
+ERR_HEAD = "2\n2\n2 -2\n1 1\n"
+ENTRY_ERRORS = {
+    "four-fields": (["1 1 1 1"], True),
+    "six-fields": (["1 1 1 1 1.0 2"], True),
+    "separators-only": (["1 1 1 1 1.0", "(,)"], True),
+    "index-1.0": (["1 1 1.0 1 1.0"], True),
+    "index-1e0": (["1 1 1 1e0 1.0"], True),
+    "index-oops": (["1 1 1 oops 1.0"], True),
+    "index-nul": (["1 1 1 \0 1.0"], True),
+    "value-nul": (["1 1 1 1 1.0\0"], True),
+    "nul-field": (["1 1 1 1 1.0 \0"], True),
+    "plus-sign-read": (["+3 1 1 1 1.0"], True),
+    "underscore-read": (["1 1_0 1 1 1.0"], True),
+    "digits-25-matno": (["1234567890123456789012345 1 1 1 1.0"], True),
+    "digits-25-index": (["1 1 1 1234567890123456789012345 1.0"], True),
+    "digits-25-negative-blkno": (["1 -1234567890123456789012345 1 1 1.0"], True),
+    "value-nan": (["1 1 1 1 nan"], True),
+    "value-inf": (["1 1 1 1 -inf"], True),
+    "value-1e400": (["1 1 1 1 1e400"], True),
+    "matno-high": (["3 1 1 1 1.0"], True),
+    "matno-negative": (["-1 1 1 1 1.0"], True),
+    "blkno-zero": (["1 0 1 1 1.0"], True),
+    "blkno-high": (["1 3 1 1 1.0"], True),
+    "index-zero": (["1 1 0 1 1.0"], True),
+    "index-high-psd": (["1 1 1 3 1.0"], True),
+    "index-high-diagonal": (["1 2 3 3 1.0"], False),
+    "offdiagonal-in-diagonal-block": (["1 2 1 2 1.0"], False),
+    "lower-triangle": (["1 1 2 1 1.0"], True),
+    "strict-duplicate": (["1 1 1 2 1.0", "1 1 1 1 1.0", "1 1 1 2 2.0"], True),
+    "strict-duplicate-diagonal-block": (["0 2 1 1 1.0", "0 2 1 1 1.0"], True),
+    "two-bad-lines": (["1 1 1 1 1.0", "1 1 1 1 nan", "1 1 1 1 1 1"], True),
+    "two-rules-nonfinite-first": (["5 9 3 1 inf"], True),
+    "two-rules-matno-first": (["5 9 1 1 1.0"], True),
+    "two-rules-index-first": (["1 2 1 3 1.0"], True),
+    "two-rules-index-before-lower": (["1 1 3 1 1.0"], True),
+    "field-count-after-range-error": (["1 1 1 1 1.0", "3 1 1 1 1.0", "1 1 1"], True),
+    "range-error-after-duplicate": (
+        ["1 1 1 1 1.0", "1 1 1 1 2.0", "1 3 1 1 1.0"], True
+    ),
+    "duplicate-after-comments": (
+        ["1 1 1 1 1.0", "* c", "", '" q', "1,1,(1,1),2.0", "1 1 1 1"], True
+    ),
+}
+
+
+class TestParseSdpaErrors:
+    @pytest.mark.parametrize("name", sorted(ENTRY_ERRORS))
+    def test_same_message_as_reference(self, name):
+        entries, strict = ENTRY_ERRORS[name]
+        text = ERR_HEAD + "\n".join(entries) + "\n"
+        with pytest.raises(InputError) as want:
+            _reference_parse_sdpa(text, strict)
+        with pytest.raises(InputError) as got:
+            parse_sdpa(text, strict)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1\n1\n2\n1\n", "x\n1\n2\n1.0\n", "1\n1\n2 2\n1.0\n", "1\n1\n0\n1.0\n",
+         "1\n1\n2\n1 2\n", "1\n1\n2\ny\n", "1\n1\n2\ninf\n", "1\n1\n2\n"],
+        ids=["ok", "bad-m", "sizes-count", "zero-size", "rhs-count",
+             "rhs-text", "rhs-inf", "truncated"],
+    )
+    def test_header_same_as_reference(self, text):
+        try:
+            want = _reference_parse_sdpa(text)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                parse_sdpa(text)
+            assert str(got.value) == str(exc)
+        else:
+            _assert_same_problem(parse_sdpa(text), want)
 
 
 class TestDimacs:
