@@ -56,9 +56,11 @@ def _iterate(cone, first, step, max_iter, tol, record_iterates=False):
 
     ``first`` is (x, primal, dual) before any iteration; ``step()`` makes
     one iteration and returns the same triple.  Stops when both residuals
-    are at most tol, or after max_iter iterations, and returns x as a
-    ``BlockPoint`` with a report of the last residuals.
+    are at most tol, or after max_iter >= 0 iterations, and returns x as
+    a ``BlockPoint`` with a report of the last residuals.
     """
+    if max_iter < 0:
+        raise InputError(f"max_iter must be nonnegative, got {max_iter}")
     start = time.perf_counter()
     report = SolveReport()
     x, primal, dual = first

@@ -118,6 +118,13 @@ class ConeSpec:
             raise InputError("nonnegative block count must be >= 0")
         if self.dim == 0:
             raise InputError("cone has an empty ambient space")
+        # the most float64 entries an array can index and address
+        most = np.iinfo(np.intp).max // np.dtype(float).itemsize
+        if self.dim > most:
+            raise InputError(
+                f"cone has ambient dimension {self.dim}, more than the "
+                f"{most} entries an array can hold"
+            )
 
     @property
     def dim(self) -> int:

@@ -19,13 +19,15 @@ fixed-metric gradient ascent with W = [AA^T]^{-1} (iterate-for-iterate
 equal to Dykstra's alternating projections), a limited-memory quasi-Newton
 method with weak Wolfe line search, and a semismooth Newton-CG method using
 one element of the Clarke generalized Jacobian of the cone projection, its
-CG preconditioned by [AA^T]^{-1}.
+CG preconditioned by [AA^T]^{-1}.  All three run on one loop, ``_ascend``;
+each engine supplies only its evaluation of theta and its step.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,12 +41,7 @@ from .cones import (
     cone_jacobian_apply,
     symmetrize,
 )
-from .report import (
-    CONVERGED,
-    ITERATION_LIMIT,
-    NUMERICAL_FAILURE,
-    SolveReport,
-)
+from .report import CONVERGED, NUMERICAL_FAILURE, SolveReport
 
 __all__ = [
     "ProjectionProblem",
@@ -230,10 +227,79 @@ def _wolfe(phi, f0, slope0, gnorm0):
     return fallback()
 
 
-def _check_max_iter(max_iter: int) -> None:
-    """Engines take ``max_iter >= 0``; 0 evaluates theta at y0 only."""
+def _line_search(point, v, d, at):
+    """Weak Wolfe search on f = -theta from v, where ``at`` = point(v),
+    along the ascent direction d.  Returns (v + alpha d, its point,
+    fallback) for the step ``_wolfe`` accepts, or None when it fails."""
+
+    def phi(alpha):
+        trial = point(v + alpha * d)
+        return (
+            -trial.theta,
+            float(-trial.grad @ d),
+            float(np.linalg.norm(trial.grad)),
+            trial,
+        )
+
+    alpha, trial, ok, fallback = _wolfe(
+        phi, -at.theta, float(-at.grad @ d), float(np.linalg.norm(at.grad))
+    )
+    return (v + alpha * d, trial, fallback) if ok else None
+
+
+# ---------------------------------------------------------------------------
+# the ascent loop shared by the three engines
+
+
+class _Point(NamedTuple):
+    """theta at one dual vector, with the engine's stopping residual, the
+    primal candidate x, the gradient and (for Newton) the Jacobian infos."""
+
+    theta: float
+    residual: float
+    x: np.ndarray
+    grad: np.ndarray
+    infos: list | None = None
+
+
+def _ascend(problem, tol, max_iter, v, point, step, record_iterates=False):
+    """Maximize theta from the dual vector v: the loop of every engine here.
+
+    ``point(v)`` evaluates theta at v; ``step(v, at)``, with at = point(v),
+    makes one ascent step and returns the next (v, point), or None when its
+    line search fails.  Stops when the residual is at most ``tol`` (default
+    ``problem.default_tol()``), the start point included, or after
+    ``max_iter >= 0`` steps; 0 evaluates theta at the start only.  Returns
+    (v, point, report) with the status, iterations, primal residual,
+    objective, wall time and, if ``record_iterates``, every x visited.
+    """
     if max_iter < 0:
         raise InputError(f"max_iter must be nonnegative, got {max_iter}")
+    tol = problem.default_tol() if tol is None else float(tol)
+    report = SolveReport()
+    start = time.perf_counter()
+    at = point(v)
+    for k in range(max_iter + 1):
+        if record_iterates:
+            report.iterate_history.append(
+                BlockPoint.from_vector(problem.cone, at.x)
+            )
+        report.iterations = k
+        if at.residual <= tol:
+            report.status = CONVERGED
+            break
+        if k == max_iter:
+            break
+        taken = step(v, at)
+        if taken is None:
+            report.status = NUMERICAL_FAILURE
+            report.message = "Wolfe line search failed to make progress"
+            break
+        v, at = taken
+    report.primal_residual = at.residual
+    report.objective = at.theta
+    report.wall_time = time.perf_counter() - start
+    return v, at, report
 
 
 # ---------------------------------------------------------------------------
@@ -256,37 +322,23 @@ def solve_fixed_metric(
     """
     if problem.m_ineq:
         raise InputError("fixed-metric solver handles equality constraints only")
-    _check_max_iter(max_iter)
     ws = _Workspace(problem)
     fact = problem.eq.gram
-    tol = problem.default_tol() if tol is None else float(tol)
-    y = np.zeros(problem.m_eq) if y0 is None else np.array(y0, dtype=float)
-    report = SolveReport()
-    start = time.perf_counter()
-    status = ITERATION_LIMIT
-    theta = np.nan
-    x = None
-    gnorm = np.inf
-    for k in range(max_iter + 1):
+
+    def point(y):
         theta, g, _, x, _ = ws.eval(y)
-        gnorm = float(np.linalg.norm(g))
-        if record_iterates:
-            report.iterate_history.append(
-                BlockPoint.from_vector(problem.cone, x)
-            )
-        report.iterations = k
-        if gnorm <= tol:
-            status = CONVERGED
-            break
-        if k == max_iter:
-            break
-        y = y + fact.solve(g)
-    report.status = status
-    report.primal_residual = gnorm
-    report.objective = theta
+        return _Point(theta, float(np.linalg.norm(g)), x, g)
+
+    def step(y, at):
+        y = y + fact.solve(at.grad)
+        return y, point(y)
+
+    y = np.zeros(problem.m_eq) if y0 is None else np.array(y0, dtype=float)
+    y, at, report = _ascend(
+        problem, tol, max_iter, y, point, step, record_iterates
+    )
     report.inner_iterations = report.iterations
-    report.wall_time = time.perf_counter() - start
-    xbp = BlockPoint.from_vector(problem.cone, x)
+    xbp = BlockPoint.from_vector(problem.cone, at.x)
     return xbp, DualPoint(y, np.zeros(0)), report
 
 
@@ -349,83 +401,48 @@ def solve_quasi_newton(
     skipped whenever the clamp activates.  ``carry_state`` lets an outer
     loop retain curvature pairs between restarts.
     """
-    _check_max_iter(max_iter)
     ws = _Workspace(problem)
     me, mi = problem.m_eq, problem.m_ineq
-    tol = problem.default_tol() if tol is None else float(tol)
+    model = _Lbfgs(carry_state.get("pairs") if carry_state else None)
+    evals = 0
+
+    def point(v):
+        nonlocal evals
+        evals += 1
+        z = v[me:] if mi else None
+        theta, gy, gz, x, _ = ws.eval(v[:me], z)
+        g = np.concatenate([gy, gz]) if mi else gy
+        return _Point(theta, _kkt_residual(gy, gz, z), x, g)
+
+    def step(v, at):
+        nonlocal model
+        gf = -at.grad  # the gradient of f = -theta, which the model minimizes
+        d = model.direction(gf)
+        if float(gf @ d) >= 0.0:  # stale curvature; restart from steepest ascent
+            model = _Lbfgs()
+            d = -gf
+        found = _line_search(point, v, d, at)
+        if found is None:
+            return None
+        v_new, new, fallback = found
+        if fallback:
+            model = _Lbfgs()
+        if mi:
+            zc = np.maximum(v_new[me:], 0.0)
+            if np.any(zc != v_new[me:]):
+                v_new = np.concatenate([v_new[:me], zc])
+                return v_new, point(v_new)
+        model.push(v_new - v, -new.grad - gf)
+        return v_new, new
+
     v = np.zeros(me + mi)
     if y0 is not None:
         v[:me] = np.asarray(y0, dtype=float)
-    model = _Lbfgs(carry_state.get("pairs") if carry_state else None)
-
-    evals = 0
-
-    def fg(vec):
-        nonlocal evals
-        evals += 1
-        y = vec[:me]
-        z = vec[me:] if mi else None
-        theta, gy, gz, x, _ = ws.eval(y, z)
-        g = np.concatenate([gy, gz]) if mi else gy
-        return -theta, -g, (theta, gy, gz, x)
-
-    report = SolveReport()
-    start = time.perf_counter()
-    f, gf, payload = fg(v)
-    status = ITERATION_LIMIT
-    for k in range(max_iter + 1):
-        theta, gy, gz, x = payload
-        crit = _kkt_residual(gy, gz, v[me:] if mi else None)
-        report.iterations = k
-        if crit <= tol:
-            status = CONVERGED
-            break
-        if k == max_iter:
-            break
-
-        d = model.direction(gf)
-        slope = float(gf @ d)
-        if slope >= 0.0:  # stale curvature; restart from steepest ascent
-            model = _Lbfgs()
-            d = -gf
-            slope = float(gf @ d)
-
-        def phi(alpha, _v=v, _d=d):
-            fa, ga, pl = fg(_v + alpha * _d)
-            return fa, float(ga @ _d), float(np.linalg.norm(ga)), (fa, ga, pl)
-
-        alpha, data, ok, fallback = _wolfe(
-            phi, f, slope, float(np.linalg.norm(gf))
-        )
-        if not ok:
-            status = NUMERICAL_FAILURE
-            report.message = "Wolfe line search failed to make progress"
-            break
-        if fallback:
-            model = _Lbfgs()
-        f_new, gf_new, payload_new = data
-        v_new = v + alpha * d
-        clamped = False
-        if mi:
-            zc = np.maximum(v_new[me:], 0.0)
-            clamped = bool(np.any(zc != v_new[me:]))
-            if clamped:
-                v_new = np.concatenate([v_new[:me], zc])
-                f_new, gf_new, payload_new = fg(v_new)
-        if not clamped:
-            model.push(v_new - v, gf_new - gf)
-        v, f, gf, payload = v_new, f_new, gf_new, payload_new
-
+    v, at, report = _ascend(problem, tol, max_iter, v, point, step)
     if carry_state is not None:
         carry_state["pairs"] = model.pairs
-
-    theta, gy, gz, x = payload
-    report.status = status
-    report.primal_residual = _kkt_residual(gy, gz, v[me:] if mi else None)
-    report.objective = theta
     report.inner_iterations = evals
-    report.wall_time = time.perf_counter() - start
-    xbp = BlockPoint.from_vector(problem.cone, x)
+    xbp = BlockPoint.from_vector(problem.cone, at.x)
     dp = DualPoint(v[:me], np.maximum(v[me:], 0.0) if mi else np.zeros(0))
     return xbp, dp, report
 
@@ -491,72 +508,41 @@ def solve_ssnewton(
     """
     if problem.m_ineq:
         raise InputError("semismooth Newton handles equality constraints only")
-    _check_max_iter(max_iter)
     ws = _Workspace(problem)
     m = problem.m_eq
-    tol = problem.default_tol() if tol is None else float(tol)
-    y = np.zeros(m) if y0 is None else np.array(y0, dtype=float)
+    evals = cg_iters = fallbacks = 0
 
-    report = SolveReport()
-    start = time.perf_counter()
-    evals = 0
-
-    def fg(yv, want_info=False):
+    def point(y):
         nonlocal evals
         evals += 1
-        return ws.eval(yv, want_info=want_info)
+        theta, g, _, x, infos = ws.eval(y, want_info=True)
+        return _Point(theta, float(np.linalg.norm(g)), x, g, infos)
 
-    status = ITERATION_LIMIT
-    theta, g, _, x, infos = fg(y, want_info=True)
-    for k in range(max_iter + 1):
-        gnorm = float(np.linalg.norm(g))
-        report.iterations = k
-        if gnorm <= tol:
-            status = CONVERGED
-            break
-        if k == max_iter:
-            break
+    def step(y, at):
+        nonlocal cg_iters, fallbacks
 
         def apply_h(dvec):
             lifted = ws.eq.adjoint_vec(dvec)
-            jac = cone_jacobian_apply(ws.cone, infos, lifted)
+            jac = cone_jacobian_apply(ws.cone, at.infos, lifted)
             return ws.eq.apply_vec(jac)
 
+        g, gnorm = at.grad, at.residual
         eta = min(0.1, np.sqrt(gnorm))
-        d, cg_iters, breakdown = _pcg(
-            apply_h, g, eta, 2 * m, ws.eq.gram.solve
-        )
-        report.inner_iterations += cg_iters
+        d, iters, breakdown = _pcg(apply_h, g, eta, 2 * m, ws.eq.gram.solve)
+        cg_iters += iters
         if breakdown:
-            report.gradient_fallbacks += 1
+            fallbacks += 1
         if float(g @ d) <= 1e-14 * gnorm * max(np.linalg.norm(d), 1e-300):
             d = g
-            report.gradient_fallbacks += 1
+            fallbacks += 1
+        found = _line_search(point, y, d, at)
+        return None if found is None else found[:2]
 
-        def phi(alpha, _y=y, _d=d):
-            th, gg, _, xx, inf = fg(_y + alpha * _d, want_info=True)
-            return (
-                -th,
-                float(-gg @ _d),
-                float(np.linalg.norm(gg)),
-                (th, gg, xx, inf),
-            )
-
-        alpha, data, ok, _ = _wolfe(phi, -theta, float(-g @ d), gnorm)
-        if not ok:
-            status = NUMERICAL_FAILURE
-            report.message = "line search failed along the Newton direction"
-            break
-        theta, g, x, infos = data
-        y = y + alpha * d
-
-    report.status = status
-    report.primal_residual = float(np.linalg.norm(g))
-    report.objective = theta
-    report.wall_time = time.perf_counter() - start
-    if report.inner_iterations == 0:
-        report.inner_iterations = evals  # converged before any CG pass
-    xbp = BlockPoint.from_vector(problem.cone, x)
+    y = np.zeros(m) if y0 is None else np.array(y0, dtype=float)
+    y, at, report = _ascend(problem, tol, max_iter, y, point, step)
+    report.inner_iterations = cg_iters or evals  # evals if no CG pass ran
+    report.gradient_fallbacks = fallbacks
+    xbp = BlockPoint.from_vector(problem.cone, at.x)
     return xbp, DualPoint(y, np.zeros(0)), report
 
 

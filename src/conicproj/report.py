@@ -21,11 +21,14 @@ class SolveReport:
     are kept.  ``iterate_history`` is filled only where iterate recording
     is requested (``solve_fixed_metric`` and ``dykstra``).
 
-    ``inner_iterations`` sums the inner solver's iterations; for
-    ``solve_simple`` it counts evaluations of the sweep map, that is, cone
-    projections.  There ``inner_iterations - iterations`` is the number
-    of rejected Anderson extrapolations under ``adapt_t``, and zero
-    without it.
+    ``inner_iterations`` sums the inner solver's iterations.  The dual
+    engines, which share the ascent loop ``dualproj._ascend``, count steps
+    (``solve_fixed_metric``), evaluations of theta
+    (``solve_quasi_newton``), or CG iterations (``solve_ssnewton``, or its
+    evaluations of theta when no CG pass ran).  For ``solve_simple`` it
+    counts evaluations of the sweep map, that is, cone projections; there
+    ``inner_iterations - iterations`` is the number of rejected Anderson
+    extrapolations under ``adapt_t``, and zero without it.
     """
 
     status: str = ITERATION_LIMIT

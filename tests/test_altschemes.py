@@ -175,6 +175,10 @@ class TestAdmm:
 )
 def test_loop_bookkeeping(scheme):
     prob = two_set(C_2X2)
+    with pytest.raises(
+        cp.InputError, match="^max_iter must be nonnegative, got -1$"
+    ):
+        scheme(prob, max_iter=-1)
     c = prob.c.ravel()
     x, rep = scheme(prob, max_iter=0)
     start = c if scheme is dykstra else _project_affine_vec(prob.eq, c)

@@ -1150,6 +1150,30 @@ class TestSocJacobian:
             )
 
 
+# the most float64 entries an array can hold
+_MOST = np.iinfo(np.intp).max // 8
+
+
+class TestConeSpec:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"psd_dims": (2**63,)},
+            {"psd_dims": (3037000500,), "nonneg": 2},
+            {"psd_dims": (2**31,)},
+            {"soc_dims": (_MOST, 1)},
+            {"nonneg": _MOST + 1},
+        ],
+        ids=["order-2^63", "order-3037000500", "order-2^31", "soc", "nonneg"],
+    )
+    def test_dimension_beyond_an_array_is_rejected(self, kwargs):
+        with pytest.raises(InputError, match="entries an array can hold"):
+            ConeSpec(**kwargs)
+
+    def test_largest_dimension_is_accepted(self):
+        assert ConeSpec(soc_dims=(_MOST - 1,), nonneg=1).dim == _MOST
+
+
 class TestBlockPoint:
     def test_immutable(self):
         cone = ConeSpec(nonneg=2)

@@ -113,6 +113,24 @@ class TestSdpa:
         assert run_cli(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 4
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sizes, dim",
+        [("9223372036854775808", 2**126), ("3037000500 -2", 3037000500**2 + 2)],
+        ids=["order-2^63", "order-3037000500"],
+    )
+    def test_block_sizes_beyond_an_array(self, sizes, dim, tmp_path, capsys):
+        # the ambient dimension exceeds what an array can hold: bad input,
+        # rejected before anything is allocated
+        nblock = len(sizes.split())
+        text = f"1\n{nblock}\n{sizes}\n1.0\n"
+        with pytest.raises(InputError, match=f"ambient dimension {dim},"):
+            parse_sdpa(text)
+        path = tmp_path / "big.dat-s"
+        path.write_text(text)
+        assert run_cli(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_offdiagonal_in_lp_block_rejected(self):
         text = "\n".join(["1", "1", "-2", "1.0", "1 1 1 2 1.0"])
         with pytest.raises(InputError):
