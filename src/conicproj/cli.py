@@ -3,8 +3,10 @@
 Subcommands: project, solve, nearcorr, sos-check, polymin, theta, gen.
 Every command prints one JSON report (stdout, or --out FILE) and exits with
 0 on convergence, 2 on an iteration limit or numerical failure, 3 on
-suspected infeasibility, 4 on input errors.  Reports are byte-identical
-across runs for identical argv and seed, except for wall_time_ms.
+suspected infeasibility, 4 on input errors.  A result with a non-finite
+number, which JSON cannot represent, writes nothing and exits 2.  Reports
+are byte-identical across runs for identical argv and seed, except for
+wall_time_ms.
 """
 
 from __future__ import annotations
@@ -176,6 +178,12 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _json_text(data) -> str:
+    """``data`` as the CLI writes JSON.  JSON has no NaN or Infinity, so a
+    non-finite number raises ValueError rather than being written."""
+    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def _emit(args, data: dict) -> None:
     if getattr(args, "verbose", False):
         print(
@@ -188,7 +196,7 @@ def _emit(args, data: dict) -> None:
             ),
             file=sys.stderr,
         )
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    text = _json_text(data)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -249,12 +257,22 @@ def _reg_params(args) -> RegParams:
 
 def _finish(args, report: dict, solution: dict) -> int:
     """Write the solution file (if asked for), emit the report and return
-    the exit code."""
-    if getattr(args, "solution_out", None):
+    the exit code.  A non-finite number in either writes neither: an
+    ``error:`` line goes to stderr and the exit code is 2, as for a
+    numerical failure."""
+    try:
+        text = _json_text(solution) if getattr(args, "solution_out", None) else None
+        _emit(args, report)
+    except ValueError as exc:
+        print(
+            f"error: the result holds a non-finite number, which JSON cannot "
+            f"represent ({exc}); nothing written",
+            file=sys.stderr,
+        )
+        return 2
+    if text is not None:
         with open(args.solution_out, "w", encoding="utf-8") as fh:
-            json.dump(solution, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    _emit(args, report)
+            fh.write(text)
     return EXIT_CODES[report["status"]]
 
 

@@ -24,6 +24,7 @@ compute the same arrays.  ``AffineMap`` caches ``adjoint_matrix`` and
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -71,6 +72,31 @@ class FactorizationError(NumericalError):
     def __init__(self, message: str, pivot: int | None = None):
         super().__init__(message)
         self.pivot = pivot
+
+
+# The data of a problem must be scalable: with every entry at most
+# sqrt(float max) / dim in magnitude, the squared norm of a vector of up to
+# dim^2 such entries, as the residual scales 1 + ||b||, 1 + ||c|| and the
+# residual products r'r compute it, stays below float max.
+_SCALE_ROOT = math.sqrt(np.finfo(float).max)
+
+
+def _check_scale(values, dim: int, what: str) -> None:
+    """Raise InputError when an entry of ``values`` is not finite or
+    exceeds sqrt(float max) / ``dim`` in magnitude."""
+    values = np.asarray(values, dtype=float)
+    if not values.size:
+        return
+    big = float(np.abs(values).max())
+    limit = _SCALE_ROOT / dim
+    if big <= limit:
+        return
+    if not math.isfinite(big):
+        raise InputError(f"{what} has non-finite entries")
+    raise InputError(
+        f"{what} has an entry of magnitude {big:.3g}, beyond sqrt(float max) "
+        f"/ {dim} = {limit:.3g}: the norms of its residuals could overflow"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +517,14 @@ def _project_psd_positive(c) -> tuple[np.ndarray, int]:
 #     120    theta           1050     2544      1831       0.67
 #
 # So the route loses at order 36, wins little at 45 (the Motzkin d=8 share
-# read 0.92-0.98 over four runs) and clearly from 55 on.
-# An attempt fails after _WARM_MAX_STEPS Jacobi steps: on the benchmark's
-# theta-gnp inputs (order 100) the routing ran 1.47-1.56x faster than
-# project_psd with 6 steps, 1.60-1.64x with 8 and 1.62-1.63x with 10.
+# read 0.92-0.98 over four runs) and clearly from 55 on.  These figures
+# are for Jacobi steps run to the floor 1e-15 max |diag B|; the sweep now
+# stops them earlier, at the error it allows (_WarmState.tol), which only
+# makes a success cheaper.
+# An attempt fails after _WARM_MAX_STEPS Jacobi steps, or as soon as a step
+# fails to lower max |R|: on the benchmark's theta-gnp inputs (order 100)
+# the routing ran 1.47-1.56x faster than project_psd with 6 steps,
+# 1.60-1.64x with 8 and 1.62-1.63x with 10 (steps run to the floor).
 _WARM_MIN_ORDER = 48
 _WARM_MAX_STEPS = 8
 
@@ -512,9 +542,15 @@ class _WarmState:
     and ``riccati`` the last Riccati solution Z relative to V.
     ``failures`` counts consecutive failed warm attempts and ``wait`` the
     projections still to pass before the next attempt.
+
+    ``tol`` is set by the owner: the Frobenius error that a warm
+    projection of the block may make (0, the default, runs the Jacobi
+    steps to their floor).  ``error`` is the bound on the error of the
+    block's last projection: sqrt(2) ||R||_F after a warm one, which is
+    at most ``tol`` or at the floor, and 0 after a full or partial one.
     """
 
-    __slots__ = ("rank", "basis", "riccati", "failures", "wait")
+    __slots__ = ("rank", "basis", "riccati", "failures", "wait", "tol", "error")
 
     def __init__(self):
         self.rank = None
@@ -522,6 +558,8 @@ class _WarmState:
         self.riccati = None
         self.failures = 0
         self.wait = 0
+        self.tol = 0.0
+        self.error = 0.0
 
     def refresh(self, dec: SpectralDecomp) -> None:
         """Take the rank and, on a large enough block, the basis of a full
@@ -531,6 +569,7 @@ class _WarmState:
         r = int(np.count_nonzero(w > 0.0))  # ascending: the positive ones end it
         self.rank = r
         self.basis = None
+        self.error = 0.0
         if n >= _WARM_MIN_ORDER and 0 < r < n:
             self.basis = np.concatenate((z[:, n - r :], z[:, : n - r]), axis=1)
             self.riccati = np.zeros((n - r, r))
@@ -546,8 +585,9 @@ def _project_psd_warm(msym: np.ndarray, state: _WarmState) -> np.ndarray | None:
     [I; Z] span an invariant subspace of B when Z solves the Riccati
     equation R(Z) = B21 + B22 Z - Z B11 - Z B12 Z = 0; at most
     ``_WARM_MAX_STEPS`` Jacobi steps Z <- Z - R_ij / (d2_i - d1_j), with
-    d1 and d2 the two parts of diag(B), drive max |R| below
-    1e-15 max |diag B|, starting from the last solution.  Then
+    d1 and d2 the two parts of diag(B), start from the last solution and
+    stop once sqrt(2) ||R||_F <= ``state.tol`` or max |R| <= 1e-15
+    max |diag B|, whichever comes first.  Then
     Y1 = [I; Z] and Y2 = [-Z'; I] are orthogonal, and by congruence B is
     positive definite on span Y1 and negative definite on span Y2 exactly
     when LAPACK ``dpotrf`` accepts both S = Y1'BY1 and -Y2'BY2.  With
@@ -556,53 +596,68 @@ def _project_psd_warm(msym: np.ndarray, state: _WarmState) -> np.ndarray | None:
     T = V Y1 (L1 L1')^{-1} Ls.  Up to rounding it is the exact projection
     of a matrix within sqrt(2) ||R||_F of M: Y2'BY1 = R, so the coupling
     that it drops between span U and its complement has norm at most
-    ||R||_F, and the projection is nonexpansive.
+    ||R||_F, and the projection is nonexpansive.  So the result is in the
+    cone whatever the tolerance, M minus it lies within sqrt(2) ||R||_F
+    of the polar cone, and that bound is left in ``state.error``.
 
     The attempt gives up at once when diag(B) no longer splits as r
-    positive entries then n - r negative ones, and fails when the steps do
-    not converge or a certificate is refused.  A failure sets a back-off:
-    after f consecutive failures the next attempt waits 2^f - 1
-    projections.  A success keeps Z for the next attempt and clears the
-    count.  V itself changes only with a full decomposition.
+    positive entries then n - r negative ones, and fails when a step does
+    not lower max |R| (which also stops a diverging iteration before it
+    overflows), when the steps run out, or when a certificate is refused.
+    A failure sets a back-off: after f consecutive failures the next
+    attempt waits 2^f - 1 projections.  A success keeps Z for the next
+    attempt and clears the count.  V itself changes only with a full
+    decomposition.
     """
     v, r = state.basis, state.rank
     b = v.T @ (msym @ v)
     diag = b.diagonal()
     d1, d2 = diag[:r], diag[r:]
-    x = None
+    out = None
     if (d1 > 0.0).all() and (d2 < 0.0).all():
-        x = _riccati_projection(b, v, r, d1, d2, state)
-    if x is None:
+        out = _riccati_projection(b, v, r, d1, d2, state)
+    if out is None:
         state.failures += 1
         state.wait = 2**state.failures - 1
-    else:
-        state.failures = 0
+        return None
+    x, state.riccati, state.error = out
+    state.failures = 0
     return x
 
 
 def _riccati_projection(b, v, r, d1, d2, state):
     """The steps and certificates of :func:`_project_psd_warm` on
-    B = V'MV; returns the projection, or None."""
+    B = V'MV; returns (projection, Z, sqrt(2) ||R||_F), or None."""
     lapack = scipy.linalg.lapack
-    tol = 1e-15 * max(d1.max(), -d2.min())
+    floor = 1e-15 * max(d1.max(), -d2.min())
     denom = np.subtract.outer(d2, d1)
     b1, b2 = b[:, :r], b[:, r:]
     z = state.riccati.copy()
     by1 = np.empty((b.shape[0], r))
     res = np.empty_like(z)
-    for step in range(_WARM_MAX_STEPS + 1):
-        # B Y1 = [F; B21 + B22 Z] with F = B11 + B12 Z, so R(Z) = (B Y1)_2 - Z F
-        np.matmul(b2, z, out=by1)
-        by1 += b1
-        f = by1[:r]
-        np.matmul(z, f, out=res)
-        np.subtract(by1[r:], res, out=res)
-        if np.abs(res).max() <= tol:
-            break
-        if step == _WARM_MAX_STEPS:
-            return None
-        res /= denom
-        z -= res
+    last = math.inf
+    # a diverging step can overflow before max |R| is seen to grow: the
+    # test on it then meets an inf or NaN, and no warning is raised
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(_WARM_MAX_STEPS + 1):
+            # B Y1 = [F; B21 + B22 Z] with F = B11 + B12 Z, so
+            # R(Z) = (B Y1)_2 - Z F
+            np.matmul(b2, z, out=by1)
+            by1 += b1
+            f = by1[:r]
+            np.matmul(z, f, out=res)
+            np.subtract(by1[r:], res, out=res)
+            big = np.abs(res).max()
+            if not big < last:  # also a NaN or inf
+                return None
+            error = math.sqrt(2.0 * np.vdot(res, res))
+            if big <= floor or error <= state.tol:
+                break
+            if step == _WARM_MAX_STEPS:
+                return None
+            last = big
+            res /= denom
+            z -= res
     g = z.T @ z
     g.flat[:: r + 1] += 1.0  # I + Z'Z
     l1, info = lapack.dpotrf(g, lower=1, clean=0)
@@ -626,8 +681,7 @@ def _riccati_projection(b, v, r, d1, d2, state):
     y = v[:, r:] @ z
     y += v[:, :r]  # V Y1
     t = y @ k
-    state.riccati = z
-    return _symmetric_part(t @ t.T)
+    return _symmetric_part(t @ t.T), z, error
 
 
 def project_soc(x) -> np.ndarray:
@@ -681,9 +735,12 @@ def _project_ambient(
        of :func:`project_psd`, which refreshes the basis.
 
     A PSD block takes the full route when ``want_info`` is set or it has
-    no state, and that route still refreshes a state that is given.  All
-    routes return the same projection up to rounding, whatever the state:
-    a stale one costs time, not accuracy.
+    no state, and that route still refreshes a state that is given.  The
+    full and partial routes return the projection up to rounding,
+    whatever the state: a stale one costs time, not accuracy.  So does
+    the warm route at the default ``tol`` of 0; a state whose owner
+    allows an error ``tol`` gets the exact projection of a matrix within
+    its ``error`` <= ``tol`` of the block, which is in the cone.
     """
     out = np.empty_like(v)
     infos = [] if want_info else None
@@ -699,6 +756,7 @@ def _project_ambient(
             ):
                 x, state.rank = _project_psd_positive(m)
                 state.basis = None
+                state.error = 0.0
             elif routed and state.basis is not None:
                 if state.wait:
                     state.wait -= 1
@@ -768,6 +826,9 @@ class AffineMap:
     blocks (an off-diagonal coefficient appears at both (i,j) and (j,i)).
     The transpose A^T is built as CSR on the first adjoint product and
     cached (``adjoint_matrix``), like the Gram factorization (``gram``).
+    Every entry of A and b must be finite and at most sqrt(float max) /
+    dim in magnitude, dim the ambient dimension, so that the residual
+    norms of a problem on the map cannot overflow; else InputError.
     """
 
     def __init__(self, cone: ConeSpec, matrix, rhs, check: bool = True):
@@ -785,6 +846,8 @@ class AffineMap:
             )
         if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(mat.data))):
             raise InputError("affine map has non-finite entries")
+        _check_scale(mat.data, cone.dim, "constraint matrix")
+        _check_scale(rhs, cone.dim, "right-hand side")
         if check:
             self._check_row_symmetry(cone, mat)
         mat.sort_indices()

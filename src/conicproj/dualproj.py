@@ -37,6 +37,7 @@ from .cones import (
     BlockPoint,
     ConeSpec,
     InputError,
+    _check_scale,
     _project_ambient,
     cone_jacobian_apply,
     symmetrize,
@@ -63,7 +64,10 @@ class ProjectionProblem:
     """Data of the conic least-squares problem.
 
     ``c`` is the point being projected, ``eq`` the equality rows and
-    ``ineq`` optional inequality rows in the >= orientation.
+    ``ineq`` optional inequality rows in the >= orientation.  Every entry
+    of ``c`` must be finite and at most sqrt(float max) / dim in
+    magnitude, as :class:`AffineMap` requires of the rows; else
+    InputError.
     """
 
     c: BlockPoint
@@ -78,6 +82,7 @@ class ProjectionProblem:
             raise InputError("inequality rows do not conform to the cone spec")
         if self.eq.m + self.m_ineq < 1:
             raise InputError("problem has no affine constraints")
+        _check_scale(self.c.ravel(), self.cone.dim, "center")
 
     @property
     def m_eq(self) -> int:

@@ -32,7 +32,14 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .cones import AffineMap, BlockPoint, ConeSpec, InputError, symmetrize
+from .cones import (
+    AffineMap,
+    BlockPoint,
+    ConeSpec,
+    InputError,
+    _check_scale,
+    symmetrize,
+)
 from .dualproj import ProjectionProblem
 from .polysos import Graph, Polynomial
 from .regsolver import LinearConicProblem
@@ -153,7 +160,10 @@ def parse_sdpa(text: str, strict: bool = True) -> LinearConicProblem:
     ``float()`` does.  In strict mode a lower-triangle entry or a repeated
     (matno, position) is an error; with ``strict=False`` lower-triangle
     entries are folded and repeated entries summed in line order.  An error
-    raises InputError naming the first offending line.
+    raises InputError naming the first offending line.  An objective,
+    constraint or right-hand-side entry beyond sqrt(float max) / dim in
+    magnitude, dim the ambient dimension, raises InputError too: the
+    residual norms of such data could overflow.
     """
     lines = [raw.strip() for raw in text.splitlines()]
     body = [k for k, s in enumerate(lines) if s and s[0] not in "*\""]
@@ -272,6 +282,7 @@ def parse_sdpa(text: str, strict: bool = True) -> LinearConicProblem:
         (total[~f0], (matno[~f0] - 1, col[~f0])), shape=(m, cone.dim)
     )
     amap = AffineMap(cone, mat, b, check=False)
+    _check_scale(c_vec, cone.dim, "objective")
     return LinearConicProblem(
         c=BlockPoint.from_vector(cone, c_vec), a=amap, cone=cone
     )
@@ -428,7 +439,9 @@ def write_polynomial(p: Polynomial) -> str:
 
 def read_matrix(text: str) -> np.ndarray:
     """Whitespace-separated dense rows; symmetrized on read (warns when the
-    asymmetry exceeds the 1e-12 relative tolerance)."""
+    asymmetry exceeds the 1e-12 relative tolerance).  An n x n matrix with
+    an entry beyond sqrt(float max) / n^2 in magnitude raises InputError:
+    its norms could overflow."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         s = raw.split("#", 1)[0].strip()
@@ -449,6 +462,7 @@ def read_matrix(text: str) -> np.ndarray:
     m = np.array(rows)
     if m.shape[0] != m.shape[1]:
         raise InputError(f"matrix is {m.shape[0]}x{m.shape[1]}, expected square")
+    _check_scale(m, m.size, "matrix")
     return symmetrize(m)
 
 
@@ -539,11 +553,14 @@ def projection_problem_from_json(text: str) -> ProjectionProblem:
 
 
 def conic_problem_from_json(text: str) -> LinearConicProblem:
-    """Native JSON file -> LinearConicProblem (objective defaults to zero)."""
+    """Native JSON file -> LinearConicProblem (objective defaults to zero);
+    an objective entry beyond sqrt(float max) / dim raises InputError, as
+    ``parse_sdpa`` does."""
     parts = parse_problem_json(text)
     if parts["ineq"] is not None:
         raise InputError("solve expects equality constraints only")
     obj = parts["objective"]
     if obj is None:
         obj = BlockPoint.zeros(parts["cone"])
+    _check_scale(obj.ravel(), obj.cone.dim, "objective")
     return LinearConicProblem(c=obj, a=parts["eq"], cone=parts["cone"])

@@ -14,6 +14,11 @@ so the overall stopping test is the pair of scaled infeasibilities
 
     max{ ||A p - b|| / (1 + ||b||),  ||A'y - u - c|| / (1 + ||c||) }.
 
+The one exception is a sweep whose PSD projection took the warm route
+with an allowed error: p is still in K, but u lies within a known bound
+of K° (see ``_sweep``), and the loop declares convergence only when that
+bound is within the tolerance as well.
+
 Both solvers run one outer loop and differ only in its step.
 ``solve_simple`` is the one-inner-iteration scheme, whose step (the sweep)
 is the exact y-step maximizing the augmented dual Lagrangian (AA^T
@@ -113,8 +118,11 @@ _DIVERGE_BOUND = 1e6
 class LinearConicProblem:
     """Objective c, constraints A x = b (rhs stored on the map), cone K.
 
-    Minimization sense throughout.  Every entry of c must be finite, as
-    :class:`AffineMap` requires of A and b.
+    Minimization sense throughout.  Every entry of c must be finite;
+    :class:`AffineMap` also bounds the entries of A and b by sqrt(float
+    max) / dim.  The readers of ``io`` bound c in the same way, but a
+    problem built here may have a larger c, whose solve then ends in
+    ``numerical_failure`` when its residuals overflow.
     """
 
     c: BlockPoint
@@ -164,12 +172,12 @@ class RegParams:
     ``solve_simple``, ``adapt_t`` also runs
     the sweep as a safeguarded Anderson step (memory, regularization and
     weight bound are the ``_AA_*`` constants): on the benchmark's
-    G(100, 0.3) theta instance the solve takes 1577 cone projections
-    (1563 sweeps, 14 rejected extrapolations) against 2511 with the
+    G(100, 0.3) theta instance the solve takes 1610 cone projections
+    (1587 sweeps, 23 rejected extrapolations) against 2511 with the
     rebalancing alone.  How the sweep projects a PSD block (partial
     spectrum, warm basis or full decomposition) has no knob here: the
     thresholds are the measured module constants of ``cones``, and the
-    results agree up to rounding whichever route is taken.
+    warm route's error is tied to the residual (see ``_sweep``).
     """
 
     t0: float = 1.0
@@ -294,13 +302,16 @@ def _outer_loop(problem, params, step):
     ``step(k, t, p, y, u, ap, worst)`` maps the raw-vector iterate, with
     ``ap`` = A p and ``worst`` = max(rp, rd) its scaled residuals (at k = 1
     those of the zero start), to the one of outer iteration k and returns
-    (p, y, u, A p, A'y, inner_iterations, gradient_fallbacks); the two
-    products serve the residual check and, for the next step, A p.  The
-    prox step sets its inner tolerance from ``worst``; the sweep ignores
-    it.  The residuals are scaled as in :func:`residuals`.  The loop
-    starts at p = y = u = 0 and stops on convergence, a non-finite
-    residual, the divergence rule of the ``_DIVERGE_*`` constants, or
-    ``params.max_outer``.
+    (p, y, u, A p, A'y, inner_iterations, gradient_fallbacks, polar); the
+    two products serve the residual check and, for the next step, A p,
+    and ``polar`` bounds the distance of u from K° scaled by 1 + ||c||,
+    which the residuals do not see (0 when u is in K° up to rounding).
+    The prox step sets its inner tolerance from ``worst``, and the sweep
+    the error it allows its cone projection.  The residuals are scaled as
+    in :func:`residuals`.  The loop starts at p = y = u = 0 and stops on
+    convergence (both residuals and ``polar`` at most
+    ``params.outer_tol``), a non-finite residual, the divergence rule of
+    the ``_DIVERGE_*`` constants, or ``params.max_outer``.
     """
     cone = problem.cone
     a = problem.a
@@ -322,7 +333,7 @@ def _outer_loop(problem, params, step):
     last_adapt = 0
     adapt_wait = _T_PERIOD
     for k in range(1, params.max_outer + 1):
-        p, y, u, ap, aty, inner, fallbacks = step(k, t, p, y, u, ap, worst)
+        p, y, u, ap, aty, inner, fallbacks, polar = step(k, t, p, y, u, ap, worst)
         report.inner_iterations += inner
         report.gradient_fallbacks += fallbacks
         rp, rd = _residuals_vec(problem, ap, aty, u, c_vec, b_scale, c_scale)
@@ -334,7 +345,7 @@ def _outer_loop(problem, params, step):
             status = NUMERICAL_FAILURE
             report.message = "non-finite residual"
             break
-        if worst <= params.outer_tol:
+        if worst <= params.outer_tol and polar <= params.outer_tol:
             status = CONVERGED
             break
         if k % _DIVERGE_PERIOD == 0:
@@ -485,35 +496,55 @@ def _sweep(problem: LinearConicProblem):
     ``solve_regularized`` takes it as its first phase.
 
     Factorizes AA^T (cached on the map) and returns (project_step, sweep).
-    ``project_step(t, p, u, ap)`` is the y-step followed by the split of
-    w = p + t (A'y - c) by one cone projection, returning
-    (p', y, w - p', A'y); ``sweep`` is the plain outer step of
+    ``project_step(t, p, u, ap, worst)`` is the y-step followed by the
+    split of w = p + t (A'y - c) by one cone projection, returning
+    (p', y, w - p', A'y, polar); ``sweep`` is the plain outer step of
     :func:`_outer_loop` built on it.  Both share one
     ``cones._WarmState`` per PSD block, private to this solve: the rank of
     the previous projection for the partial-spectrum route and the
     eigenbasis of the last full decomposition for the warm route.  The
     sweep keeps no buffers: every array a step returns is fresh.
+
+    The sweep is inexact ADMM on the dual, which converges when the error
+    of each step is bounded and summable (Eckstein-Bertsekas, Math. Prog.
+    55, 1992), so the warm route need not run its Jacobi steps to their
+    floor.  Each projection allows an error eps = kappa worst (1 + ||c||) t
+    in w, kappa being ``_INNER_KAPPA`` of the prox steps' inner tolerance
+    and ``worst`` the previous iterate's max(rp, rd), split evenly between
+    the PSD blocks.  p' is then in K still, and the exact projection of a
+    point within eps of w, so u = (w - p')/t lies within eps/t of K°:
+    ``polar`` is the sum of the blocks' bounds (``_WarmState.error``)
+    over t (1 + ||c||), at most kappa worst, and 0 when no block took the
+    warm route.  The floor outer_tol/10 of the inner tolerance is not
+    needed here: the loop stops before worst falls below outer_tol unless
+    ``polar`` held it back, and then a tighter projection is what it
+    needs.
     """
     cone = problem.cone
     a = problem.a
     fact = gram_factorize(a)
     c_vec = problem.c.ravel()
     b = a.rhs
+    c_scale = _scales(problem)[1]
     states = [
         _WarmState() if kind == "psd" else None for kind, _, _ in cone.blocks
     ]
+    psd_states = [state for state in states if state is not None]
 
-    def project_step(t, p, u, ap):
+    def project_step(t, p, u, ap, worst):
         y = fact.solve(a.apply_vec(u + c_vec) + (b - ap) / t)
         aty = a.adjoint_vec(y)
         w = p + t * (aty - c_vec)
+        for state in psd_states:
+            state.tol = _INNER_KAPPA * worst * c_scale * t / len(psd_states)
         p, _ = _project_ambient(cone, w, states=states)
-        return p, y, w - p, aty
+        polar = sum(state.error for state in psd_states) / (t * c_scale)
+        return p, y, w - p, aty, polar
 
     def sweep(k, t, p, y, u, ap, worst):
-        p, y, s, aty = project_step(t, p, u, ap)
+        p, y, s, aty, polar = project_step(t, p, u, ap, worst)
         s /= t
-        return p, y, s, a.apply_vec(p), aty, 1, 0
+        return p, y, s, a.apply_vec(p), aty, 1, 0, polar
 
     return project_step, sweep
 
@@ -576,6 +607,7 @@ def solve_regularized(problem: LinearConicProblem, params: RegParams | None = No
             a.adjoint_vec(y),
             rep.inner_iterations,
             rep.gradient_fallbacks,
+            0.0,
         )
 
     # AA^T is factorized only when a sweep may run: max_outer = 1 stays one
@@ -621,9 +653,10 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
     eigenpairs alone, and a block of order at least
     ``cones._WARM_MIN_ORDER`` from a certified update of the eigenbasis
     of its last full decomposition, so that most sweeps of a large block
-    skip the decomposition; see ``cones._project_ambient``.  That state
-    belongs to this solve alone: two solves of one problem give the same
-    bits.  ``params.inner`` is ignored.
+    skip the decomposition; see ``cones._project_ambient``.  The warm
+    route stops its steps at an error tied to the previous residual (see
+    :func:`_sweep`).  That state belongs to this solve alone: two solves of one
+    problem give the same bits.  ``params.inner`` is ignored.
 
     With ``params.adapt_t`` the sweep is the map T(z) on z = (p, t u),
     accelerated by :class:`_Anderson`: each outer iteration evaluates T
@@ -649,26 +682,30 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
     # accelerated: the fixed point is z = (p, t u), carrying A p along
     a = problem.a
     dim = problem.cone.dim
-    t_now = None
+    t_now = worst_now = None
 
     def evaluate(x):
         t = t_now
-        p, y, s, aty = project_step(t, x[:dim], x[dim : 2 * dim] / t, x[2 * dim :])
+        p, y, s, aty, polar = project_step(
+            t, x[:dim], x[dim : 2 * dim] / t, x[2 * dim :], worst_now
+        )
         ap = a.apply_vec(p)
         out = np.concatenate((p, s, ap))
         s /= t
-        return out, (p, y, s, ap, aty)
+        return out, (p, y, s, ap, aty, polar)
 
     anderson = _Anderson(evaluate, 2 * dim, problem.m)
 
     def accelerated_sweep(k, t, p, y, u, ap, worst):
-        nonlocal t_now
+        nonlocal t_now, worst_now
+        worst_now = worst
         if t != t_now:
             t_now = t
             out = anderson.restart(np.concatenate((p, t * u, ap)))
             evaluations = 1
         else:
             out, evaluations = anderson.step()
-        return (*out, evaluations, 0)
+        p, y, s, ap, aty, polar = out
+        return p, y, s, ap, aty, evaluations, 0, polar
 
     return _outer_loop(problem, params, accelerated_sweep)

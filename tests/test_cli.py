@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -130,12 +131,21 @@ def _run_input_error(capsys, tmp_path, command, source, flags):
     return captured.err
 
 
+NEARCORR_1E200 = "1 1e200 0\n1e200 1 0\n0 0 1\n"
 SDPA_INF_F0 = "1\n2\n2 -2\n1.0\n0 2 1 1 inf\n1 1 1 1 1.0\n1 2 2 2 1.0\n"
 JSON_PROBLEM_NONNEG = '{"cone": {"nonneg": 2}, "eq": {"rows": [[[1, 1]]], "rhs": [1]}}'
+JSON_CENTER_1E200 = JSON_PROBLEM_NONNEG[:-1] + ', "center": [[1, 1e200]]}'
 JSON_INF_CENTER = (
     '{"cone": {"nonneg": 2}, "center": [[1, Infinity]], '
     '"eq": {"rows": [[[1, 1]]], "rhs": [1]}}'
 )
+
+
+def _theta_c5_with(line: str, new: str) -> tuple[str, str]:
+    """theta_c5.dat-s with its one line ``line`` replaced by ``new``."""
+    text = Path(fixture_path("theta_c5.dat-s")).read_text()
+    assert text.count(line + "\n") == 1
+    return ("theta.dat-s", text.replace(line + "\n", new + "\n"))
 
 
 def _json_problem(cone: str, rhs: str = "[1]") -> str:
@@ -257,6 +267,44 @@ class TestExitCodes:
         )
         assert "--center" in err or "line 1" in err
 
+    @pytest.mark.parametrize(
+        "command, source, flags",
+        [
+            ("solve", _theta_c5_with("1 0 0 0 0 0", "1e308 0 0 0 0 0"), []),
+            ("solve", _theta_c5_with("0 1 1 2 1", "0 1 1 2 1e308"), []),
+            ("solve", _theta_c5_with("0 1 1 2 1", "0 1 1 2 1e200"), []),
+            ("solve", _theta_c5_with("2 1 1 2 1", "2 1 1 2 1e308"), []),
+            (
+                "solve",
+                _theta_c5_with("1 0 0 0 0 0", "1e308 0 0 0 0 0"),
+                ["--solver", "regularized", "--inner", "ssnewton"],
+            ),
+            ("nearcorr", ("c.txt", NEARCORR_1E200), ["--method", "ssnewton"]),
+            ("nearcorr", ("c.txt", NEARCORR_1E200), ["--method", "quasi_newton"]),
+            ("nearcorr", ("c.txt", NEARCORR_1E200), ["--method", "dykstra"]),
+            ("project", ("p.json", JSON_CENTER_1E200), []),
+            ("sos-check", ("p.txt", "nvars 2\n1e308 0 0\n1 2 2\n"), ["--degree", "2"]),
+        ],
+        ids=[
+            "sdpa-rhs-1e308",
+            "sdpa-objective-1e308",
+            "sdpa-objective-1e200",
+            "sdpa-constraint-1e308",
+            "sdpa-rhs-1e308-regularized",
+            "nearcorr-1e200-ssnewton",
+            "nearcorr-1e200-quasi_newton",
+            "nearcorr-1e200-dykstra",
+            "json-center-1e200",
+            "polynomial-1e308",
+        ],
+    )
+    def test_data_whose_norms_can_overflow_is_4(
+        self, capsys, tmp_path, command, source, flags
+    ):
+        # such data used to end in exit 2 with NaN or Infinity in the report
+        err = _run_input_error(capsys, tmp_path, command, source, flags)
+        assert err.startswith("error:") and "sqrt(float max)" in err
+
     def test_solve_json_with_inequalities_is_4(self, capsys, tmp_path):
         ineq = JSON_PROBLEM_NONNEG[:-1] + ', "ineq": {"rows": [[[1, 0]]], "rhs": [0]}}'
         err = _run_input_error(capsys, tmp_path, "solve", ("j.json", ineq), [])
@@ -265,6 +313,44 @@ class TestExitCodes:
     def test_unknown_flag_is_4(self, capsys):
         assert run_cli(["theta", "--bogus"]) == 4
         capsys.readouterr()
+
+
+class TestNoInvalidJson:
+    """JSON has no NaN or Infinity: a result holding one writes nothing
+    and exits 2 with an ``error:`` line."""
+
+    @staticmethod
+    def _poisoned(monkeypatch, field):
+        from conicproj import cli
+
+        solve = cli.solve_regularized
+
+        def poisoned(problem, params):
+            trip, rep = solve(problem, params)
+            if field == "y":
+                return dataclasses.replace(trip, y=trip.y * np.nan), rep
+            setattr(rep, field, float("inf"))
+            return trip, rep
+
+        monkeypatch.setattr(cli, "solve_regularized", poisoned)
+
+    @pytest.mark.parametrize("field", ["primal_residual", "objective", "y"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_non_finite_result_exits_2_without_output(
+        self, capsys, tmp_path, monkeypatch, field, to_file
+    ):
+        self._poisoned(monkeypatch, field)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        files = ["--out", str(out_dir / "r.json")] if to_file else []
+        code = run_cli(
+            ["solve", fixture_path("theta_c5.dat-s"), *files,
+             "--solution-out", str(out_dir / "s.json")]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and list(out_dir.iterdir()) == []
+        assert captured.err.startswith("error:") and "non-finite" in captured.err
 
 
 class TestSolveAndSolutions:

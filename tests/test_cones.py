@@ -1,4 +1,5 @@
 import functools
+import math
 import types
 import warnings
 
@@ -431,6 +432,77 @@ class TestWarmRoute:
             assert state.rank == int(np.count_nonzero(np.linspace(-1.0, 2.0, n) > 0))
             assert (state.basis is not None) == (n >= cones._WARM_MIN_ORDER)
 
+    def test_inexact_path_within_the_riccati_bound(self, monkeypatch):
+        # with an allowed error the steps stop once sqrt(2) ||R||_F <= tol:
+        # the result is still in the cone, it lies within that bound of the
+        # projection, and M minus it within that bound of the polar cone
+        # an early pair of the sweep, where the exact path needs most of its
+        # steps
+        prev, m = _theta_sweep_inputs(400)[98:100]
+        ref = project_psd(m)[0]
+        scale = np.linalg.norm(m)
+        calls = self._spy(monkeypatch)
+        errors = []
+        for rel in (1e-3, 1e-6, 1e-9, 0.0):
+            state = cones._WarmState()
+            self._project(prev, state)
+            state.tol = rel * scale
+            x = self._project(m, state)
+            # R at the Z the steps stopped at, in the basis they ended with
+            v, r, z = state.basis, state.rank, state.riccati
+            b = v.T @ m @ v
+            res = b[r:, :r] + b[r:, r:] @ z - z @ b[:r, :r] - z @ b[:r, r:] @ z
+            bound = np.sqrt(2.0) * np.linalg.norm(res)
+            assert state.error == pytest.approx(bound, rel=1e-6, abs=1e-14 * scale)
+            floor = 1e-15 * np.abs(b.diagonal()).max()
+            assert state.error <= state.tol or np.abs(res).max() <= 1.01 * floor
+            assert np.linalg.eigvalsh(x)[0] >= -1e-13 * scale
+            assert np.linalg.norm(x - ref) <= state.error + 1e-13 * scale
+            assert np.linalg.norm(project_psd(m - x)[0]) <= state.error + 1e-13 * scale
+            errors.append(state.error)
+        assert errors == sorted(errors, reverse=True)
+        assert errors[0] > 1e-6 * scale > 1e6 * errors[-1]
+        assert calls["warm"] == [True] * 4
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_steps_give_up_before_they_overflow(self, monkeypatch):
+        # gaps of 2e-10 against a coupling of 1e150: the first step sends Z
+        # to about 1e160 and the next product overflows.  The attempt fails
+        # without a warning, and the full route projects
+        n, r = cones._WARM_MIN_ORDER, 20
+        m = np.diag(np.r_[np.full(r, 1e-10), np.full(n - r, -1e-10)])
+        g = rng(62).standard_normal((n - r, r)) * 1e150
+        m[r:, :r], m[:r, r:] = g, g.T
+        state = cones._WarmState()
+        state.rank, state.basis, state.riccati = r, np.eye(n), np.zeros((n - r, r))
+        calls = self._spy(monkeypatch)
+        x = self._project(m, state)
+        assert calls == {"eig_sym": 1, "warm": [False]}
+        assert _same_bits(x, project_psd(m)[0])
+
+    def test_steps_stop_when_the_residual_stops_falling(self, monkeypatch):
+        # a coupling as large as the gaps: max |R| grows at the first step,
+        # and the attempt gives up there, long before a step cap of 1000
+        n, r = cones._WARM_MIN_ORDER, 20
+        m = np.diag(np.r_[np.full(r, 1.0), np.full(n - r, -1.0)])
+        g = np.full((n - r, r), 1.0)
+        m[r:, :r], m[:r, r:] = g, g.T
+        state = cones._WarmState()
+        state.rank, state.basis, state.riccati = r, np.eye(n), np.zeros((n - r, r))
+        products = [0]
+        matmul = np.matmul
+
+        def counted(*args, **kwargs):
+            products[0] += "out" in kwargs
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(cones, "_WARM_MAX_STEPS", 1000)
+        monkeypatch.setattr(np, "matmul", counted)
+        assert cones._project_psd_warm(m, state) is None
+        monkeypatch.undo()
+        assert products[0] == 2 * 2  # R at Z = 0 and after one step
+        assert (state.failures, state.wait) == (1, 1)
+
 
 def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -640,6 +712,52 @@ class TestSymmetricInput:
         with pytest.warns(UserWarning, match="symmetrized"):
             out = cones._symmetric_input(m)
         assert _same_bits(out, (m + m.T) / 2.0)
+
+
+class TestScaleBound:
+    """Problem data must stay below sqrt(float max) / dim in magnitude, so
+    that no residual norm can overflow."""
+
+    @staticmethod
+    def _limits(dim):
+        limit = math.sqrt(np.finfo(float).max) / dim
+        return limit, math.nextafter(limit, math.inf)
+
+    def test_affine_map_entries(self):
+        cone = ConeSpec(nonneg=3)
+        ok, beyond = self._limits(3)
+        for sign in (1.0, -1.0):
+            AffineMap(cone, [[sign * ok, 0.0, 1.0]], [sign * ok])
+            with pytest.raises(InputError, match="constraint matrix.*sqrt"):
+                AffineMap(cone, [[sign * beyond, 0.0, 1.0]], [1.0])
+            with pytest.raises(InputError, match="right-hand side.*sqrt"):
+                AffineMap(cone, [[1.0, 0.0, 1.0]], [sign * beyond])
+
+    def test_projection_center(self):
+        from conicproj.dualproj import ProjectionProblem
+
+        cone = ConeSpec(psd_dims=(2,), nonneg=1)
+        eq = AffineMap(cone, [[1.0, 0.0, 0.0, 1.0, 1.0]], [1.0])
+        ok, beyond = self._limits(5)
+        for value, fails in ((ok, False), (-beyond, True), (np.nan, True)):
+            c = BlockPoint(cone, [np.array([[1.0, value], [value, 1.0]]), [0.0]])
+            if fails:
+                with pytest.raises(InputError, match="center"):
+                    ProjectionProblem(c=c, eq=eq, cone=cone)
+            else:
+                ProjectionProblem(c=c, eq=eq, cone=cone)
+
+    def test_dense_matrix_file(self):
+        from conicproj import io
+
+        ok, beyond = self._limits(9)
+        for value, fails in ((ok, False), (beyond, True), (1e200, True)):
+            text = f"1 {value!r} 0\n{value!r} 1 0\n0 0 1\n"
+            if fails:
+                with pytest.raises(InputError, match="sqrt"):
+                    io.read_matrix(text)
+            else:
+                assert io.read_matrix(text)[0, 1] == value
 
 
 class TestAdjointMatrix:

@@ -21,7 +21,7 @@ from conicproj import (
     solve_regularized,
     solve_simple,
 )
-from conicproj import dualproj, regsolver
+from conicproj import cones, dualproj, regsolver
 from conftest import gnp_theta, random_affine, random_point, rng
 
 
@@ -260,7 +260,7 @@ def _reference_solve_simple(problem, params):
 
     def sweep(k, t, p, y, u, ap, worst):
         p, y, s, aty = project_step(t, p, u, ap)
-        return p, y, s / t, a.apply_vec(p), aty, 1, 0
+        return p, y, s / t, a.apply_vec(p), aty, 1, 0, 0.0
 
     if not params.adapt_t:
         return regsolver._outer_loop(problem, params, sweep)
@@ -279,9 +279,9 @@ def _reference_solve_simple(problem, params):
         nonlocal t_now
         if t != t_now:
             t_now = t
-            return (*anderson.restart(np.concatenate((p, t * u, ap))), 1, 0)
+            return (*anderson.restart(np.concatenate((p, t * u, ap))), 1, 0, 0.0)
         out, evaluations = anderson.step()
-        return (*out, evaluations, 0)
+        return (*out, evaluations, 0, 0.0)
 
     return regsolver._outer_loop(problem, params, accelerated_sweep)
 
@@ -337,6 +337,119 @@ class TestSweepMatchesReference:
         assert rep.primal_residual == np.linalg.norm(a.apply_vec(p) - prob.b) / b_scale
         assert rep.dual_residual == rd / c_scale
         assert rep.objective == ref_rep.objective
+
+    @pytest.mark.parametrize("adapt_t", [False, True])
+    def test_blocks_below_the_warm_order_match_bitwise(self, adapt_t):
+        # orders 21 and 36 never take the warm route, so the error that the
+        # sweep allows it changes no bit
+        params = RegParams(
+            inner="one_iteration", max_outer=300, outer_tol=1e-300, adapt_t=adapt_t
+        )
+        for d in (5, 7):
+            prob = cp.build_sos_feasibility(cp.motzkin(), d)
+            assert max(prob.cone.psd_dims) < cones._WARM_MIN_ORDER
+            trip, rep = solve_simple(prob, params)
+            ref_trip, ref_rep = _reference_solve_simple(prob, params)
+            assert (rep.iterations, rep.inner_iterations) == (
+                ref_rep.iterations,
+                ref_rep.inner_iterations,
+            )
+            assert (rep.primal_residual, rep.dual_residual) == (
+                ref_rep.primal_residual,
+                ref_rep.dual_residual,
+            )
+            for got, want in (
+                (trip.p.ravel(), ref_trip.p.ravel()),
+                (trip.y, ref_trip.y),
+                (trip.u.ravel(), ref_trip.u.ravel()),
+            ):
+                assert got.tobytes() == want.tobytes()
+
+
+class TestPolarBound:
+    """A sweep whose warm route stopped early leaves u within a known
+    distance of K°, which the residuals do not see: the loop declares
+    convergence only when that bound is within the tolerance too."""
+
+    def test_converged_needs_the_polar_bound(self):
+        # the exact optimum at every step, with a polar bound that falls
+        # to the tolerance at the third
+        prob = scalar_problem()
+        bounds = [1.0, 2e-7, 1e-7, 0.0]
+
+        def step(k, t, p, y, u, ap, worst):
+            p, y, u = np.array([2.0]), np.array([1.0]), np.zeros(1)
+            a = prob.a
+            return p, y, u, a.apply_vec(p), a.adjoint_vec(y), 1, 0, bounds[k - 1]
+
+        trip, rep = regsolver._outer_loop(prob, RegParams(outer_tol=1e-7), step)
+        assert rep.converged() and rep.iterations == 3
+        assert rep.primal_residual == rep.dual_residual == 0.0
+
+    def test_sweep_bound_follows_the_residual(self, monkeypatch):
+        # each sweep allows its projection an error of a tenth of the
+        # previous residual, in the scale of the dual residual; most sweeps
+        # of theta on G(64, 0.3) use some of it, and the converged one is
+        # within the tolerance
+        record = []
+        outer = regsolver._outer_loop
+
+        def recording_loop(problem, params, step):
+            def recorded(k, t, p, y, u, ap, worst):
+                out = step(k, t, p, y, u, ap, worst)
+                record.append((worst, out[7]))
+                return out
+
+            return outer(problem, params, recorded)
+
+        monkeypatch.setattr(regsolver, "_outer_loop", recording_loop)
+        prob = gnp_theta(64, 0.3, 3)
+        _, rep = solve_simple(
+            prob, RegParams(max_outer=20000, outer_tol=1e-7, adapt_t=True)
+        )
+        assert rep.converged()
+        assert all(bound <= regsolver._INNER_KAPPA * worst for worst, bound in record)
+        assert sum(bound > 1e-3 * worst for worst, bound in record) > len(record) / 2
+        assert record[-1][1] <= 1e-7
+
+
+    def test_psd_blocks_share_the_allowed_error(self, monkeypatch):
+        # two theta blocks of orders 48 and 56 side by side: each may err by
+        # half of kappa worst (1 + ||c||) t, so the bound still holds
+        parts = [gnp_theta(48, 0.3, 4), gnp_theta(56, 0.3, 5)]
+        cone = ConeSpec(psd_dims=(48, 56))
+        amap = AffineMap(
+            cone,
+            sp.block_diag([q.a.matrix for q in parts], format="csr"),
+            np.concatenate([q.b for q in parts]),
+        )
+        c = BlockPoint(cone, [q.c.blocks[0] for q in parts])
+        prob = LinearConicProblem(c=c, a=amap, cone=cone)
+        c_scale = 1.0 + c.norm()
+        steps, tols = [], []
+        outer, project = regsolver._outer_loop, regsolver._project_ambient
+
+        def recording_loop(problem, params, step):
+            def recorded(k, t, p, y, u, ap, worst):
+                out = step(k, t, p, y, u, ap, worst)
+                steps.append((t, worst, out[7]))
+                return out
+
+            return outer(problem, params, recorded)
+
+        def recording_project(cone, v, want_info=False, states=None):
+            tols.append([state.tol for state in states])
+            return project(cone, v, want_info, states)
+
+        monkeypatch.setattr(regsolver, "_outer_loop", recording_loop)
+        monkeypatch.setattr(regsolver, "_project_ambient", recording_project)
+        solve_simple(prob, RegParams(max_outer=300, outer_tol=1e-7))
+        assert len(steps) == len(tols) == 300
+        for (t, worst, bound), tol in zip(steps, tols):
+            share = regsolver._INNER_KAPPA * worst * c_scale * t / 2
+            assert tol == [share, share]
+            assert bound <= regsolver._INNER_KAPPA * worst
+        assert sum(bound > 0.0 for _, _, bound in steps) >= 20
 
 
 class TestPartialSpectrumSweep:
