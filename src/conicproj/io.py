@@ -163,7 +163,8 @@ def parse_sdpa(text: str, strict: bool = True) -> LinearConicProblem:
     raises InputError naming the first offending line.  An objective,
     constraint or right-hand-side entry beyond sqrt(float max) / dim in
     magnitude, dim the ambient dimension, raises InputError too: the
-    residual norms of such data could overflow.
+    residual norms of such data could overflow.  Repeated entries are
+    bounded one by one before they are summed, and their sums after.
     """
     lines = [raw.strip() for raw in text.splitlines()]
     body = [k for k, s in enumerate(lines) if s and s[0] not in "*\""]
@@ -263,6 +264,10 @@ def parse_sdpa(text: str, strict: bool = True) -> LinearConicProblem:
     if k is not None:
         raise bad(body[4 + k], _entry_message(code, entries[k], m, sizes))
 
+    # bound the entries before summing repeats, which two entries near float
+    # max would overflow; AffineMap and the objective check bound the sums
+    _check_scale(value[matno != 0], cone.dim, "constraint matrix")
+    _check_scale(value[matno == 0], cone.dim, "objective")
     # sum each group in line order, one rank of repeats at a time
     group = np.cumsum(~repeat) - 1
     first = order[~repeat]

@@ -87,6 +87,16 @@ class TestSdpa:
         row = np.asarray(prob.a.matrix.todense()).ravel()
         assert np.allclose(row, [0.0, 1.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "matno, what", [(0, "objective"), (1, "constraint matrix")]
+    )
+    def test_lenient_repeats_are_bounded_before_the_sum(self, matno, what):
+        # summed first, the two entries would overflow to inf with a
+        # RuntimeWarning, which the test configuration makes an error
+        text = "1\n1\n2\n1.0\n" + f"{matno} 1 1 1 1e308\n" * 2 + "0 1 1 2 1.0\n"
+        with pytest.raises(InputError, match=f"{what} has an entry of magnitude"):
+            parse_sdpa(text, strict=False)
+
     def test_malformed_lines_name_line_numbers(self):
         bad_entry = "\n".join(["1", "1", "2", "1.0", "1 1 1 oops 1.0"])
         with pytest.raises(InputError) as exc:

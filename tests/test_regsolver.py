@@ -722,6 +722,15 @@ class TestAcceleratedSweep:
         assert len(changes) >= 2 and restarts[0] == 0
         assert set(changes) <= set(restarts)
 
+    def test_theta_on_gnp_64_in_half_the_sweeps(self):
+        # half the 900 sweeps taken when t changed by 2x, and only at a 10x
+        # residual ratio
+        _, rep = solve_simple(
+            gnp_theta(64, 0.3, 3),
+            RegParams(max_outer=20000, outer_tol=1e-7, adapt_t=True),
+        )
+        assert rep.converged() and rep.iterations <= 450
+
     def test_no_extra_evaluations_without_adapt_t(self):
         for prob in (c5_theta(), cp.build_sos_feasibility(cp.motzkin(), 4)):
             _, rep = solve_simple(prob, RegParams(max_outer=300, outer_tol=1e-7))
@@ -744,6 +753,64 @@ class TestAcceleratedSweep:
         )
         assert rep.inner_iterations > rep.iterations == 200
         assert calls[0] == 2 + 3 * rep.inner_iterations
+
+
+class TestAdaptT:
+    """The rebalancing of t, driven by a stub step whose residuals are
+    fixed over stretches of outer iterations."""
+
+    @staticmethod
+    def _t_per_step(residuals, max_outer):
+        # min 0 s.t. x = 0, x >= 0: both scales are 1, so the step's A p
+        # is rp and its A'y - u is rd
+        cone = ConeSpec(nonneg=1)
+        amap = AffineMap(cone, sp.csr_matrix(np.array([[1.0]])), [0.0])
+        prob = LinearConicProblem(
+            c=BlockPoint(cone, [np.zeros(1)]), a=amap, cone=cone
+        )
+        ts = []
+
+        def step(k, t, p, y, u, ap, worst):
+            ts.append(t)
+            rp, rd = residuals(k)
+            zero = np.zeros(1)
+            return zero, zero, zero, np.array([rp]), np.array([rd]), 1, 0, 0.0
+
+        params = RegParams(max_outer=max_outer, adapt_t=True)
+        regsolver._outer_loop(prob, params, step)
+        return ts
+
+    def test_factor_direction_and_doubling_wait(self):
+        # (first k, rp, rd): a change may come at k = 10 and then after
+        # waits of 20, 40, 80 and 160 iterations
+        stretches = [
+            (1, 1.0, 0.0),  # rd = 0: t shrinks by the cap at k = 10
+            (11, 0.0, 1.0),  # rp = 0: t grows by the cap at k = 30
+            (31, 1.0, 1.0 / 16),  # t shrinks by sqrt(16) at k = 70
+            (71, 1.0 / 16, 1.0),  # t grows by sqrt(16) at k = 150
+            (151, 1.0, 0.5),  # inside the band: no change from k = 310
+            (400, 1e-3, 1e-15),  # sqrt of the ratio beyond the cap
+        ]
+
+        def residuals(k):
+            return next(r for first, *r in reversed(stretches) if k >= first)
+
+        ts = self._t_per_step(residuals, 402)
+        assert all(math.isfinite(t) and t > 0 for t in ts)
+        changes = {
+            k: ts[k] / ts[k - 1] for k in range(1, len(ts)) if ts[k] != ts[k - 1]
+        }
+        cap = regsolver._T_CAP
+        want = {10: 1 / cap, 30: cap, 70: 1 / 4, 150: 4, 400: 1 / cap}
+        assert changes.keys() == want.keys()
+        for k, factor in want.items():
+            assert changes[k] == pytest.approx(factor, rel=1e-15)
+
+    def test_t_stays_in_its_clamp(self):
+        ts = self._t_per_step(lambda k: (1.0, 0.0), 5000)
+        assert min(ts) == regsolver._T_MIN
+        ts = self._t_per_step(lambda k: (0.0, 1.0), 5000)
+        assert max(ts) == regsolver._T_MAX
 
 
 class TestNonFiniteResidual:
