@@ -844,8 +844,6 @@ class AffineMap:
             raise InputError(
                 f"rhs length {rhs.size} != number of rows {mat.shape[0]}"
             )
-        if not (np.all(np.isfinite(rhs)) and np.all(np.isfinite(mat.data))):
-            raise InputError("affine map has non-finite entries")
         _check_scale(mat.data, cone.dim, "constraint matrix")
         _check_scale(rhs, cone.dim, "right-hand side")
         if check:

@@ -227,8 +227,6 @@ def _wolfe(phi, f0, slope0, gnorm0):
         if alpha * abs(slope0) <= noise and fallback()[2]:
             break
         alpha = 2.0 * lo if hi == np.inf else 0.5 * (lo + hi)
-        if alpha == 0.0:
-            break
     return fallback()
 
 

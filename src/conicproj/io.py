@@ -265,17 +265,14 @@ def parse_sdpa(text: str, strict: bool = True) -> LinearConicProblem:
         raise bad(body[4 + k], _entry_message(code, entries[k], m, sizes))
 
     # bound the entries before summing repeats, which two entries near float
-    # max would overflow; AffineMap and the objective check bound the sums
+    # max would overflow; AffineMap and LinearConicProblem bound the sums
     _check_scale(value[matno != 0], cone.dim, "constraint matrix")
     _check_scale(value[matno == 0], cone.dim, "objective")
-    # sum each group in line order, one rank of repeats at a time
+    # sum each group in line order: np.add.at adds in index order
     group = np.cumsum(~repeat) - 1
     first = order[~repeat]
     total = value[first]
-    rank = np.arange(stop) - np.flatnonzero(~repeat)[group]
-    for r in range(1, int(rank.max(initial=0)) + 1):
-        at = rank == r
-        total[group[at]] += value[order[at]]
+    np.add.at(total, group[repeat], value[order[repeat]])
     mirror = upper[first] != lower[first]
     matno = np.concatenate([matno[first], matno[first][mirror]])
     col = np.concatenate([upper[first], lower[first][mirror]])
@@ -287,7 +284,6 @@ def parse_sdpa(text: str, strict: bool = True) -> LinearConicProblem:
         (total[~f0], (matno[~f0] - 1, col[~f0])), shape=(m, cone.dim)
     )
     amap = AffineMap(cone, mat, b, check=False)
-    _check_scale(c_vec, cone.dim, "objective")
     return LinearConicProblem(
         c=BlockPoint.from_vector(cone, c_vec), a=amap, cone=cone
     )
@@ -558,14 +554,11 @@ def projection_problem_from_json(text: str) -> ProjectionProblem:
 
 
 def conic_problem_from_json(text: str) -> LinearConicProblem:
-    """Native JSON file -> LinearConicProblem (objective defaults to zero);
-    an objective entry beyond sqrt(float max) / dim raises InputError, as
-    ``parse_sdpa`` does."""
+    """Native JSON file -> LinearConicProblem (objective defaults to zero)."""
     parts = parse_problem_json(text)
     if parts["ineq"] is not None:
         raise InputError("solve expects equality constraints only")
     obj = parts["objective"]
     if obj is None:
         obj = BlockPoint.zeros(parts["cone"])
-    _check_scale(obj.ravel(), obj.cone.dim, "objective")
     return LinearConicProblem(c=obj, a=parts["eq"], cone=parts["cone"])

@@ -43,6 +43,7 @@ from .cones import (
     FactorizationError,
     GramFactorization,
     InputError,
+    _check_scale,
     _project_ambient,
     _WarmState,
     gram_factorize,
@@ -124,11 +125,10 @@ _DIVERGE_BOUND = 1e6
 class LinearConicProblem:
     """Objective c, constraints A x = b (rhs stored on the map), cone K.
 
-    Minimization sense throughout.  Every entry of c must be finite;
-    :class:`AffineMap` also bounds the entries of A and b by sqrt(float
-    max) / dim.  The readers of ``io`` bound c in the same way, but a
-    problem built here may have a larger c, whose solve then ends in
-    ``numerical_failure`` when its residuals overflow.
+    Minimization sense throughout.  Every entry of c must be finite and at
+    most sqrt(float max) / dim in magnitude, dim the ambient dimension, as
+    :class:`AffineMap` bounds A and b, so that the residual norms cannot
+    overflow; else InputError naming the block.
     """
 
     c: BlockPoint
@@ -141,10 +141,7 @@ class LinearConicProblem:
         for i, ((kind, _, _), blk) in enumerate(
             zip(self.cone.blocks, self.c.blocks)
         ):
-            if not np.all(np.isfinite(blk)):
-                raise InputError(
-                    f"objective has non-finite entries in block {i} ({kind})"
-                )
+            _check_scale(blk, self.cone.dim, f"objective block {i} ({kind})")
         if self.a.m < 1:
             raise InputError("problem needs at least one constraint")
 

@@ -315,6 +315,141 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+# The values of the reader x field x value table: beyond the scale bound,
+# far beyond it, subnormal, negative zero and one past the int64 range.
+TABLE_VALUES = ["1e308", "1e200", "1e-320", "-0", "9223372036854775808"]
+# the table's values beyond sqrt(float max) / dim for every problem here
+BEYOND_BOUND = {"1e308", "1e200"}
+
+
+def _theta_c5_header(k: int, new: str) -> str:
+    """theta_c5.dat-s with its k-th header line (m, nblock, sizes, rhs)
+    replaced by ``new``."""
+    lines = Path(fixture_path("theta_c5.dat-s")).read_text().splitlines()
+    head = [n for n, s in enumerate(lines) if not s.startswith("*")]
+    lines[head[k]] = new
+    return "\n".join(lines) + "\n"
+
+
+def _theta_c5_entry(field: int, new: str) -> str:
+    """theta_c5.dat-s with field ``field`` of its entry ``2 1 1 2 1``
+    replaced by ``new``."""
+    fields = "2 1 1 2 1".split()
+    fields[field] = new
+    return _theta_c5_with("2 1 1 2 1", " ".join(fields))[1]
+
+
+def _json_table_problem(objective="1", row="1", rhs="1", center="1") -> str:
+    return (
+        f'{{"cone": {{"nonneg": 2}}, "objective": [[1, {objective}]], '
+        f'"center": [[1, {center}]], '
+        f'"eq": {{"rows": [[[1, {row}]]], "rhs": [{rhs}]}}}}'
+    )
+
+
+C5_EDGES = "e 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n"
+# field -> (command, file suffix, text of the input for a value, flags);
+# "center-matrix" writes the value into a --center matrix file
+TABLE_FIELDS = {
+    "sdpa-rhs": (
+        "solve", ".dat-s", lambda v: _theta_c5_header(3, f"{v} 0 0 0 0 0"), []
+    ),
+    "sdpa-objective": (
+        "solve", ".dat-s",
+        lambda v: _theta_c5_with("0 1 1 2 1", f"0 1 1 2 {v}")[1], [],
+    ),
+    "sdpa-constraint": ("solve", ".dat-s", lambda v: _theta_c5_entry(4, v), []),
+    "sdpa-m": ("solve", ".dat-s", lambda v: _theta_c5_header(0, v), []),
+    "sdpa-nblock": ("solve", ".dat-s", lambda v: _theta_c5_header(1, v), []),
+    "sdpa-block-size": ("solve", ".dat-s", lambda v: _theta_c5_header(2, v), []),
+    "sdpa-matno": ("solve", ".dat-s", lambda v: _theta_c5_entry(0, v), []),
+    "sdpa-blkno": ("solve", ".dat-s", lambda v: _theta_c5_entry(1, v), []),
+    "sdpa-i": ("solve", ".dat-s", lambda v: _theta_c5_entry(2, v), []),
+    "sdpa-j": ("solve", ".dat-s", lambda v: _theta_c5_entry(3, v), []),
+    "json-objective": (
+        "solve", ".json", lambda v: _json_table_problem(objective=v), []
+    ),
+    "json-rows": ("solve", ".json", lambda v: _json_table_problem(row=v), []),
+    "json-rhs": ("solve", ".json", lambda v: _json_table_problem(rhs=v), []),
+    "json-center": (
+        "project", ".json", lambda v: _json_table_problem(center=v), []
+    ),
+    "polynomial-coefficient": (
+        "sos-check", ".txt", lambda v: f"nvars 2\n{v} 0 0\n1 2 2\n",
+        ["--degree", "2"],
+    ),
+    "polynomial-exponent": (
+        "sos-check", ".txt", lambda v: f"nvars 2\n1 0 0\n1 2 {v}\n",
+        ["--degree", "2"],
+    ),
+    "nearcorr-matrix": (
+        "nearcorr", ".txt", lambda v: f"1 {v} 0\n{v} 1 0\n0 0 1\n", []
+    ),
+    "center-matrix": ("project", ".txt", lambda v: f"1 {v}\n{v} 1\n", []),
+    "dimacs-vertex-count": (
+        "theta", ".col", lambda v: f"p edge {v} 5\n" + C5_EDGES, []
+    ),
+}
+# the fields read as floats, which the scale bound applies to
+FLOAT_FIELDS = {
+    "sdpa-rhs", "sdpa-objective", "sdpa-constraint", "json-objective",
+    "json-rows", "json-rhs", "json-center", "polynomial-coefficient",
+    "nearcorr-matrix", "center-matrix",
+}
+
+
+def _no_constant(name):
+    raise AssertionError(f"report holds {name}")
+
+
+class TestReaderFieldValueTable:
+    """Each numeric field of each reader, set to each value of the table,
+    exits 4 with an ``error:`` line, or 0, 2 or 3 with a finite report; a
+    float field beyond the scale bound exits 4 naming sqrt(float max)."""
+
+    @pytest.mark.parametrize("value", TABLE_VALUES)
+    @pytest.mark.parametrize("field", sorted(TABLE_FIELDS))
+    def test_cli(self, capsys, tmp_path, field, value):
+        command, suffix, text, flags = TABLE_FIELDS[field]
+        path = tmp_path / f"in{suffix}"
+        path.write_text(text(value))
+        argv = [command, str(path), *flags]
+        if field == "center-matrix":
+            argv = [command, fixture_path("trace2.dat-s"), "--center", str(path)]
+        cap = "--max-iter" if command in ("project", "nearcorr") else "--max-outer"
+        code = run_cli([*argv, cap, "50"])
+        out, err = capsys.readouterr()
+        if code == 4:
+            assert out == ""
+            assert any(line.startswith("error:") for line in err.splitlines())
+        else:
+            assert code in (0, 2, 3)
+            json.loads(out, parse_constant=_no_constant)
+        if field in FLOAT_FIELDS and value in BEYOND_BOUND:
+            assert code == 4 and "sqrt(float max)" in err
+
+    @pytest.mark.parametrize("value", TABLE_VALUES)
+    @pytest.mark.parametrize("block", ["psd", "nonneg"])
+    def test_library_problem(self, block, value):
+        cone = cp.ConeSpec(psd_dims=(2,), nonneg=1)
+        amap = cp.AffineMap(cone, [[1.0, 0.0, 0.0, 1.0, 1.0]], [1.0])
+        psd, orthant = np.eye(2), np.ones(1)
+        if block == "psd":
+            psd[0, 1] = psd[1, 0] = float(value)
+        else:
+            orthant[0] = float(value)
+        c = cp.BlockPoint(cone, [psd, orthant])
+        if value in BEYOND_BOUND:
+            with pytest.raises(cp.InputError, match=r"sqrt\(float max\)"):
+                cp.LinearConicProblem(c=c, a=amap, cone=cone)
+            return
+        problem = cp.LinearConicProblem(c=c, a=amap, cone=cone)
+        for solve in (cp.solve_simple, cp.solve_regularized):
+            trip, rep = solve(problem, cp.RegParams(max_outer=50))
+            numbers = [rep.primal_residual, rep.dual_residual, rep.objective]
+            assert all(np.isfinite(numbers)) and np.all(np.isfinite(trip.y))
+
+
 class TestNoInvalidJson:
     """JSON has no NaN or Infinity: a result holding one writes nothing
     and exits 2 with an ``error:`` line."""

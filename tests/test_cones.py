@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import types
 import warnings
 
@@ -746,6 +747,27 @@ class TestScaleBound:
                     ProjectionProblem(c=c, eq=eq, cone=cone)
             else:
                 ProjectionProblem(c=c, eq=eq, cone=cone)
+
+    @pytest.mark.parametrize("block", ["psd", "nonneg"])
+    def test_conic_objective(self, block):
+        cone = ConeSpec(psd_dims=(2,), nonneg=1)
+        amap = AffineMap(cone, [[1.0, 0.0, 0.0, 1.0, 1.0]], [1.0])
+        ok, beyond = self._limits(5)
+        where = "block 0 (psd)" if block == "psd" else "block 1 (nonneg)"
+
+        def problem(value):
+            psd, orthant = np.eye(2), np.array([1.0])
+            if block == "psd":
+                psd[0, 1] = psd[1, 0] = value
+            else:
+                orthant[0] = value
+            c = BlockPoint(cone, [psd, orthant])
+            return cp.LinearConicProblem(c=c, a=amap, cone=cone)
+
+        for sign in (1.0, -1.0):
+            assert np.abs(problem(sign * ok).c.ravel()).max() == ok
+            with pytest.raises(InputError, match=re.escape(where) + ".*sqrt"):
+                problem(sign * beyond)
 
     def test_dense_matrix_file(self):
         from conicproj import io

@@ -461,6 +461,25 @@ LENIENT_TEXT = "\n".join(
 ) + "\n"
 
 
+def _random_lenient_text(r):
+    """A random lenient SDPA file: a PSD block of order 3 and a diagonal
+    block of order 2, each of up to 12 positions given 1 to 6 times,
+    lower-triangle entries included, in shuffled line order."""
+    m = int(r.integers(1, 4))
+    entries = []
+    for _ in range(int(r.integers(1, 13))):
+        matno, blkno = int(r.integers(0, m + 1)), int(r.integers(1, 3))
+        if blkno == 1:
+            i, j = (int(v) for v in r.integers(1, 4, size=2))
+        else:
+            i = j = int(r.integers(1, 3))
+        for _ in range(int(r.integers(1, 7))):
+            value = r.standard_normal() * 10.0 ** int(r.integers(-6, 7))
+            entries.append(f"{matno} {blkno} {i} {j} {value!r}")
+    head = [str(m), "2", "3 -2", " ".join(["1.0"] * m)]
+    return "\n".join(head + [entries[k] for k in r.permutation(len(entries))])
+
+
 class TestParseSdpaReference:
     """``parse_sdpa`` against the per-line parser it replaced: bit-equal
     problems and equal error messages."""
@@ -499,6 +518,18 @@ class TestParseSdpaReference:
             parse_sdpa(text, strict=False),
             _reference_parse_sdpa(text, strict=False),
         )
+
+    def test_lenient_random_repeats(self):
+        # 300 random lenient files: the repeats, up to 6 of a position and
+        # spread over 13 orders of magnitude, sum as the per-line parser
+        # sums them, bit for bit
+        r = np.random.default_rng(23)
+        for _ in range(300):
+            text = _random_lenient_text(r)
+            _assert_same_problem(
+                parse_sdpa(text, strict=False),
+                _reference_parse_sdpa(text, strict=False),
+            )
 
     def test_lenient_sums_in_line_order(self):
         prob = parse_sdpa(LENIENT_TEXT, strict=False)

@@ -839,15 +839,30 @@ class TestNonFiniteResidual:
         with pytest.raises(InputError, match=re.escape(where)):
             self._problem(psd_block, orthant)
 
-    def test_overflowing_objective_in_orthant_is_not_converged(self):
-        # c = -1e308 on an orthant entry: the first sweep overflows and the
-        # dual residual is non-finite from then on
-        prob = self._problem(np.zeros((2, 2)), [-1e308, 0.0])
-        for solve in (solve_simple, solve_regularized):
-            with np.errstate(over="ignore", invalid="ignore"):
-                _, rep = solve(prob, RegParams(max_outer=50))
-            assert rep.status == "numerical_failure"
-            assert rep.message == "non-finite residual"
+    def test_overflowing_objective_is_rejected_at_construction(self):
+        # c = -1e308 on an orthant entry: the first sweep would overflow
+        with pytest.raises(InputError, match=r"block 1 \(nonneg\).*sqrt"):
+            self._problem(np.zeros((2, 2)), [-1e308, 0.0])
+
+    @pytest.mark.parametrize("product", ["ap", "aty"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_product_is_not_converged(self, product, bad):
+        # a stub step whose A p or A'y turns non-finite at k = 3: the loop
+        # stops there, whatever the data bound lets through
+        prob = self._problem(np.zeros((2, 2)), [1.0, 0.0])
+        dim, m = prob.cone.dim, prob.m
+
+        def step(k, t, p, y, u, ap, worst):
+            products = {"ap": np.ones(m), "aty": np.ones(dim)}
+            if k == 3:
+                products[product] = np.full_like(products[product], bad)
+            zero = np.zeros(dim)
+            return zero, np.zeros(m), zero, products["ap"], products["aty"], 1, 0, 0.0
+
+        _, rep = regsolver._outer_loop(prob, RegParams(max_outer=50), step)
+        assert rep.status == "numerical_failure"
+        assert rep.message == "non-finite residual"
+        assert rep.iterations == 3
 
 
 class TestNewtonStepCost:
