@@ -18,6 +18,7 @@ from .cones import (
     BlockPoint,
     ConeSpec,
     InputError,
+    _check_cap,
     _project_affine_vec,
     _project_ambient,
 )
@@ -59,8 +60,9 @@ def _iterate(cone, first, step, max_iter, tol, record_iterates=False):
     are at most tol, or after max_iter >= 0 iterations, and returns x as
     a ``BlockPoint`` with a report of the last residuals.
     """
-    if max_iter < 0:
-        raise InputError(f"max_iter must be nonnegative, got {max_iter}")
+    max_iter = _check_cap(
+        max_iter, "max_iter", 0, f"max_iter must be nonnegative, got {max_iter}"
+    )
     start = time.perf_counter()
     report = SolveReport()
     x, primal, dual = first

@@ -184,24 +184,21 @@ def _json_text(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _emit(args, data: dict) -> None:
-    if getattr(args, "verbose", False):
-        print(
-            "%s: %s after %s iterations (%.1f ms)"
-            % (
-                data.get("command"),
-                data.get("status"),
-                data.get("iterations"),
-                data.get("wall_time_ms", 0.0),
-            ),
-            file=sys.stderr,
-        )
-    text = _json_text(data)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _check_writable(paths) -> None:
+    """Open every path for appending, which leaves an existing file as it
+    is, and close it again.  When one cannot be opened, the files this
+    created are removed and the OSError propagates."""
+    created = []
+    try:
+        for path in paths:
+            existed = os.path.exists(path)
+            open(path, "a", encoding="utf-8").close()
+            if not existed:
+                created.append(path)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
 
 
 def _report(args, solver: str, problem_dims: dict, rep, objective, extra=None) -> dict:
@@ -256,24 +253,48 @@ def _reg_params(args) -> RegParams:
 
 
 def _finish(args, report: dict, solution: dict) -> int:
-    """Write the solution file (if asked for), emit the report and return
-    the exit code.  A non-finite number in either writes neither: an
-    ``error:`` line goes to stderr and the exit code is 2, as for a
-    numerical failure."""
+    """Emit the report (stdout, or ``--out``), write the solution file (if
+    asked for) and return the exit code.  Both texts are formed and every
+    output file is opened (:func:`_check_writable`) before anything is
+    written, so nothing is written when either step fails: a non-finite
+    number, which JSON cannot represent, prints an ``error:`` line and
+    exits 2, as a numerical failure does, and an output that cannot be
+    opened exits 4 through the OSError."""
+    outputs = [(args.out, report)]
+    if getattr(args, "solution_out", None):
+        outputs.append((args.solution_out, solution))
     try:
-        text = _json_text(solution) if getattr(args, "solution_out", None) else None
-        _emit(args, report)
+        texts = [_json_text(data) for _, data in outputs]
     except ValueError as exc:
+        return _nothing_written(
+            f"the result holds a non-finite number, which JSON cannot "
+            f"represent ({exc})"
+        )
+    _check_writable([path for path, _ in outputs if path])
+    if args.verbose:
         print(
-            f"error: the result holds a non-finite number, which JSON cannot "
-            f"represent ({exc}); nothing written",
+            "%s: %s after %s iterations (%.1f ms)"
+            % (
+                report["command"],
+                report["status"],
+                report["iterations"],
+                report["wall_time_ms"],
+            ),
             file=sys.stderr,
         )
-        return 2
-    if text is not None:
-        with open(args.solution_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    for (path, _), text in zip(outputs, texts):
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     return EXIT_CODES[report["status"]]
+
+
+def _nothing_written(reason: str) -> int:
+    """Print why the result cannot be written and return exit code 2."""
+    print(f"error: {reason}; nothing written", file=sys.stderr)
+    return 2
 
 
 def _finish_conic(args, problem, trip, rep, objective, extra=None) -> int:
@@ -355,7 +376,12 @@ def _cmd_nearcorr(args) -> int:
         c, method=args.method, tol=args.tol, max_iter=args.max_iter
     )
     if args.rescale:
-        x = rescale_correlation(x)
+        # the input passed its checks: a diagonal that cannot be rescaled is
+        # the iterate's, which a stopped solve can leave nonpositive
+        try:
+            x = rescale_correlation(x)
+        except InputError as exc:
+            return _nothing_written(f"--rescale of the {rep.status} iterate: {exc}")
     n = c.shape[0]
     distance_sq = 0.5 * float(np.sum((x - c) ** 2))
     report = _report(

@@ -118,6 +118,16 @@ def _integers(values, name: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_cap(value, name: str, least: int, below: str) -> int:
+    """The iteration cap ``name`` as an int.  A non-integral value raises
+    InputError as :func:`_integers` does, and one under ``least`` (0 or 1)
+    raises InputError with the message ``below``."""
+    (cap,) = _integers((value,), f"{name}: iteration caps")
+    if cap < least:
+        raise InputError(below)
+    return cap
+
+
 @dataclass(frozen=True)
 class ConeSpec:
     """A product cone: PSD blocks x second-order (Lorentz) blocks x R+^k.

@@ -37,6 +37,7 @@ from .cones import (
     BlockPoint,
     ConeSpec,
     InputError,
+    _check_cap,
     _check_scale,
     _project_ambient,
     cone_jacobian_apply,
@@ -276,8 +277,9 @@ def _ascend(problem, tol, max_iter, v, point, step, record_iterates=False):
     (v, point, report) with the status, iterations, primal residual,
     objective, wall time and, if ``record_iterates``, every x visited.
     """
-    if max_iter < 0:
-        raise InputError(f"max_iter must be nonnegative, got {max_iter}")
+    max_iter = _check_cap(
+        max_iter, "max_iter", 0, f"max_iter must be nonnegative, got {max_iter}"
+    )
     tol = problem.default_tol() if tol is None else float(tol)
     report = SolveReport()
     start = time.perf_counter()
@@ -601,9 +603,9 @@ def solve_projection(
         raise InputError(f"tol must be finite and positive, got {tol}")
     kwargs = {"tol": tol}
     if max_iter is not None:
-        if max_iter < 1:
-            raise InputError("max_iter must be at least 1")
-        kwargs["max_iter"] = max_iter
+        kwargs["max_iter"] = _check_cap(
+            max_iter, "max_iter", 1, "max_iter must be at least 1"
+        )
     if method in _SOLVERS:
         return _SOLVERS[method](problem, **kwargs)
     if method not in PROJECTION_METHODS:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .cones import (
     FactorizationError,
     GramFactorization,
     InputError,
+    _check_cap,
     _check_scale,
     _project_ambient,
     _WarmState,
@@ -206,11 +208,12 @@ class RegParams:
             )
         if self.inner not in INNER_SOLVERS:
             raise InputError(f"unknown inner solver {self.inner!r}")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise InputError(
-                f"max_outer ({self.max_outer}) and max_inner "
-                f"({self.max_inner}) must be at least 1"
-            )
+        below = (
+            f"max_outer ({self.max_outer}) and max_inner "
+            f"({self.max_inner}) must be at least 1"
+        )
+        self.max_outer = _check_cap(self.max_outer, "max_outer", 1, below)
+        self.max_inner = _check_cap(self.max_inner, "max_inner", 1, below)
 
     def inner_tol(self, k: int, residual: float = math.inf) -> float:
         """Scaled inner tolerance of prox step k (1-based), given the
@@ -287,7 +290,9 @@ def prox_eval(
         raise InputError(f"unknown inner solver {inner!r}")
     if not (np.isfinite(t) and t > 0):
         raise InputError(f"t must be finite and positive, got {t}")
-    sub = ProjectionProblem(c=p - t * problem.c, eq=problem.a, cone=problem.cone)
+    center = p - t * problem.c  # bounded here, so that an error names it
+    _check_scale(center.ravel(), problem.cone.dim, f"prox center p - t c at t = {t:g}")
+    sub = ProjectionProblem(c=center, eq=problem.a, cone=problem.cone)
     if y0 is not None:
         y0 = t * np.asarray(y0, dtype=float)
     # only the quasi-Newton engine keeps state across outer iterations
@@ -309,47 +314,57 @@ def _t_factor(strong, weak):
     return math.sqrt(strong / weak)
 
 
+class _Step(NamedTuple):
+    """One outer iterate as a step of :func:`_outer_loop` returns it: the
+    raw vectors (p, y, u), the products ``ap`` = A p and ``aty`` = A'y (for
+    the residual check, and ``ap`` for the next step), the ``inner``
+    iterations and gradient ``fallbacks`` the step spent, and ``polar``, a
+    bound on the distance of u from K° scaled by 1 + ||c||, which the
+    residuals do not see (0 when u is in K° up to rounding)."""
+
+    p: np.ndarray
+    y: np.ndarray
+    u: np.ndarray
+    ap: np.ndarray
+    aty: np.ndarray
+    inner: int = 1
+    fallbacks: int = 0
+    polar: float = 0.0
+
+
 def _outer_loop(problem, params, step):
     """The proximal outer loop shared by both solvers.
 
-    ``step(k, t, p, y, u, ap, worst)`` maps the raw-vector iterate, with
-    ``ap`` = A p and ``worst`` = max(rp, rd) its scaled residuals (at k = 1
-    those of the zero start), to the one of outer iteration k and returns
-    (p, y, u, A p, A'y, inner_iterations, gradient_fallbacks, polar); the
-    two products serve the residual check and, for the next step, A p,
-    and ``polar`` bounds the distance of u from K° scaled by 1 + ||c||,
-    which the residuals do not see (0 when u is in K° up to rounding).
-    The prox step sets its inner tolerance from ``worst``, and the sweep
-    the error it allows its cone projection.  The residuals are scaled as
-    in :func:`residuals`.  The loop starts at p = y = u = 0 and stops on
-    convergence (both residuals and ``polar`` at most
-    ``params.outer_tol``), a non-finite residual, the divergence rule of
-    the ``_DIVERGE_*`` constants, or ``params.max_outer``.
+    ``step(k, t, at, worst)`` maps the :class:`_Step` record ``at`` of the
+    previous outer iteration, with ``worst`` = max(rp, rd) its scaled
+    residuals, to the record of outer iteration k.  The prox step sets its
+    inner tolerance from ``worst``, and the sweep the error it allows its
+    cone projection.  The residuals are scaled as in :func:`residuals`.
+    The loop starts from the record of p = y = u = 0 (k = 1 sees the
+    residuals of that start) and stops on convergence (both residuals and
+    ``polar`` at most ``params.outer_tol``), a non-finite residual, the
+    divergence rule of the ``_DIVERGE_*`` constants, or ``params.max_outer``.
     """
     cone = problem.cone
     a = problem.a
     c_vec = problem.c.ravel()
     b_scale, c_scale = _scales(problem)
     t = params.t0
-    p = np.zeros(cone.dim)
-    u = np.zeros(cone.dim)
-    y = np.zeros(problem.m)
+    zero, y = np.zeros(cone.dim), np.zeros(problem.m)
+    at = _Step(zero, y, zero, a.apply_vec(zero), a.adjoint_vec(y))
     report = SolveReport()
     start = time.perf_counter()
     status = ITERATION_LIMIT
-    ap = a.apply_vec(p)
-    rp, rd = _residuals_vec(
-        problem, ap, a.adjoint_vec(y), u, c_vec, b_scale, c_scale
-    )
+    rp, rd = _residuals_vec(problem, at.ap, at.aty, at.u, c_vec, b_scale, c_scale)
     worst = max(rp, rd)
     rp_checked = rp
     last_adapt = 0
     adapt_wait = _T_PERIOD
     for k in range(1, params.max_outer + 1):
-        p, y, u, ap, aty, inner, fallbacks, polar = step(k, t, p, y, u, ap, worst)
-        report.inner_iterations += inner
-        report.gradient_fallbacks += fallbacks
-        rp, rd = _residuals_vec(problem, ap, aty, u, c_vec, b_scale, c_scale)
+        at = step(k, t, at, worst)
+        report.inner_iterations += at.inner
+        report.gradient_fallbacks += at.fallbacks
+        rp, rd = _residuals_vec(problem, at.ap, at.aty, at.u, c_vec, b_scale, c_scale)
         # max() drops a NaN second argument, so a NaN rd must not reach it
         finite = math.isfinite(rp) and math.isfinite(rd)
         worst = max(rp, rd) if finite else math.nan
@@ -358,13 +373,13 @@ def _outer_loop(problem, params, step):
             status = NUMERICAL_FAILURE
             report.message = "non-finite residual"
             break
-        if worst <= params.outer_tol and polar <= params.outer_tol:
+        if worst <= params.outer_tol and at.polar <= params.outer_tol:
             status = CONVERGED
             break
         if k % _DIVERGE_PERIOD == 0:
             stalled = rp > 0.9 * rp_checked
             rp_checked = rp
-            if stalled and float(np.linalg.norm(y)) > _DIVERGE_BOUND:
+            if stalled and float(np.linalg.norm(at.y)) > _DIVERGE_BOUND:
                 status = SUSPECTED_INFEASIBLE
                 report.message = (
                     "dual variable diverging while primal residual stagnates"
@@ -389,11 +404,11 @@ def _outer_loop(problem, params, step):
     report.status = status
     report.primal_residual = rp
     report.dual_residual = rd
-    p_bp = BlockPoint.from_vector(cone, p)
-    u_bp = BlockPoint.from_vector(cone, u)
+    p_bp = BlockPoint.from_vector(cone, at.p)
+    u_bp = BlockPoint.from_vector(cone, at.u)
     report.objective = problem.c.dot(p_bp)
     report.wall_time = time.perf_counter() - start
-    return IterateTriple(p=p_bp, y=y, u=u_bp), report
+    return IterateTriple(p=p_bp, y=at.y, u=u_bp), report
 
 
 class _Anderson:
@@ -510,9 +525,10 @@ def _sweep(problem: LinearConicProblem):
 
     Factorizes AA^T (cached on the map) and returns (project_step, sweep).
     ``project_step(t, p, u, ap, worst)`` is the y-step followed by the
-    split of w = p + t (A'y - c) by one cone projection, returning
-    (p', y, w - p', A'y, polar); ``sweep`` is the plain outer step of
-    :func:`_outer_loop` built on it.  Both share one
+    split of w = p + t (A'y - c) by one cone projection into p' and
+    s = w - p'; it returns the :class:`_Step` of (p', y, s / t) and s,
+    which Anderson's fixed-point map carries.  ``sweep``, the plain outer
+    step of :func:`_outer_loop`, is that record alone.  Both share one
     ``cones._WarmState`` per PSD block, private to this solve: the rank of
     the previous projection for the partial-spectrum route and the
     eigenbasis of the last full decomposition for the warm route.  The
@@ -552,12 +568,11 @@ def _sweep(problem: LinearConicProblem):
             state.tol = _INNER_KAPPA * worst * c_scale * t / len(psd_states)
         p, _ = _project_ambient(cone, w, states=states)
         polar = sum(state.error for state in psd_states) / (t * c_scale)
-        return p, y, w - p, aty, polar
+        s = w - p
+        return _Step(p, y, s / t, a.apply_vec(p), aty, polar=polar), s
 
-    def sweep(k, t, p, y, u, ap, worst):
-        p, y, s, aty, polar = project_step(t, p, u, ap, worst)
-        s /= t
-        return p, y, s, a.apply_vec(p), aty, 1, 0, polar
+    def sweep(k, t, at, worst):
+        return project_step(t, at.p, at.u, at.ap, worst)[0]
 
     return project_step, sweep
 
@@ -600,27 +615,21 @@ def solve_regularized(problem: LinearConicProblem, params: RegParams | None = No
     b_scale, _ = _scales(problem)
     carry: dict = {}
 
-    def prox_step(k, t, p, y, u, ap, worst):
+    def prox_step(k, t, at, worst):
         x, y, u, rep = prox_eval(
             problem,
-            BlockPoint.from_vector(cone, p),
+            BlockPoint.from_vector(cone, at.p),
             t,
             inner=params.inner,
             inner_tol=params.inner_tol(k, worst) * b_scale,
             max_inner=params.max_inner,
-            y0=y,
+            y0=at.y,
             carry_state=carry,
         )
         x = x.ravel()
-        return (
-            x,
-            y,
-            u.ravel(),
-            a.apply_vec(x),
-            a.adjoint_vec(y),
-            rep.inner_iterations,
-            rep.gradient_fallbacks,
-            0.0,
+        return _Step(
+            x, y, u.ravel(), a.apply_vec(x), a.adjoint_vec(y),
+            rep.inner_iterations, rep.gradient_fallbacks,
         )
 
     # AA^T is factorized only when a sweep may run: max_outer = 1 stays one
@@ -636,14 +645,14 @@ def solve_regularized(problem: LinearConicProblem, params: RegParams | None = No
             budget = 0
     swept = 0
 
-    def step(k, t, p, y, u, ap, worst):
+    def step(k, t, at, worst):
         nonlocal swept
         if swept == k - 1 and worst > _PHASE1_TOL and k <= budget:
             swept = k
-            return sweep(k, t, p, y, u, ap, worst)
+            return sweep(k, t, at, worst)
         # the schedule counts prox steps only: indexed by k, it would start
         # phase 2 at its floor (4x the CG iterations of polymin N=3)
-        return prox_step(k - swept, t, p, y, u, ap, worst)
+        return prox_step(k - swept, t, at, worst)
 
     return _outer_loop(problem, params, step)
 
@@ -693,32 +702,23 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
         return _outer_loop(problem, params, sweep)
 
     # accelerated: the fixed point is z = (p, t u), carrying A p along
-    a = problem.a
     dim = problem.cone.dim
     t_now = worst_now = None
 
     def evaluate(x):
         t = t_now
-        p, y, s, aty, polar = project_step(
-            t, x[:dim], x[dim : 2 * dim] / t, x[2 * dim :], worst_now
-        )
-        ap = a.apply_vec(p)
-        out = np.concatenate((p, s, ap))
-        s /= t
-        return out, (p, y, s, ap, aty, polar)
+        out, s = project_step(t, x[:dim], x[dim : 2 * dim] / t, x[2 * dim :], worst_now)
+        return np.concatenate((out.p, s, out.ap)), out
 
     anderson = _Anderson(evaluate, 2 * dim, problem.m)
 
-    def accelerated_sweep(k, t, p, y, u, ap, worst):
+    def accelerated_sweep(k, t, at, worst):
         nonlocal t_now, worst_now
         worst_now = worst
         if t != t_now:
             t_now = t
-            out = anderson.restart(np.concatenate((p, t * u, ap)))
-            evaluations = 1
-        else:
-            out, evaluations = anderson.step()
-        p, y, s, ap, aty, polar = out
-        return p, y, s, ap, aty, evaluations, 0, polar
+            return anderson.restart(np.concatenate((at.p, t * at.u, at.ap)))
+        out, evaluations = anderson.step()
+        return out._replace(inner=evaluations)
 
     return _outer_loop(problem, params, accelerated_sweep)

@@ -179,6 +179,8 @@ def test_loop_bookkeeping(scheme):
         cp.InputError, match="^max_iter must be nonnegative, got -1$"
     ):
         scheme(prob, max_iter=-1)
+    with pytest.raises(cp.InputError, match="^max_iter: .*integers, got 2.5$"):
+        scheme(prob, max_iter=2.5)
     c = prob.c.ravel()
     x, rep = scheme(prob, max_iter=0)
     start = c if scheme is dykstra else _project_affine_vec(prob.eq, c)

@@ -305,6 +305,13 @@ class TestExitCodes:
         err = _run_input_error(capsys, tmp_path, command, source, flags)
         assert err.startswith("error:") and "sqrt(float max)" in err
 
+    def test_prox_center_beyond_the_bound_names_the_point(self, capsys, tmp_path):
+        # the data pass their bound; p - t c at t = 1e300 does not, and the
+        # error names that internal point, not a center the user gave
+        flags = ["--solver", "regularized", "--t0", "1e300", "--max-outer", "1"]
+        err = _run_input_error(capsys, tmp_path, "solve", "theta_c5.dat-s", flags)
+        assert err.startswith("error: prox center p - t c at t = 1e+300 has an ")
+
     def test_solve_json_with_inequalities_is_4(self, capsys, tmp_path):
         ineq = JSON_PROBLEM_NONNEG[:-1] + ', "ineq": {"rows": [[[1, 0]]], "rhs": [0]}}'
         err = _run_input_error(capsys, tmp_path, "solve", ("j.json", ineq), [])
@@ -486,6 +493,62 @@ class TestNoInvalidJson:
         assert code == 2
         assert captured.out == "" and list(out_dir.iterdir()) == []
         assert captured.err.startswith("error:") and "non-finite" in captured.err
+
+    @pytest.mark.parametrize("method", ["dykstra", "admm", "fixed_metric"])
+    def test_rescale_of_a_stopped_iterate_exits_2_without_output(
+        self, capsys, tmp_path, method
+    ):
+        # a valid input whose iterate after one step has a zero diagonal
+        # entry, which the rescaling cannot divide by
+        mat = tmp_path / "m.txt"
+        mat.write_text("-1 0\n0 1\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code = run_cli(
+            ["nearcorr", str(mat), "--method", method, "--max-iter", "1",
+             "--rescale", "--out", str(out_dir / "r.json"),
+             "--solution-out", str(out_dir / "s.json")]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and list(out_dir.iterdir()) == []
+        assert captured.err.startswith("error: --rescale of the iteration_limit")
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be opened exits 4 before anything is
+    written: nothing on stdout, and neither output file created."""
+
+    @pytest.mark.parametrize(
+        "files",
+        [
+            {"--solution-out": "missing/s.json"},
+            {"--out": "out/r.json", "--solution-out": "missing/s.json"},
+            {"--out": "missing/r.json", "--solution-out": "out/s.json"},
+        ],
+        ids=["solution-out", "solution-out-beside-out", "out"],
+    )
+    def test_missing_directory_is_4_and_writes_nothing(self, capsys, tmp_path, files):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        flags = [
+            arg for flag, name in files.items() for arg in (flag, str(tmp_path / name))
+        ]
+        code = run_cli(["theta", fixture_path("c5.col"), *flags])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == "" and list(out_dir.iterdir()) == []
+        assert captured.err.startswith("error:") and "missing" in captured.err
+
+    def test_existing_report_file_is_left_as_it_was(self, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        report.write_text("old\n")
+        code = run_cli(
+            ["theta", fixture_path("c5.col"), "--out", str(report),
+             "--solution-out", str(tmp_path / "missing" / "s.json")]
+        )
+        capsys.readouterr()
+        assert code == 4 and report.read_text() == "old\n"
 
 
 class TestSolveAndSolutions:

@@ -248,6 +248,8 @@ class TestSolvers:
             InputError, match="^max_iter must be nonnegative, got -1$"
         ):
             solve(prob, max_iter=-1)
+        with pytest.raises(InputError, match="^max_iter: .*integers, got 2.5$"):
+            solve(prob, max_iter=2.5)
         # max_iter = 0 is one evaluation at y = 0: x = P_K(c)
         calls = []
         evaluate = dualproj._Workspace.eval
@@ -939,6 +941,19 @@ class TestNearestCorrelation:
     def test_unknown_method(self):
         with pytest.raises(InputError):
             nearest_correlation(np.eye(2), method="sedumi")
+
+    @pytest.mark.parametrize("method", dualproj.PROJECTION_METHODS)
+    def test_iteration_cap_is_a_positive_integer(self, method):
+        prob = correlation_problem(C_2X2)
+        with pytest.raises(InputError, match="^max_iter must be at least 1$"):
+            dualproj.solve_projection(prob, method, max_iter=0)
+        with pytest.raises(InputError, match="^max_iter: .*integers, got 2.5$"):
+            dualproj.solve_projection(prob, method, max_iter=2.5)
+        with pytest.raises(InputError, match="integers, got 2.5$"):
+            nearest_correlation(C_2X2, method=method, max_iter=2.5)
+        # an integral float is the integer
+        _, _, rep = dualproj.solve_projection(prob, method, max_iter=2.0)
+        assert rep.iterations <= 2
 
 
 class TestRescaleCorrelation:

@@ -258,9 +258,9 @@ def _reference_solve_simple(problem, params):
         p, _ = cones._project_ambient(cone, w, states=states)
         return p, y, w - p, aty
 
-    def sweep(k, t, p, y, u, ap, worst):
-        p, y, s, aty = project_step(t, p, u, ap)
-        return p, y, s / t, a.apply_vec(p), aty, 1, 0, 0.0
+    def sweep(k, t, at, worst):
+        p, y, s, aty = project_step(t, at.p, at.u, at.ap)
+        return regsolver._Step(p, y, s / t, a.apply_vec(p), aty)
 
     if not params.adapt_t:
         return regsolver._outer_loop(problem, params, sweep)
@@ -271,17 +271,17 @@ def _reference_solve_simple(problem, params):
         t = t_now
         p, y, s, aty = project_step(t, x[:dim], x[dim : 2 * dim] / t, x[2 * dim :])
         ap = a.apply_vec(p)
-        return np.concatenate((p, s, ap)), (p, y, s / t, ap, aty)
+        return np.concatenate((p, s, ap)), regsolver._Step(p, y, s / t, ap, aty)
 
     anderson = regsolver._Anderson(evaluate, 2 * dim, problem.m)
 
-    def accelerated_sweep(k, t, p, y, u, ap, worst):
+    def accelerated_sweep(k, t, at, worst):
         nonlocal t_now
         if t != t_now:
             t_now = t
-            return (*anderson.restart(np.concatenate((p, t * u, ap))), 1, 0, 0.0)
+            return anderson.restart(np.concatenate((at.p, t * at.u, at.ap)))
         out, evaluations = anderson.step()
-        return (*out, evaluations, 0, 0.0)
+        return out._replace(inner=evaluations)
 
     return regsolver._outer_loop(problem, params, accelerated_sweep)
 
@@ -309,7 +309,8 @@ class TestSweepMatchesReference:
         def recording_loop(problem, params, step):
             def recorded(*args):
                 out = step(*args)
-                returned.extend((arr, arr.copy()) for arr in out[:5])
+                arrays = (out.p, out.y, out.u, out.ap, out.aty)
+                returned.extend((arr, arr.copy()) for arr in arrays)
                 return out
 
             return outer_loop(problem, params, recorded)
@@ -377,10 +378,12 @@ class TestPolarBound:
         prob = scalar_problem()
         bounds = [1.0, 2e-7, 1e-7, 0.0]
 
-        def step(k, t, p, y, u, ap, worst):
+        def step(k, t, at, worst):
             p, y, u = np.array([2.0]), np.array([1.0]), np.zeros(1)
             a = prob.a
-            return p, y, u, a.apply_vec(p), a.adjoint_vec(y), 1, 0, bounds[k - 1]
+            return regsolver._Step(
+                p, y, u, a.apply_vec(p), a.adjoint_vec(y), polar=bounds[k - 1]
+            )
 
         trip, rep = regsolver._outer_loop(prob, RegParams(outer_tol=1e-7), step)
         assert rep.converged() and rep.iterations == 3
@@ -395,9 +398,9 @@ class TestPolarBound:
         outer = regsolver._outer_loop
 
         def recording_loop(problem, params, step):
-            def recorded(k, t, p, y, u, ap, worst):
-                out = step(k, t, p, y, u, ap, worst)
-                record.append((worst, out[7]))
+            def recorded(k, t, at, worst):
+                out = step(k, t, at, worst)
+                record.append((worst, out.polar))
                 return out
 
             return outer(problem, params, recorded)
@@ -430,9 +433,9 @@ class TestPolarBound:
         outer, project = regsolver._outer_loop, regsolver._project_ambient
 
         def recording_loop(problem, params, step):
-            def recorded(k, t, p, y, u, ap, worst):
-                out = step(k, t, p, y, u, ap, worst)
-                steps.append((t, worst, out[7]))
+            def recorded(k, t, at, worst):
+                out = step(k, t, at, worst)
+                steps.append((t, worst, out.polar))
                 return out
 
             return outer(problem, params, recorded)
@@ -702,9 +705,9 @@ class TestAcceleratedSweep:
         restart = regsolver._Anderson.restart
 
         def recording_loop(problem, params, step):
-            def recorded(k, t, *rest):
+            def recorded(k, t, at, worst):
                 ts.append(t)
-                return step(k, t, *rest)
+                return step(k, t, at, worst)
 
             return outer(problem, params, recorded)
 
@@ -770,11 +773,11 @@ class TestAdaptT:
         )
         ts = []
 
-        def step(k, t, p, y, u, ap, worst):
+        def step(k, t, at, worst):
             ts.append(t)
             rp, rd = residuals(k)
             zero = np.zeros(1)
-            return zero, zero, zero, np.array([rp]), np.array([rd]), 1, 0, 0.0
+            return regsolver._Step(zero, zero, zero, np.array([rp]), np.array([rd]))
 
         params = RegParams(max_outer=max_outer, adapt_t=True)
         regsolver._outer_loop(prob, params, step)
@@ -852,12 +855,12 @@ class TestNonFiniteResidual:
         prob = self._problem(np.zeros((2, 2)), [1.0, 0.0])
         dim, m = prob.cone.dim, prob.m
 
-        def step(k, t, p, y, u, ap, worst):
+        def step(k, t, at, worst):
             products = {"ap": np.ones(m), "aty": np.ones(dim)}
             if k == 3:
                 products[product] = np.full_like(products[product], bad)
             zero = np.zeros(dim)
-            return zero, np.zeros(m), zero, products["ap"], products["aty"], 1, 0, 0.0
+            return regsolver._Step(zero, np.zeros(m), zero, **products)
 
         _, rep = regsolver._outer_loop(prob, RegParams(max_outer=50), step)
         assert rep.status == "numerical_failure"
@@ -1037,7 +1040,7 @@ def _record_phases(monkeypatch, inner):
 
         def recorded(*args):
             out = sweep(*args)
-            log.append(("s", out[1].copy(), None))
+            log.append(("s", out.y.copy(), None))
             return out
 
         return project_step, recorded
@@ -1266,6 +1269,19 @@ class TestRegParams:
     def test_bad_inner_name(self):
         with pytest.raises(InputError):
             RegParams(inner="sedumi")
+
+    def test_iteration_caps_are_positive_integers(self):
+        with pytest.raises(
+            InputError, match=r"^max_outer \(0\) and max_inner \(300\) must be"
+        ):
+            RegParams(max_outer=0)
+        with pytest.raises(InputError, match="^max_outer: .*integers, got 10.5$"):
+            RegParams(max_outer=10.5)
+        with pytest.raises(InputError, match="^max_inner: .*integers, got 2.5$"):
+            RegParams(max_inner=2.5)
+        params = RegParams(max_outer=10.0, max_inner=3.0)
+        assert (params.max_outer, params.max_inner) == (10, 3)
+        assert type(params.max_outer) is type(params.max_inner) is int
 
     @pytest.mark.parametrize("field", ["t0", "outer_tol", "eps0"])
     @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
