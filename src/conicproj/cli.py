@@ -68,7 +68,7 @@ def run_cli(argv=None) -> int:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except (InputError, FactorizationError, OSError) as exc:
+    except (InputError, FactorizationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except NumericalError as exc:
@@ -151,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--count", type=int, default=1)
     sp.add_argument("-v", "--verbose", action="store_true")
-    sp.set_defaults(handler=_cmd_gen, solution_out=None)
+    sp.set_defaults(handler=_cmd_gen)
 
     return p
 
@@ -184,21 +184,37 @@ def _json_text(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _check_writable(paths) -> None:
-    """Open every path for appending, which leaves an existing file as it
-    is, and close it again.  When one cannot be opened, the files this
-    created are removed and the OSError propagates."""
-    created = []
+def _write_outputs(outputs) -> None:
+    """Write each ``(path, text)`` of ``outputs``, a path of None meaning
+    stdout.  Every path is first opened for appending, which leaves an
+    existing file as it is, and closed again.  Two paths that open one file
+    (one device and inode, so ``a``, ``./a`` and a symlink to ``a`` alike)
+    raise InputError.  Then, as when an open fails, the files this created
+    are removed and nothing is written; otherwise every text is written."""
+    created, opened = [], {}
     try:
-        for path in paths:
+        for path, _ in outputs:
+            if path is None:
+                continue
             existed = os.path.exists(path)
-            open(path, "a", encoding="utf-8").close()
+            with open(path, "a", encoding="utf-8") as fh:
+                stat = os.fstat(fh.fileno())
             if not existed:
-                created.append(path)
-    except OSError:
+                created.append(os.path.realpath(path))
+            key = (stat.st_dev, stat.st_ino)
+            if key in opened:
+                raise InputError(f"{opened[key]} and {path} name the same file")
+            opened[key] = path
+    except (InputError, OSError):
         for path in created:
             os.remove(path)
         raise
+    for path, text in outputs:
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
 
 
 def _report(args, solver: str, problem_dims: dict, rep, objective, extra=None) -> dict:
@@ -254,40 +270,29 @@ def _reg_params(args) -> RegParams:
 
 def _finish(args, report: dict, solution: dict) -> int:
     """Emit the report (stdout, or ``--out``), write the solution file (if
-    asked for) and return the exit code.  Both texts are formed and every
-    output file is opened (:func:`_check_writable`) before anything is
-    written, so nothing is written when either step fails: a non-finite
-    number, which JSON cannot represent, prints an ``error:`` line and
-    exits 2, as a numerical failure does, and an output that cannot be
-    opened exits 4 through the OSError."""
-    outputs = [(args.out, report)]
-    if getattr(args, "solution_out", None):
+    asked for) and return the exit code.  Both texts are formed before
+    :func:`_write_outputs` opens any file, so nothing is written when
+    either step fails: a non-finite number, which JSON cannot represent,
+    prints an ``error:`` line and exits 2, as a numerical failure does,
+    and an output that cannot be opened, or two that name one file, exit
+    4."""
+    outputs = [(args.out or None, report)]
+    if args.solution_out:
         outputs.append((args.solution_out, solution))
     try:
-        texts = [_json_text(data) for _, data in outputs]
+        texts = [(path, _json_text(data)) for path, data in outputs]
     except ValueError as exc:
         return _nothing_written(
             f"the result holds a non-finite number, which JSON cannot "
             f"represent ({exc})"
         )
-    _check_writable([path for path, _ in outputs if path])
+    _write_outputs(texts)
     if args.verbose:
         print(
-            "%s: %s after %s iterations (%.1f ms)"
-            % (
-                report["command"],
-                report["status"],
-                report["iterations"],
-                report["wall_time_ms"],
-            ),
+            f"{report['command']}: {report['status']} after {report['iterations']} "
+            f"iterations ({report['wall_time_ms']:.1f} ms)",
             file=sys.stderr,
         )
-    for (path, _), text in zip(outputs, texts):
-        if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
     return EXIT_CODES[report["status"]]
 
 
@@ -455,7 +460,8 @@ def _cmd_gen(args) -> int:
         raise InputError("--count must be >= 1")
     workers = _thread_count()
 
-    def one(index: int) -> dict:
+    def one(index: int) -> tuple:
+        """The path, text and summary entry of instance ``index``."""
         # per-instance seeds derived by the documented split rule seed + i
         seed = None if args.seed is None else args.seed + index
         path = args.out
@@ -466,47 +472,39 @@ def _cmd_gen(args) -> int:
             problem, _ = polysos.random_sos_instance(
                 args.num_vars, args.degree, rank=args.rank, seed=seed
             )
-            payload = io.write_sdpa(
+            text = io.write_sdpa(
                 problem,
                 comment=f"random {args.rank}-rank SOS instance "
                 f"N={args.num_vars} d={args.degree} seed={seed}",
             )
-            info = {
-                "path": path,
-                "seed": seed,
-                "n": problem.cone.psd_dims[0],
-                "m": problem.m,
-            }
+            info = {"seed": seed, "n": problem.cone.psd_dims[0], "m": problem.m}
         elif args.kind == "polymin":
             poly = polysos.random_polymin_instance(
                 args.num_vars, args.degree, seed=seed
             )
-            payload = io.write_polynomial(poly)
-            info = {"path": path, "seed": seed, "terms": len(poly.terms)}
+            text = io.write_polynomial(poly)
+            info = {"seed": seed, "terms": len(poly.terms)}
         elif args.kind == "structured":
             poly = polysos.structured_polymin_instance(args.num_vars)
-            payload = io.write_polynomial(poly)
-            info = {"path": path, "terms": len(poly.terms)}
+            text = io.write_polynomial(poly)
+            info = {"terms": len(poly.terms)}
         else:
-            payload = io.write_polynomial(polysos.motzkin())
-            info = {"path": path, "terms": 4}
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        return info
+            text = io.write_polynomial(polysos.motzkin())
+            info = {"terms": 4}
+        return path, text, {"path": path, **info}
 
     if args.count > 1 and workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            infos = list(pool.map(one, range(args.count)))
+            formed = list(pool.map(one, range(args.count)))
     else:
-        infos = [one(i) for i in range(args.count)]
-    text = json.dumps(
-        {"command": "gen", "kind": args.kind, "instances": infos},
-        sort_keys=True,
-        indent=2,
+        formed = [one(i) for i in range(args.count)]
+    infos = [info for _, _, info in formed]
+    summary = {"command": "gen", "kind": args.kind, "instances": infos}
+    _write_outputs(
+        [(path, text) for path, text, _ in formed] + [(None, _json_text(summary))]
     )
-    sys.stdout.write(text + "\n")
     return 0
 
 

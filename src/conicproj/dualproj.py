@@ -283,24 +283,28 @@ def _ascend(problem, tol, max_iter, v, point, step, record_iterates=False):
     tol = problem.default_tol() if tol is None else float(tol)
     report = SolveReport()
     start = time.perf_counter()
-    at = point(v)
-    for k in range(max_iter + 1):
-        if record_iterates:
-            report.iterate_history.append(
-                BlockPoint.from_vector(problem.cone, at.x)
-            )
-        report.iterations = k
-        if at.residual <= tol:
-            report.status = CONVERGED
-            break
-        if k == max_iter:
-            break
-        taken = step(v, at)
-        if taken is None:
-            report.status = NUMERICAL_FAILURE
-            report.message = "Wolfe line search failed to make progress"
-            break
-        v, at = taken
+    # on data near the scale bound, theta, the curvature test and the
+    # slopes can overflow; the Wolfe search refuses a non-finite f and
+    # regsolver._outer_loop ends a run whose residual is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        at = point(v)
+        for k in range(max_iter + 1):
+            if record_iterates:
+                report.iterate_history.append(
+                    BlockPoint.from_vector(problem.cone, at.x)
+                )
+            report.iterations = k
+            if at.residual <= tol:
+                report.status = CONVERGED
+                break
+            if k == max_iter:
+                break
+            taken = step(v, at)
+            if taken is None:
+                report.status = NUMERICAL_FAILURE
+                report.message = "Wolfe line search failed to make progress"
+                break
+            v, at = taken
     report.primal_residual = at.residual
     report.objective = at.theta
     report.wall_time = time.perf_counter() - start

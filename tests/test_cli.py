@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,33 @@ class TestExitCodes:
         err = _run_input_error(capsys, tmp_path, "solve", "theta_c5.dat-s", flags)
         assert err.startswith("error: prox center p - t c at t = 1e+300 has an ")
 
+    def test_rhs_near_the_bound_is_2_without_warnings(self, capsys, tmp_path):
+        # within the scale bound, yet b'y, the curvature test and the slopes
+        # of the quasi-Newton inner solves overflow: the run ends at its
+        # iteration limit, and numpy's overflow warnings stay quiet
+        name, text = _theta_c5_with("1 0 0 0 0 0", "1 -5e152 0 0 0 0")
+        source = tmp_path / name
+        source.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(
+                ["solve", str(source), "--solver", "regularized", "--max-outer", "50"]
+            )
+        capsys.readouterr()
+        assert code == 2 and [str(w.message) for w in caught] == []
+
+    def test_input_too_large_for_memory_is_4(self, capsys, tmp_path, monkeypatch):
+        # `p edge 400000 0` asks numpy for terabytes; a stand-in raises what
+        # numpy raises, so that no test makes the allocation
+        from conicproj import polysos
+
+        def too_large(graph):
+            raise MemoryError("Unable to allocate 1.16 TiB for an array")
+
+        monkeypatch.setattr(polysos, "build_theta", too_large)
+        err = _run_input_error(capsys, tmp_path, "theta", "c5.col", [])
+        assert err.startswith("error: Unable to allocate 1.16 TiB")
+
     def test_solve_json_with_inequalities_is_4(self, capsys, tmp_path):
         ineq = JSON_PROBLEM_NONNEG[:-1] + ', "ineq": {"rows": [[[1, 0]]], "rhs": [0]}}'
         err = _run_input_error(capsys, tmp_path, "solve", ("j.json", ineq), [])
@@ -551,6 +579,46 @@ class TestUnwritableOutput:
         assert code == 4 and report.read_text() == "old\n"
 
 
+    @pytest.mark.parametrize(
+        "out, solution_out",
+        [
+            ("same.json", "same.json"),
+            ("same.json", "./same.json"),
+            ("same.json", "link.json"),
+            ("link.json", "same.json"),
+        ],
+        ids=["equal", "dot-slash", "symlink-second", "symlink-first"],
+    )
+    def test_two_outputs_naming_one_file_is_4(
+        self, capsys, tmp_path, monkeypatch, out, solution_out
+    ):
+        monkeypatch.chdir(tmp_path)
+        os.symlink("same.json", "link.json")  # dangling until same.json exists
+        code = run_cli(
+            ["theta", fixture_path("c5.col"), "--out", out,
+             "--solution-out", solution_out]
+        )
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("error:") and "same file" in captured.err
+        assert os.listdir(tmp_path) == ["link.json"]
+        assert os.readlink("link.json") == "same.json"
+
+    @pytest.mark.parametrize("solution_out", ["same.json", "./same.json", "link.json"])
+    def test_existing_file_named_twice_is_left_as_it_was(
+        self, capsys, tmp_path, monkeypatch, solution_out
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("same.json").write_bytes(b"old\n")
+        os.symlink("same.json", "link.json")
+        code = run_cli(
+            ["theta", fixture_path("c5.col"), "--out", "same.json",
+             "--solution-out", solution_out]
+        )
+        capsys.readouterr()
+        assert code == 4 and Path("same.json").read_bytes() == b"old\n"
+
+
 class TestSolveAndSolutions:
     def test_solve_sdpa_with_solution_residual_match(self, capsys, tmp_path):
         sol = tmp_path / "sol.json"
@@ -713,6 +781,26 @@ class TestGen:
             assert os.path.exists(info["path"])
             parsed = parse_sdpa(Path(info["path"]).read_text())
             assert parsed.cone.psd_dims == (6,)
+
+    @pytest.mark.parametrize("threads", [None, "3"])
+    @pytest.mark.parametrize("kind", ["sos", "polymin"])
+    def test_unwritable_instance_is_4_and_writes_nothing(
+        self, capsys, tmp_path, monkeypatch, kind, threads
+    ):
+        # instance 1 cannot be opened, so neither instance 0 nor 2 is written
+        if threads is None:
+            monkeypatch.delenv("CONIC_PROJ_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CONIC_PROJ_THREADS", threads)
+        (tmp_path / "inst-001.txt").mkdir()
+        code = run_cli(
+            ["gen", kind, "--out", str(tmp_path / "inst.txt"), "--num-vars", "2",
+             "--degree", "2", "--seed", "1", "--count", "3"]
+        )
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("error:") and "inst-001.txt" in captured.err
+        assert os.listdir(tmp_path) == ["inst-001.txt"]
 
     def test_gen_motzkin_and_structured(self, capsys, tmp_path):
         out = tmp_path / "m.txt"
