@@ -505,6 +505,8 @@ def _cmd_gen(args) -> int:
     _write_outputs(
         [(path, text) for path, text, _ in formed] + [(None, _json_text(summary))]
     )
+    if args.verbose:
+        print(f"gen: wrote {args.count} {args.kind} instance(s)", file=sys.stderr)
     return 0
 
 

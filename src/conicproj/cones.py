@@ -12,9 +12,10 @@ product of the full-square vectorizations used throughout.
 
 All functions here are pure and all types are immutable after construction,
 so everything is safe to call concurrently, with one exception: the
-sweep's per-block ``_WarmState``, which ``_project_ambient`` updates in
-place.  Each state is owned by one solve, which creates it, and is never
-shared with another solve or thread.  The caches on a value type,
+sweep's per-PSD-block ``_WarmState``, which its ``project``, the one
+place where the block's route is chosen, updates in place.  Each state
+is owned by one solve, which creates it, and is never shared with
+another solve or thread.  The caches on a value type,
 ``SpectralDecomp``'s descending ``eigenvalues``, sign-canonical
 ``eigenvectors`` and ``jacobian_weights``, hold read-only arrays derived
 deterministically from LAPACK's output; two threads that race to fill one
@@ -540,11 +541,12 @@ _WARM_MAX_STEPS = 8
 
 
 class _WarmState:
-    """One PSD block's memory of the earlier projections of one solve.
+    """One PSD block's memory of the earlier projections of one solve, and
+    the one place where the block's route is chosen (:meth:`project`).
 
-    A state is owned by one solve (``regsolver._sweep`` makes one per cone
-    block) and never shared: :func:`_project_ambient` updates it in place
-    at every projection of its block.  ``rank`` is the number of positive
+    A state is owned by one solve (``regsolver._sweep`` makes one per PSD
+    block) and never shared: :meth:`project` updates it in place at every
+    projection of its block.  ``rank`` is the number of positive
     eigenvalues at the previous projection (None before the first), the
     hint of the partial route.  ``basis`` is the eigenbasis V of the
     block's last full decomposition, positive side first, kept when the
@@ -571,18 +573,47 @@ class _WarmState:
         self.tol = 0.0
         self.error = 0.0
 
-    def refresh(self, dec: SpectralDecomp) -> None:
-        """Take the rank and, on a large enough block, the basis of a full
-        decomposition; Z restarts at zero, which is exact for it."""
-        w, z = dec.raw_values, dec.raw_vectors
-        n = w.size
-        r = int(np.count_nonzero(w > 0.0))  # ascending: the positive ones end it
-        self.rank = r
-        self.basis = None
+    def project(self, m) -> tuple[np.ndarray, SpectralDecomp | None]:
+        """Projection of the block ``m`` onto the PSD cone, and the full
+        route's decomposition or None.  The route is, in this order:
+
+        1. the positive eigenpairs alone (:func:`_project_psd_positive`)
+           when the previous projection kept at most
+           1/_PARTIAL_RANK_FRACTION of the order positive;
+        2. the warm update of the basis (:func:`_project_psd_warm`) when
+           one is held and no back-off is pending;
+        3. else, and when the warm route fails, the full decomposition of
+           :func:`project_psd`, whose rank and (on a large enough block)
+           basis the state takes, with Z restarting at zero.
+
+        The full and partial routes give the projection up to rounding
+        whatever the state: a stale one costs time, not accuracy.  So does
+        the warm route at ``tol`` 0; with an allowed error ``tol`` it gives
+        the exact projection of a matrix within ``error`` <= ``tol`` of the
+        block, which is in the cone.
+        """
+        n = m.shape[0]
         self.error = 0.0
+        if self.rank is not None and _PARTIAL_RANK_FRACTION * self.rank <= n:
+            x, self.rank = _project_psd_positive(m)
+            self.basis = None
+            return x, None
+        if self.basis is not None:
+            if self.wait:
+                self.wait -= 1
+            else:
+                m = _symmetric_input(m)
+                x = _project_psd_warm(m, self)
+                if x is not None:
+                    return x, None
+        x, dec = project_psd(m)
+        w, z = dec.raw_values, dec.raw_vectors
+        self.rank = r = int(np.count_nonzero(w > 0.0))  # ascending: positives last
+        self.basis = None
         if n >= _WARM_MIN_ORDER and 0 < r < n:
             self.basis = np.concatenate((z[:, n - r :], z[:, : n - r]), axis=1)
             self.riccati = np.zeros((n - r, r))
+        return x, dec
 
 
 def _project_psd_warm(msym: np.ndarray, state: _WarmState) -> np.ndarray | None:
@@ -721,73 +752,36 @@ def project_soc(x) -> np.ndarray:
     return out
 
 
-def _project_ambient(
-    cone: ConeSpec, v: np.ndarray, want_info: bool = False, states=None
-):
+def _project_ambient(cone: ConeSpec, v: np.ndarray, states=None):
     """Blockwise projection of a raw ambient vector; the solver hot path.
 
     Returns (projected vector, per-block info).  Info entries are the
-    SpectralDecomp for PSD blocks and the pre-projection block for vector
-    blocks; they parametrize the generalized Jacobian at this point.
+    pre-projection block for vector blocks and, for PSD blocks, the
+    SpectralDecomp of the full route (:func:`project_psd`); they
+    parametrize the generalized Jacobian at this point.
 
-    ``states``, when given, holds one entry per block of ``cone.blocks``:
-    a :class:`_WarmState` for each PSD block, owned by the caller's solve
-    and updated in place (entries of other blocks are ignored).  A PSD
-    block is then routed in this order:
-
-    1. when its previous projection kept at most 1/_PARTIAL_RANK_FRACTION
-       of its order positive eigenvalues, from its positive eigenpairs
-       alone (:func:`_project_psd_positive`);
-    2. when its order is at least ``_WARM_MIN_ORDER``, its state holds the
-       basis of an earlier full decomposition and no back-off is pending,
-       from that basis (:func:`_project_psd_warm`);
-    3. otherwise, and when the warm route fails, by the full decomposition
-       of :func:`project_psd`, which refreshes the basis.
-
-    A PSD block takes the full route when ``want_info`` is set or it has
-    no state, and that route still refreshes a state that is given.  The
-    full and partial routes return the projection up to rounding,
-    whatever the state: a stale one costs time, not accuracy.  So does
-    the warm route at the default ``tol`` of 0; a state whose owner
-    allows an error ``tol`` gets the exact projection of a matrix within
-    its ``error`` <= ``tol`` of the block, which is in the cone.
+    ``states``, when given, holds one :class:`_WarmState` per PSD block, in
+    block order, owned by the caller's solve and updated in place.  Each
+    PSD block is then projected by :meth:`_WarmState.project`, which
+    chooses its route, and its info is None unless that route was the
+    full one.  Without ``states`` every PSD block takes the full route.
     """
     out = np.empty_like(v)
-    infos = [] if want_info else None
-    for i, (kind, d, sl) in enumerate(cone.blocks):
+    infos = []
+    psd = None if states is None else iter(states)
+    for kind, d, sl in cone.blocks:
         part = v[sl]
         if kind == "psd":
             m = part.reshape(d, d)
-            state = None if states is None else states[i]
-            routed = state is not None and not want_info
-            x = None
-            if routed and state.rank is not None and (
-                _PARTIAL_RANK_FRACTION * state.rank <= d
-            ):
-                x, state.rank = _project_psd_positive(m)
-                state.basis = None
-                state.error = 0.0
-            elif routed and state.basis is not None:
-                if state.wait:
-                    state.wait -= 1
-                else:
-                    m = _symmetric_input(m)
-                    x = _project_psd_warm(m, state)
-            if x is None:
-                x, dec = project_psd(m)
-                if want_info:
-                    infos.append(dec)
-                if state is not None:
-                    state.refresh(dec)
+            x, info = project_psd(m) if psd is None else next(psd).project(m)
             out[sl] = x.ravel()
         elif kind == "soc":
             out[sl] = project_soc(part)
-            if want_info:
-                infos.append(part.copy())
+            info = part.copy()
         else:
             np.maximum(part, 0.0, out=out[sl])
-            if want_info:
-                infos.append(part.copy())
+            info = part.copy()
+        infos.append(info)
     return out, infos
 
 
@@ -959,7 +953,7 @@ class GramFactorization:
                     f"are linearly dependent",
                     pivot=int(info),
                 )
-            self._chol = (factor, True)
+            self._chol = factor
             piv = np.diag(factor) ** 2
         # LAPACK and SuperLU accept pivots that are positive only through
         # rounding; flag those as rank deficiency too
@@ -978,7 +972,10 @@ class GramFactorization:
             return r / self.diagonal
         if self._splu is not None:
             return self._splu.solve(r)
-        return scipy.linalg.cho_solve(self._chol, r)
+        # LAPACK directly: cho_solve would rescan the m x m factor for
+        # non-finite entries on every solve
+        x, _ = scipy.linalg.lapack.dpotrs(self._chol, r, lower=1)
+        return x
 
 
 def gram_factorize(amap: AffineMap) -> GramFactorization:

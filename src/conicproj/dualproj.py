@@ -134,11 +134,11 @@ class _Workspace:
         self.b_eq = problem.eq.rhs
         self.b_ineq = problem.ineq.rhs if problem.ineq is not None else None
 
-    def eval(self, y, z=None, want_info=False):
+    def eval(self, y, z=None):
         s = self.eq.adjoint_vec(y)
         if z is not None and self.ineq is not None:
             s = s + self.ineq.adjoint_vec(z)
-        x, infos = _project_ambient(self.cone, self.c_vec + s, want_info)
+        x, infos = _project_ambient(self.cone, self.c_vec + s)
         theta = float(self.b_eq @ y)
         if z is not None and self.b_ineq is not None:
             theta += float(self.b_ineq @ z)
@@ -524,7 +524,7 @@ def solve_ssnewton(
     def point(y):
         nonlocal evals
         evals += 1
-        theta, g, _, x, infos = ws.eval(y, want_info=True)
+        theta, g, _, x, infos = ws.eval(y)
         return _Point(theta, float(np.linalg.norm(g)), x, g, infos)
 
     def step(y, at):

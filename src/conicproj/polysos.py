@@ -251,6 +251,16 @@ def _sos_system(num_vars: int, d: int):
     return cone, basis, basis2, mat
 
 
+def _sos_equations(p: Polynomial, d: int):
+    """The cone and A of :func:`_sos_system` for p's variables, and the
+    right-hand side p_alpha, one entry per row of A."""
+    cone, _, basis2, mat = _sos_system(p.num_vars, d)
+    b = np.zeros(len(basis2))
+    for alpha, coeff in p.terms.items():
+        b[basis2.index[alpha]] = coeff
+    return cone, mat, b
+
+
 def build_sos_feasibility(p: Polynomial, d: int) -> LinearConicProblem:
     """Feasibility SDP for 'p is a sum of squares' in the degree-d basis:
     zero objective, one row per monomial of degree <= 2d with rhs p_alpha.
@@ -259,10 +269,7 @@ def build_sos_feasibility(p: Polynomial, d: int) -> LinearConicProblem:
         raise InputError(
             f"polynomial degree {p.degree} exceeds 2d = {2 * d}"
         )
-    cone, basis, basis2, mat = _sos_system(p.num_vars, d)
-    b = np.zeros(len(basis2))
-    for alpha, coeff in p.terms.items():
-        b[basis2.index[alpha]] = coeff
+    cone, mat, b = _sos_equations(p, d)
     amap = AffineMap(cone, mat, b, check=False)
     return LinearConicProblem(c=BlockPoint.zeros(cone), a=amap, cone=cone)
 
@@ -284,14 +291,9 @@ def build_polymin(p: Polynomial):
     deg = p.degree
     if deg % 2 != 0 or deg == 0:
         raise InputError(f"polynomial degree must be even positive, got {deg}")
-    d = deg // 2
-    cone, basis, basis2, mat = _sos_system(p.num_vars, d)
-    b = np.zeros(len(basis2))
-    for alpha, coeff in p.terms.items():
-        b[basis2.index[alpha]] = coeff
+    cone, mat, b = _sos_equations(p, deg // 2)
     # row 0 is the constant monomial by the graded-lex order
     amap = AffineMap(cone, mat[1:], b[1:], check=False)
-    n = len(basis)
     cvec = np.zeros(cone.dim)
     cvec[0] = 1.0  # <A_0, X> touches only the (constant, constant) entry
     c = BlockPoint.from_vector(cone, cvec)
@@ -430,17 +432,15 @@ def structured_polymin_instance(num_vars: int) -> Polynomial:
 
 
 def expand_gram(x, basis: MonomialBasis) -> Polynomial:
-    """The polynomial pi(v)' X pi(v) with coefficients collected by monomial."""
+    """The polynomial pi(v)' X pi(v) with coefficients collected by monomial:
+    the Gram identification map A of :func:`_sos_system` applied to vec(X),
+    one coefficient per monomial of the degree-2d basis."""
     x = np.asarray(x, dtype=float)
     n = len(basis)
     if x.shape != (n, n):
         raise InputError(f"Gram matrix shape {x.shape} != ({n}, {n})")
-    terms: dict = {}
-    for i, beta in enumerate(basis.exponents):
-        for j, gamma in enumerate(basis.exponents):
-            key = tuple(b + g for b, g in zip(beta, gamma))
-            terms[key] = terms.get(key, 0.0) + x[i, j]
-    return Polynomial(basis.num_vars, terms)
+    _, _, basis2, mat = _sos_system(basis.num_vars, basis.degree)
+    return Polynomial(basis.num_vars, dict(zip(basis2.exponents, mat @ x.ravel())))
 
 
 def extract_certificate(x, basis: MonomialBasis) -> list:

@@ -529,10 +529,12 @@ def _sweep(problem: LinearConicProblem):
     s = w - p'; it returns the :class:`_Step` of (p', y, s / t) and s,
     which Anderson's fixed-point map carries.  ``sweep``, the plain outer
     step of :func:`_outer_loop`, is that record alone.  Both share one
-    ``cones._WarmState`` per PSD block, private to this solve: the rank of
-    the previous projection for the partial-spectrum route and the
-    eigenbasis of the last full decomposition for the warm route.  The
-    sweep keeps no buffers: every array a step returns is fresh.
+    ``cones._WarmState`` per PSD block, private to this solve, and
+    ``_WarmState.project`` is the one place where the block's route is
+    chosen: partial spectrum by the rank of the previous projection, warm
+    update from the eigenbasis of the last full decomposition, or full
+    decomposition.  The sweep keeps no buffers: every array a step
+    returns is fresh.
 
     The sweep is inexact ADMM on the dual, which converges when the error
     of each step is bounded and summable (Eckstein-Bertsekas, Math. Prog.
@@ -555,19 +557,16 @@ def _sweep(problem: LinearConicProblem):
     c_vec = problem.c.ravel()
     b = a.rhs
     c_scale = _scales(problem)[1]
-    states = [
-        _WarmState() if kind == "psd" else None for kind, _, _ in cone.blocks
-    ]
-    psd_states = [state for state in states if state is not None]
+    states = [_WarmState() for _ in cone.psd_dims]
 
     def project_step(t, p, u, ap, worst):
         y = fact.solve(a.apply_vec(u + c_vec) + (b - ap) / t)
         aty = a.adjoint_vec(y)
         w = p + t * (aty - c_vec)
-        for state in psd_states:
-            state.tol = _INNER_KAPPA * worst * c_scale * t / len(psd_states)
+        for state in states:
+            state.tol = _INNER_KAPPA * worst * c_scale * t / len(states)
         p, _ = _project_ambient(cone, w, states=states)
-        polar = sum(state.error for state in psd_states) / (t * c_scale)
+        polar = sum(state.error for state in states) / (t * c_scale)
         s = w - p
         return _Step(p, y, s / t, a.apply_vec(p), aty, polar=polar), s
 
@@ -675,10 +674,11 @@ def solve_simple(problem: LinearConicProblem, params: RegParams | None = None):
     eigenpairs alone, and a block of order at least
     ``cones._WARM_MIN_ORDER`` from a certified update of the eigenbasis
     of its last full decomposition, so that most sweeps of a large block
-    skip the decomposition; see ``cones._project_ambient``.  The warm
-    route stops its steps at an error tied to the previous residual (see
-    :func:`_sweep`).  That state belongs to this solve alone: two solves of one
-    problem give the same bits.  ``params.inner`` is ignored.
+    skip the decomposition; ``cones._WarmState.project`` is the one place
+    where a block's route is chosen.  The warm route stops its steps at
+    an error tied to the previous residual (see :func:`_sweep`).  That
+    state belongs to this solve alone: two solves of one problem give
+    the same bits.  ``params.inner`` is ignored.
 
     With ``params.adapt_t`` the sweep is the map T(z) on z = (p, t u),
     accelerated by :class:`_Anderson`: each outer iteration evaluates T

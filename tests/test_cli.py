@@ -840,3 +840,33 @@ class TestGen:
         code = run_cli(["gen", "sos", "--out", str(tmp_path / "x.dat-s")])
         capsys.readouterr()
         assert code == 4
+
+
+class TestVerbose:
+    @pytest.mark.parametrize("verbose", [False, True])
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("project", [fixture_path("sos_rank1_n2_d2.dat-s"), "--max-iter", "20"]),
+            ("solve", [fixture_path("theta_c5.dat-s"), "--max-outer", "20"]),
+            ("nearcorr", ["MATRIX", "--max-iter", "20"]),
+            ("sos-check", [fixture_path("motzkin.txt"), "--degree", "3", "--max-outer", "20"]),
+            ("polymin", [fixture_path("motzkin.txt"), "--max-outer", "20"]),
+            ("theta", [fixture_path("c5.col"), "--max-outer", "20"]),
+            ("gen", ["motzkin", "--out", "OUT"]),
+        ],
+    )
+    def test_one_status_line_only_with_verbose(
+        self, capsys, tmp_path, command, args, verbose
+    ):
+        matrix = tmp_path / "c.txt"
+        matrix.write_text("2 1\n1 2\n")
+        subs = {"MATRIX": str(matrix), "OUT": str(tmp_path / "m.txt")}
+        argv = [command] + [subs.get(a, a) for a in args] + ["-v"] * verbose
+        code = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        if verbose:
+            assert err.startswith(f"{command}:") and err.count("\n") == 1
+        else:
+            assert err == ""

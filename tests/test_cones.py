@@ -180,15 +180,15 @@ class TestPsdKernels:
         return [out.eigenvalues.tobytes(), out.eigenvectors.tobytes()]
 
 
-def _project_with_ranks(cone, v, want_info=False, ranks=None):
+def _project_with_ranks(cone, v, ranks):
     """``cones._project_ambient`` with the partial route's hints as a list
-    of ranks, one per block (None before the first projection), updated in
-    place like the states it stands for; the warm route, which needs the
+    of ranks, one per PSD block (None before the first projection), updated
+    in place like the states it stands for; the warm route, which needs the
     basis of an earlier call, is never taken."""
     states = [cones._WarmState() for _ in ranks]
     for state, hint in zip(states, ranks):
         state.rank = hint
-    out = cones._project_ambient(cone, v, want_info, states=states)
+    out = cones._project_ambient(cone, v, states=states)
     ranks[:] = [state.rank for state in states]
     return out
 
@@ -253,24 +253,31 @@ class TestPartialSpectrum:
             assert np.array_equal(out, ref)
         assert calls[0] == 2
 
-    def test_hints_per_block_and_want_info_takes_full_route(self, monkeypatch):
+    def test_each_psd_block_follows_its_own_state(self, monkeypatch):
+        # a hint of 0 sends its block to the partial route and no hint to
+        # the full one, whatever the other block's state; only the full
+        # route leaves a decomposition in infos
         cone = ConeSpec(psd_dims=(16, 3), soc_dims=(3,), nonneg=2)
         v = random_point(rng(51), cone).ravel()
-        ref, ref_infos = cones._project_ambient(cone, v, want_info=True)
+        ref, ref_infos = cones._project_ambient(cone, v)
         positive = [int(np.count_nonzero(d.eigenvalues > 0)) for d in ref_infos[:2]]
         calls = self._count_eig_sym(monkeypatch)
-        ranks = [None] * 4
-        out, _ = _project_with_ranks(cone, v, ranks=ranks)
-        assert calls[0] == 2 and np.array_equal(out, ref)
-        assert ranks == positive + [None, None]
-        ranks = [0, 0, None, None]
-        out, infos = _project_with_ranks(cone, v, want_info=True, ranks=ranks)
-        assert calls[0] == 4 and np.array_equal(out, ref) and len(infos) == 4
-        ranks = [0, 0, None, None]
-        out, _ = _project_with_ranks(cone, v, ranks=ranks)
-        assert calls[0] == 4
-        assert ranks == positive + [None, None]
-        assert np.max(np.abs(out - ref)) <= 1e-12 * np.linalg.norm(v)
+        full = 0
+        for hints in ([None, None], [0, None], [None, 0], [0, 0]):
+            ranks = list(hints)
+            out, infos = _project_with_ranks(cone, v, ranks=ranks)
+            full += hints.count(None)
+            assert calls[0] == full
+            assert ranks == positive
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.linalg.norm(v)
+            assert len(infos) == 4
+            for hint, info in zip(hints, infos[:2]):
+                if hint is None:
+                    assert isinstance(info, cones.SpectralDecomp)
+                else:
+                    assert info is None
+            for (_, _, sl), info in zip(cone.blocks[2:], infos[2:]):
+                assert _same_bits(info, v[sl])
 
     def test_nonfinite_rejected(self):
         m = np.eye(4)
@@ -551,30 +558,29 @@ def _ref_project_psd_positive(c):
     return (x + x.T) / 2.0, r
 
 
-def _ref_project_ambient(cone, v, want_info=False, ranks=None):
+def _ref_project_ambient(cone, v, ranks=None):
+    # ranks: one per PSD block, and the PSD blocks come first
     out = np.empty_like(v)
-    infos = [] if want_info else None
+    infos = []
     for i, (kind, d, sl) in enumerate(cone.blocks):
         part = v[sl]
         if kind == "psd":
             hint = None if ranks is None else ranks[i]
-            if hint is not None and not want_info and 8 * hint <= d:
+            if hint is not None and 8 * hint <= d:
                 x, ranks[i] = _ref_project_psd_positive(part.reshape(d, d))
+                infos.append(None)
             else:
                 x, dec = _ref_project_psd(part.reshape(d, d))
-                if want_info:
-                    infos.append(dec)
+                infos.append(dec)
                 if ranks is not None:
                     ranks[i] = int(np.count_nonzero(dec[0] > 0.0))
             out[sl] = x.ravel()
         elif kind == "soc":
             out[sl] = project_soc(part)
-            if want_info:
-                infos.append(part.copy())
+            infos.append(part.copy())
         else:
             np.maximum(part, 0.0, out=out[sl])
-            if want_info:
-                infos.append(part.copy())
+            infos.append(part.copy())
     return out, infos
 
 
@@ -588,26 +594,31 @@ class TestRawEigenpairs:
         return (g + g.T) / 2.0
 
     @staticmethod
-    def _assert_same_projection(cone, v, want_info, hints):
-        ranks, ref_ranks = list(hints), list(hints)
-        out, infos = _project_with_ranks(cone, v, want_info, ranks=ranks)
-        ref, ref_infos = _ref_project_ambient(cone, v, want_info, ranks=ref_ranks)
+    def _assert_same_projection(cone, v, stateless, hints):
+        # stateless: no states, so every PSD block takes the full route
+        # and the hints are not read
+        if stateless:
+            ranks = ref_ranks = None
+            out, infos = cones._project_ambient(cone, v)
+        else:
+            ranks, ref_ranks = list(hints), list(hints)
+            out, infos = _project_with_ranks(cone, v, ranks=ranks)
+        ref, ref_infos = _ref_project_ambient(cone, v, ranks=ref_ranks)
         assert _same_bits(out, ref)
         assert ranks == ref_ranks
-        if not want_info:
-            assert infos is None
-            return
         assert len(infos) == len(ref_infos)
         for (kind, _, _), info, ref_info in zip(cone.blocks, infos, ref_infos):
-            if kind == "psd":
+            if ref_info is None:  # the partial route
+                assert info is None
+            elif kind == "psd":
                 assert _same_bits(info.eigenvalues, ref_info[0])
                 assert _same_bits(info.eigenvectors, ref_info[1])
             else:
                 assert _same_bits(info, ref_info)
 
-    @pytest.mark.parametrize("want_info", [False, True])
+    @pytest.mark.parametrize("stateless", [False, True])
     @pytest.mark.parametrize("n", list(range(1, 41)) + [100])
-    def test_random_blocks_match_reference(self, n, want_info):
+    def test_random_blocks_match_reference(self, n, stateless):
         r = rng(2000 + n)
         cone = ConeSpec(psd_dims=(n,))
         for trial in range(4):
@@ -617,9 +628,9 @@ class TestRawEigenpairs:
                 m = g @ g.T - 0.05 * np.eye(n)
             positive = int(np.count_nonzero(np.linalg.eigvalsh(m) > 0))
             for hints in ([None], [0], [positive], [n]):
-                self._assert_same_projection(cone, m.ravel(), want_info, hints)
+                self._assert_same_projection(cone, m.ravel(), stateless, hints)
 
-    @pytest.mark.parametrize("want_info", [False, True])
+    @pytest.mark.parametrize("stateless", [False, True])
     @pytest.mark.parametrize(
         "m",
         [
@@ -632,20 +643,19 @@ class TestRawEigenpairs:
         ],
         ids=["eye", "minus_eye", "zero", "diag_zeros", "diag_zeros_2", "ones"],
     )
-    def test_repeated_and_zero_eigenvalues_match_reference(self, m, want_info):
+    def test_repeated_and_zero_eigenvalues_match_reference(self, m, stateless):
         cone = ConeSpec(psd_dims=(m.shape[0],))
         for hints in ([None], [0], [m.shape[0]]):
-            self._assert_same_projection(cone, m.ravel(), want_info, hints)
+            self._assert_same_projection(cone, m.ravel(), stateless, hints)
 
-    @pytest.mark.parametrize("want_info", [False, True])
-    def test_mixed_cone_matches_reference(self, want_info):
+    @pytest.mark.parametrize("stateless", [False, True])
+    def test_mixed_cone_matches_reference(self, stateless):
         cone = ConeSpec(psd_dims=(16, 3, 1), soc_dims=(3, 1), nonneg=2)
         r = rng(2100)
         for _ in range(5):
             v = random_point(r, cone, scale=3.0).ravel()
-            for psd_hints in ([None] * 3, [0, 0, 0], [2, 3, 1]):
-                hints = psd_hints + [None] * 3
-                self._assert_same_projection(cone, v, want_info, hints)
+            for hints in ([None] * 3, [0, 0, 0], [2, 3, 1]):
+                self._assert_same_projection(cone, v, stateless, hints)
 
     def test_canonical_form_is_built_only_when_read(self):
         r = rng(2200)

@@ -516,13 +516,13 @@ def _reference_ssnewton(
     start = time.perf_counter()
     evals = 0
 
-    def fg(yv, want_info=False):
+    def fg(yv):
         nonlocal evals
         evals += 1
-        return ws.eval(yv, want_info=want_info)
+        return ws.eval(yv)
 
     status = ITERATION_LIMIT
-    theta, g, _, x, infos = fg(y, want_info=True)
+    theta, g, _, x, infos = fg(y)
     for k in range(max_iter + 1):
         gnorm = float(np.linalg.norm(g))
         report.iterations = k
@@ -549,7 +549,7 @@ def _reference_ssnewton(
             report.gradient_fallbacks += 1
 
         def phi(alpha, _y=y, _d=d):
-            th, gg, _, xx, inf = fg(_y + alpha * _d, want_info=True)
+            th, gg, _, xx, inf = fg(_y + alpha * _d)
             return (
                 -th,
                 float(-gg @ _d),

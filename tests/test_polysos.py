@@ -447,6 +447,24 @@ class TestCertificates:
         for a, coeff in zip(basis2.exponents, b):
             assert np.isclose(poly.terms.get(a, 0.0), coeff)
 
+    @pytest.mark.parametrize(
+        "num_vars, d", [(1, 1), (2, 3), (3, 2), (2, 5), (4, 2), (5, 3)]
+    )
+    def test_expand_gram_same_bits_as_the_termwise_sum(self, num_vars, d):
+        # the sum over (i, j) in row-major order, term by term
+        basis = monomials_upto(num_vars, d)
+        g = rng(62 + d).standard_normal((len(basis), len(basis)))
+        x = (g + g.T) / 2.0
+        terms = {}
+        for i, beta in enumerate(basis.exponents):
+            for j, gamma in enumerate(basis.exponents):
+                key = tuple(b + c for b, c in zip(beta, gamma))
+                terms[key] = terms.get(key, 0.0) + x[i, j]
+        poly = expand_gram(x, basis)
+        assert poly.terms.keys() == terms.keys()
+        for key, coeff in terms.items():
+            assert np.float64(poly.terms[key]).tobytes() == np.float64(coeff).tobytes()
+
 
 class TestThetaSandwich:
     def test_sandwich_on_random_graphs(self):

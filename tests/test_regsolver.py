@@ -249,7 +249,7 @@ def _reference_solve_simple(problem, params):
 
     cone, a = problem.cone, problem.a
     c_vec, b = problem.c.ravel(), a.rhs
-    states = [cones._WarmState() for _ in cone.blocks]
+    states = [cones._WarmState() for _ in cone.psd_dims]
 
     def project_step(t, p, u, ap):
         y = a.gram.solve(a.apply_vec(u + c_vec) + (b - ap) / t)
@@ -440,9 +440,9 @@ class TestPolarBound:
 
             return outer(problem, params, recorded)
 
-        def recording_project(cone, v, want_info=False, states=None):
+        def recording_project(cone, v, states=None):
             tols.append([state.tol for state in states])
-            return project(cone, v, want_info, states)
+            return project(cone, v, states)
 
         monkeypatch.setattr(regsolver, "_outer_loop", recording_loop)
         monkeypatch.setattr(regsolver, "_project_ambient", recording_project)
@@ -547,9 +547,9 @@ class TestWarmRouteSweep:
         for module in (dualproj, altschemes):
             original = module._project_ambient
 
-            def spy(cone, v, want_info=False, states=None, _original=original):
+            def spy(cone, v, states=None, _original=original):
                 seen.append(states)
-                return _original(cone, v, want_info, states)
+                return _original(cone, v, states)
 
             monkeypatch.setattr(module, "_project_ambient", spy)
         g = rng(80).standard_normal((60, 60))
