@@ -224,7 +224,7 @@ def _report(args, solver: str, problem_dims: dict, rep, objective, extra=None) -
         "version": __version__,
         "command": args.command,
         "solver": solver,
-        "seed": args.seed if hasattr(args, "seed") else None,
+        "seed": args.seed,
         "problem": problem_dims,
         "status": rep.status,
         "objective": objective,

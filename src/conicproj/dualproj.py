@@ -19,8 +19,9 @@ fixed-metric gradient ascent with W = [AA^T]^{-1} (iterate-for-iterate
 equal to Dykstra's alternating projections), a limited-memory quasi-Newton
 method with weak Wolfe line search, and a semismooth Newton-CG method using
 one element of the Clarke generalized Jacobian of the cone projection, its
-CG preconditioned by [AA^T]^{-1}.  All three run on one loop, ``_ascend``;
-each engine supplies only its evaluation of theta and its step.
+CG preconditioned by [AA^T]^{-1}.  All three run on one loop, ``_ascend``,
+and evaluate theta through one workspace, ``_Workspace.eval``, which also
+counts the evaluations; each engine supplies only its step.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import altschemes
 from .cones import (
@@ -122,8 +124,24 @@ class DualEval:
     x: BlockPoint
 
 
+class _Point(NamedTuple):
+    """theta at one dual vector, with the engines' stopping residual, the
+    primal candidate x, the gradient and the cone projection's infos (the
+    Jacobian data Newton steps on)."""
+
+    theta: float
+    residual: float
+    x: np.ndarray
+    grad: np.ndarray
+    infos: list
+
+
 class _Workspace:
-    """Raw-vector view of a ProjectionProblem for the solver hot paths."""
+    """Raw-vector view of a ProjectionProblem for the solver hot paths.
+
+    ``eval`` is the one evaluation of theta for the three engines, and
+    ``evals`` counts its calls.
+    """
 
     def __init__(self, problem: ProjectionProblem):
         self.cone = problem.cone
@@ -133,28 +151,45 @@ class _Workspace:
         self.ineq = problem.ineq
         self.b_eq = problem.eq.rhs
         self.b_ineq = problem.ineq.rhs if problem.ineq is not None else None
+        self.default_tol = problem.default_tol()
+        self.evals = 0
 
-    def eval(self, y, z=None):
+    def eval(self, v) -> _Point:
+        """theta at the stacked dual vector v = (y, z), z present only when
+        there are inequality rows; the residual is ``_kkt_residual``'s."""
+        self.evals += 1
+        # without inequality rows all of v is y, so that adjoint_vec
+        # refuses a v of the wrong length
+        me = self.eq.m if self.ineq is not None else v.size
+        y, z = v[:me], v[me:]
         s = self.eq.adjoint_vec(y)
-        if z is not None and self.ineq is not None:
+        if z.size:
             s = s + self.ineq.adjoint_vec(z)
         x, infos = _project_ambient(self.cone, self.c_vec + s)
         theta = float(self.b_eq @ y)
-        if z is not None and self.b_ineq is not None:
+        if z.size:
             theta += float(self.b_ineq @ z)
         theta += (self.c_sq - float(x @ x)) / 2.0
         gy = self.b_eq - self.eq.apply_vec(x)
-        gz = (
-            self.b_ineq - self.ineq.apply_vec(x)
-            if z is not None and self.ineq is not None
-            else None
-        )
-        return theta, gy, gz, x, infos
+        if not z.size:
+            return _Point(theta, _kkt_residual(gy, None, None), x, gy, infos)
+        gz = self.b_ineq - self.ineq.apply_vec(x)
+        grad = np.concatenate([gy, gz])
+        return _Point(theta, _kkt_residual(gy, gz, z), x, grad, infos)
+
+
+def _kkt_residual(gy, gz, z):
+    if gz is None or gz.size == 0:
+        return float(np.linalg.norm(gy))
+    # projected-gradient residual on the nonnegative multipliers
+    zres = z - np.maximum(z + gz, 0.0)
+    return float(np.sqrt(np.linalg.norm(gy) ** 2 + np.linalg.norm(zres) ** 2))
 
 
 def eval_theta(problem: ProjectionProblem, d: DualPoint) -> DualEval:
     """Evaluate the dual function, its gradient and the primal candidate."""
     ws = _Workspace(problem)
+    me = problem.m_eq
     y = np.asarray(d.y, dtype=float)
     z = np.asarray(d.z, dtype=float) if problem.ineq is not None else None
     if y.size != problem.m_eq:
@@ -163,12 +198,12 @@ def eval_theta(problem: ProjectionProblem, d: DualPoint) -> DualEval:
         raise InputError(f"z has length {z.size}, expected {problem.m_ineq}")
     if not np.all(np.isfinite(y)) or (z is not None and not np.all(np.isfinite(z))):
         raise InputError("dual point has non-finite entries")
-    theta, gy, gz, x, _ = ws.eval(y, z)
+    at = ws.eval(np.concatenate([y, z]) if problem.m_ineq else y)
     return DualEval(
-        theta=theta,
-        grad_y=gy,
-        grad_z=gz if gz is not None else np.zeros(0),
-        x=BlockPoint.from_vector(problem.cone, x),
+        theta=at.theta,
+        grad_y=at.grad[:me],
+        grad_z=at.grad[me:],
+        x=BlockPoint.from_vector(problem.cone, at.x),
     )
 
 
@@ -231,13 +266,13 @@ def _wolfe(phi, f0, slope0, gnorm0):
     return fallback()
 
 
-def _line_search(point, v, d, at):
-    """Weak Wolfe search on f = -theta from v, where ``at`` = point(v),
+def _line_search(evaluate, v, d, at):
+    """Weak Wolfe search on f = -theta from v, where ``at`` = evaluate(v),
     along the ascent direction d.  Returns (v + alpha d, its point,
     fallback) for the step ``_wolfe`` accepts, or None when it fails."""
 
     def phi(alpha):
-        trial = point(v + alpha * d)
+        trial = evaluate(v + alpha * d)
         return (
             -trial.theta,
             float(-trial.grad @ d),
@@ -255,43 +290,33 @@ def _line_search(point, v, d, at):
 # the ascent loop shared by the three engines
 
 
-class _Point(NamedTuple):
-    """theta at one dual vector, with the engine's stopping residual, the
-    primal candidate x, the gradient and (for Newton) the Jacobian infos."""
-
-    theta: float
-    residual: float
-    x: np.ndarray
-    grad: np.ndarray
-    infos: list | None = None
-
-
-def _ascend(problem, tol, max_iter, v, point, step, record_iterates=False):
+def _ascend(ws, tol, max_iter, v, step, record_iterates=False):
     """Maximize theta from the dual vector v: the loop of every engine here.
 
-    ``point(v)`` evaluates theta at v; ``step(v, at)``, with at = point(v),
-    makes one ascent step and returns the next (v, point), or None when its
-    line search fails.  Stops when the residual is at most ``tol`` (default
-    ``problem.default_tol()``), the start point included, or after
-    ``max_iter >= 0`` steps; 0 evaluates theta at the start only.  Returns
-    (v, point, report) with the status, iterations, primal residual,
-    objective, wall time and, if ``record_iterates``, every x visited.
+    ``ws.eval`` evaluates theta and counts the evaluation; ``step(v, at)``,
+    with at = ws.eval(v), makes one ascent step and returns the next
+    (v, point), or None when its line search fails.  Stops when the residual is at most
+    ``tol`` (default ``problem.default_tol()``), the start point included,
+    or after ``max_iter >= 0`` steps; 0 evaluates theta at the start only.
+    Returns (v, x, report): the last dual vector, its primal candidate as a
+    BlockPoint, and the status, iterations, primal residual, objective,
+    wall time and, if ``record_iterates``, every x visited.
     """
     max_iter = _check_cap(
         max_iter, "max_iter", 0, f"max_iter must be nonnegative, got {max_iter}"
     )
-    tol = problem.default_tol() if tol is None else float(tol)
+    tol = ws.default_tol if tol is None else float(tol)
     report = SolveReport()
     start = time.perf_counter()
     # on data near the scale bound, theta, the curvature test and the
     # slopes can overflow; the Wolfe search refuses a non-finite f and
     # regsolver._outer_loop ends a run whose residual is not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        at = point(v)
+        at = ws.eval(v)
         for k in range(max_iter + 1):
             if record_iterates:
                 report.iterate_history.append(
-                    BlockPoint.from_vector(problem.cone, at.x)
+                    BlockPoint.from_vector(ws.cone, at.x)
                 )
             report.iterations = k
             if at.residual <= tol:
@@ -308,7 +333,7 @@ def _ascend(problem, tol, max_iter, v, point, step, record_iterates=False):
     report.primal_residual = at.residual
     report.objective = at.theta
     report.wall_time = time.perf_counter() - start
-    return v, at, report
+    return v, BlockPoint.from_vector(ws.cone, at.x), report
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +359,14 @@ def solve_fixed_metric(
     ws = _Workspace(problem)
     fact = problem.eq.gram
 
-    def point(y):
-        theta, g, _, x, _ = ws.eval(y)
-        return _Point(theta, float(np.linalg.norm(g)), x, g)
-
     def step(y, at):
         y = y + fact.solve(at.grad)
-        return y, point(y)
+        return y, ws.eval(y)
 
     y = np.zeros(problem.m_eq) if y0 is None else np.array(y0, dtype=float)
-    y, at, report = _ascend(
-        problem, tol, max_iter, y, point, step, record_iterates
-    )
+    y, x, report = _ascend(ws, tol, max_iter, y, step, record_iterates)
     report.inner_iterations = report.iterations
-    xbp = BlockPoint.from_vector(problem.cone, at.x)
-    return xbp, DualPoint(y, np.zeros(0)), report
+    return x, DualPoint(y, np.zeros(0)), report
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +406,6 @@ class _Lbfgs:
         return q
 
 
-def _kkt_residual(gy, gz, z):
-    if gz is None or gz.size == 0:
-        return float(np.linalg.norm(gy))
-    # projected-gradient residual on the nonnegative multipliers
-    zres = z - np.maximum(z + gz, 0.0)
-    return float(np.sqrt(np.linalg.norm(gy) ** 2 + np.linalg.norm(zres) ** 2))
-
-
 def solve_quasi_newton(
     problem: ProjectionProblem,
     tol: float | None = None,
@@ -413,15 +423,6 @@ def solve_quasi_newton(
     ws = _Workspace(problem)
     me, mi = problem.m_eq, problem.m_ineq
     model = _Lbfgs(carry_state.get("pairs") if carry_state else None)
-    evals = 0
-
-    def point(v):
-        nonlocal evals
-        evals += 1
-        z = v[me:] if mi else None
-        theta, gy, gz, x, _ = ws.eval(v[:me], z)
-        g = np.concatenate([gy, gz]) if mi else gy
-        return _Point(theta, _kkt_residual(gy, gz, z), x, g)
 
     def step(v, at):
         nonlocal model
@@ -430,7 +431,7 @@ def solve_quasi_newton(
         if float(gf @ d) >= 0.0:  # stale curvature; restart from steepest ascent
             model = _Lbfgs()
             d = -gf
-        found = _line_search(point, v, d, at)
+        found = _line_search(ws.eval, v, d, at)
         if found is None:
             return None
         v_new, new, fallback = found
@@ -440,20 +441,19 @@ def solve_quasi_newton(
             zc = np.maximum(v_new[me:], 0.0)
             if np.any(zc != v_new[me:]):
                 v_new = np.concatenate([v_new[:me], zc])
-                return v_new, point(v_new)
+                return v_new, ws.eval(v_new)
         model.push(v_new - v, -new.grad - gf)
         return v_new, new
 
     v = np.zeros(me + mi)
     if y0 is not None:
         v[:me] = np.asarray(y0, dtype=float)
-    v, at, report = _ascend(problem, tol, max_iter, v, point, step)
+    v, x, report = _ascend(ws, tol, max_iter, v, step)
     if carry_state is not None:
         carry_state["pairs"] = model.pairs
-    report.inner_iterations = evals
-    xbp = BlockPoint.from_vector(problem.cone, at.x)
+    report.inner_iterations = ws.evals
     dp = DualPoint(v[:me], np.maximum(v[me:], 0.0) if mi else np.zeros(0))
-    return xbp, dp, report
+    return x, dp, report
 
 
 # ---------------------------------------------------------------------------
@@ -519,13 +519,7 @@ def solve_ssnewton(
         raise InputError("semismooth Newton handles equality constraints only")
     ws = _Workspace(problem)
     m = problem.m_eq
-    evals = cg_iters = fallbacks = 0
-
-    def point(y):
-        nonlocal evals
-        evals += 1
-        theta, g, _, x, infos = ws.eval(y)
-        return _Point(theta, float(np.linalg.norm(g)), x, g, infos)
+    cg_iters = fallbacks = 0
 
     def step(y, at):
         nonlocal cg_iters, fallbacks
@@ -544,15 +538,14 @@ def solve_ssnewton(
         if float(g @ d) <= 1e-14 * gnorm * max(np.linalg.norm(d), 1e-300):
             d = g
             fallbacks += 1
-        found = _line_search(point, y, d, at)
+        found = _line_search(ws.eval, y, d, at)
         return None if found is None else found[:2]
 
     y = np.zeros(m) if y0 is None else np.array(y0, dtype=float)
-    y, at, report = _ascend(problem, tol, max_iter, y, point, step)
-    report.inner_iterations = cg_iters or evals  # evals if no CG pass ran
+    y, x, report = _ascend(ws, tol, max_iter, y, step)
+    report.inner_iterations = cg_iters or ws.evals  # evals if no CG pass ran
     report.gradient_fallbacks = fallbacks
-    xbp = BlockPoint.from_vector(problem.cone, at.x)
-    return xbp, DualPoint(y, np.zeros(0)), report
+    return x, DualPoint(y, np.zeros(0)), report
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +558,6 @@ def correlation_problem(c) -> ProjectionProblem:
     c = symmetrize(np.asarray(c, dtype=float))
     n = c.shape[0]
     cone = ConeSpec(psd_dims=(n,))
-    import scipy.sparse as sp
-
     diag_flat = np.arange(n) * n + np.arange(n)
     mat = sp.csr_matrix(
         (np.ones(n), (np.arange(n), diag_flat)), shape=(n, n * n)

@@ -22,8 +22,9 @@ class SolveReport:
     is requested (``solve_fixed_metric`` and ``dykstra``).
 
     ``inner_iterations`` sums the inner solver's iterations.  The dual
-    engines, which share the ascent loop ``dualproj._ascend``, count steps
-    (``solve_fixed_metric``), evaluations of theta
+    engines, which share the ascent loop ``dualproj._ascend`` and the
+    evaluation of theta ``dualproj._Workspace.eval`` with its count, report
+    steps (``solve_fixed_metric``), evaluations of theta
     (``solve_quasi_newton``), or CG iterations (``solve_ssnewton``, or its
     evaluations of theta when no CG pass ran).  For ``solve_simple`` it
     counts evaluations of the sweep map, that is, cone projections; there

@@ -369,7 +369,7 @@ def _reference_fixed_metric(
     x = None
     gnorm = np.inf
     for k in range(max_iter + 1):
-        theta, g, _, x, _ = ws.eval(y)
+        theta, _, x, g, _ = ws.eval(y)
         gnorm = float(np.linalg.norm(g))
         if record_iterates:
             report.iterate_history.append(
@@ -419,10 +419,8 @@ def _reference_quasi_newton(
     def fg(vec):
         nonlocal evals
         evals += 1
-        y = vec[:me]
-        z = vec[me:] if mi else None
-        theta, gy, gz, x, _ = ws.eval(y, z)
-        g = np.concatenate([gy, gz]) if mi else gy
+        theta, _, x, g, _ = ws.eval(vec)
+        gy, gz = g[:me], (g[me:] if mi else None)
         return -theta, -g, (theta, gy, gz, x)
 
     report = SolveReport()
@@ -519,7 +517,8 @@ def _reference_ssnewton(
     def fg(yv):
         nonlocal evals
         evals += 1
-        return ws.eval(yv)
+        theta, _, x, g, infos = ws.eval(yv)
+        return theta, g, None, x, infos
 
     status = ITERATION_LIMIT
     theta, g, _, x, infos = fg(y)
