@@ -545,15 +545,18 @@ class _WarmState:
     the one place where the block's route is chosen (:meth:`project`).
 
     A state is owned by one solve (``regsolver._sweep`` makes one per PSD
-    block) and never shared: :meth:`project` updates it in place at every
-    projection of its block.  ``rank`` is the number of positive
-    eigenvalues at the previous projection (None before the first), the
-    hint of the partial route.  ``basis`` is the eigenbasis V of the
-    block's last full decomposition, positive side first, kept when the
-    order is at least ``_WARM_MIN_ORDER`` and 0 < rank < order (else None),
-    and ``riccati`` the last Riccati solution Z relative to V.
-    ``failures`` counts consecutive failed warm attempts and ``wait`` the
-    projections still to pass before the next attempt.
+    block) and never shared.  :meth:`project` is its one writer: it
+    updates every slot but ``tol`` in place at every projection of its
+    block, and the kernels it calls only read the state.  ``rank`` is the
+    number of positive eigenvalues at the previous projection (None
+    before the first), the hint of the partial route.  ``basis`` is the
+    eigenbasis V of the block's last full decomposition, positive side
+    first, kept when the order is at least ``_WARM_MIN_ORDER`` and
+    0 < rank < order (else None), and ``riccati`` the last Riccati
+    solution Z relative to V.  ``failures`` counts consecutive failed warm
+    attempts and ``wait`` the projections still to pass before the next
+    attempt: after f consecutive failures the next attempt waits 2^f - 1
+    projections, and a success clears the count.
 
     ``tol`` is set by the owner: the Frobenius error that a warm
     projection of the block may make (0, the default, runs the Jacobi
@@ -581,7 +584,8 @@ class _WarmState:
            when the previous projection kept at most
            1/_PARTIAL_RANK_FRACTION of the order positive;
         2. the warm update of the basis (:func:`_project_psd_warm`) when
-           one is held and no back-off is pending;
+           one is held and no back-off is pending; a success keeps its Z
+           and error bound, a failure sets the back-off;
         3. else, and when the warm route fails, the full decomposition of
            :func:`project_psd`, whose rank and (on a large enough block)
            basis the state takes, with Z restarting at zero.
@@ -603,9 +607,13 @@ class _WarmState:
                 self.wait -= 1
             else:
                 m = _symmetric_input(m)
-                x = _project_psd_warm(m, self)
-                if x is not None:
+                out = _project_psd_warm(m, self)
+                if out is not None:
+                    x, self.riccati, self.error = out
+                    self.failures = 0
                     return x, None
+                self.failures += 1
+                self.wait = 2**self.failures - 1
         x, dec = project_psd(m)
         w, z = dec.raw_values, dec.raw_vectors
         self.rank = r = int(np.count_nonzero(w > 0.0))  # ascending: positives last
@@ -616,10 +624,15 @@ class _WarmState:
         return x, dec
 
 
-def _project_psd_warm(msym: np.ndarray, state: _WarmState) -> np.ndarray | None:
+def _project_psd_warm(
+    msym: np.ndarray, state: _WarmState
+) -> tuple[np.ndarray, np.ndarray, float] | None:
     """Projection onto the PSD cone from the eigenbasis V of an earlier
-    decomposition (Stewart, SIAM Review 15, 1973), or None when it cannot
-    be certified.  ``msym`` must have passed :func:`_symmetric_input`.
+    decomposition (Stewart, SIAM Review 15, 1973): (x, Z, sqrt(2) ||R||_F),
+    or None when it cannot be certified.  ``msym`` must have passed
+    :func:`_symmetric_input`.  The kernel reads ``state.basis``,
+    ``state.rank``, ``state.riccati`` and ``state.tol`` and writes nothing:
+    :meth:`_WarmState.project` keeps what it returns.
 
     With r = ``state.rank``, B = V'MV splits into blocks B11 (r x r, the
     previous positive side), B12 = B21' and B22.  The columns of
@@ -638,37 +651,20 @@ def _project_psd_warm(msym: np.ndarray, state: _WarmState) -> np.ndarray | None:
     of a matrix within sqrt(2) ||R||_F of M: Y2'BY1 = R, so the coupling
     that it drops between span U and its complement has norm at most
     ||R||_F, and the projection is nonexpansive.  So the result is in the
-    cone whatever the tolerance, M minus it lies within sqrt(2) ||R||_F
-    of the polar cone, and that bound is left in ``state.error``.
+    cone whatever the tolerance, and M minus it lies within
+    sqrt(2) ||R||_F of the polar cone.
 
     The attempt gives up at once when diag(B) no longer splits as r
     positive entries then n - r negative ones, and fails when a step does
     not lower max |R| (which also stops a diverging iteration before it
     overflows), when the steps run out, or when a certificate is refused.
-    A failure sets a back-off: after f consecutive failures the next
-    attempt waits 2^f - 1 projections.  A success keeps Z for the next
-    attempt and clears the count.  V itself changes only with a full
-    decomposition.
     """
     v, r = state.basis, state.rank
     b = v.T @ (msym @ v)
     diag = b.diagonal()
     d1, d2 = diag[:r], diag[r:]
-    out = None
-    if (d1 > 0.0).all() and (d2 < 0.0).all():
-        out = _riccati_projection(b, v, r, d1, d2, state)
-    if out is None:
-        state.failures += 1
-        state.wait = 2**state.failures - 1
+    if not ((d1 > 0.0).all() and (d2 < 0.0).all()):
         return None
-    x, state.riccati, state.error = out
-    state.failures = 0
-    return x
-
-
-def _riccati_projection(b, v, r, d1, d2, state):
-    """The steps and certificates of :func:`_project_psd_warm` on
-    B = V'MV; returns (projection, Z, sqrt(2) ||R||_F), or None."""
     lapack = scipy.linalg.lapack
     floor = 1e-15 * max(d1.max(), -d2.min())
     denom = np.subtract.outer(d2, d1)

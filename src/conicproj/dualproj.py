@@ -155,12 +155,10 @@ class _Workspace:
         self.evals = 0
 
     def eval(self, v) -> _Point:
-        """theta at the stacked dual vector v = (y, z), z present only when
-        there are inequality rows; the residual is ``_kkt_residual``'s."""
+        """theta at the stacked dual vector v = (y, z), z empty without
+        inequality rows; the residual is ``_kkt_residual``'s."""
         self.evals += 1
-        # without inequality rows all of v is y, so that adjoint_vec
-        # refuses a v of the wrong length
-        me = self.eq.m if self.ineq is not None else v.size
+        me = self.eq.m
         y, z = v[:me], v[me:]
         s = self.eq.adjoint_vec(y)
         if z.size:
@@ -290,21 +288,30 @@ def _line_search(evaluate, v, d, at):
 # the ascent loop shared by the three engines
 
 
-def _ascend(ws, tol, max_iter, v, step, record_iterates=False):
-    """Maximize theta from the dual vector v: the loop of every engine here.
+def _ascend(ws, tol, max_iter, y0, step, record_iterates=False):
+    """Maximize theta from v = (y0, 0), y0 None for 0 and else of shape
+    (m_eq,) (InputError otherwise): the loop of every engine here.
 
     ``ws.eval`` evaluates theta and counts the evaluation; ``step(v, at)``,
     with at = ws.eval(v), makes one ascent step and returns the next
     (v, point), or None when its line search fails.  Stops when the residual is at most
     ``tol`` (default ``problem.default_tol()``), the start point included,
     or after ``max_iter >= 0`` steps; 0 evaluates theta at the start only.
-    Returns (v, x, report): the last dual vector, its primal candidate as a
-    BlockPoint, and the status, iterations, primal residual, objective,
-    wall time and, if ``record_iterates``, every x visited.
+    Returns (x, dual point, report): the last v's primal candidate as a
+    BlockPoint, v as a DualPoint with z clamped to the orthant, and the
+    status, iterations, primal residual, objective, wall time and, if
+    ``record_iterates``, every x visited.
     """
     max_iter = _check_cap(
         max_iter, "max_iter", 0, f"max_iter must be nonnegative, got {max_iter}"
     )
+    me = ws.eq.m
+    v = np.zeros(me + (ws.ineq.m if ws.ineq is not None else 0))
+    if y0 is not None:
+        y0 = np.asarray(y0, dtype=float)
+        if y0.shape != (me,):
+            raise InputError(f"vector shape {y0.shape} != ({me},)")
+        v[:me] = y0
     tol = ws.default_tol if tol is None else float(tol)
     report = SolveReport()
     start = time.perf_counter()
@@ -333,7 +340,8 @@ def _ascend(ws, tol, max_iter, v, step, record_iterates=False):
     report.primal_residual = at.residual
     report.objective = at.theta
     report.wall_time = time.perf_counter() - start
-    return v, BlockPoint.from_vector(ws.cone, at.x), report
+    dual = DualPoint(v[:me], np.maximum(v[me:], 0.0))
+    return BlockPoint.from_vector(ws.cone, at.x), dual, report
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +371,9 @@ def solve_fixed_metric(
         y = y + fact.solve(at.grad)
         return y, ws.eval(y)
 
-    y = np.zeros(problem.m_eq) if y0 is None else np.array(y0, dtype=float)
-    y, x, report = _ascend(ws, tol, max_iter, y, step, record_iterates)
+    x, dual, report = _ascend(ws, tol, max_iter, y0, step, record_iterates)
     report.inner_iterations = report.iterations
-    return x, DualPoint(y, np.zeros(0)), report
+    return x, dual, report
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +452,11 @@ def solve_quasi_newton(
         model.push(v_new - v, -new.grad - gf)
         return v_new, new
 
-    v = np.zeros(me + mi)
-    if y0 is not None:
-        v[:me] = np.asarray(y0, dtype=float)
-    v, x, report = _ascend(ws, tol, max_iter, v, step)
+    x, dual, report = _ascend(ws, tol, max_iter, y0, step)
     if carry_state is not None:
         carry_state["pairs"] = model.pairs
     report.inner_iterations = ws.evals
-    dp = DualPoint(v[:me], np.maximum(v[me:], 0.0) if mi else np.zeros(0))
-    return x, dp, report
+    return x, dual, report
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +544,10 @@ def solve_ssnewton(
         found = _line_search(ws.eval, y, d, at)
         return None if found is None else found[:2]
 
-    y = np.zeros(m) if y0 is None else np.array(y0, dtype=float)
-    y, x, report = _ascend(ws, tol, max_iter, y, step)
+    x, dual, report = _ascend(ws, tol, max_iter, y0, step)
     report.inner_iterations = cg_iters or ws.evals  # evals if no CG pass ran
     report.gradient_fallbacks = fallbacks
-    return x, DualPoint(y, np.zeros(0)), report
+    return x, dual, report
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +637,11 @@ def nearest_correlation(
 
 
 def rescale_correlation(x) -> np.ndarray:
-    """Exact-unit-diagonal post treatment D^{-1/2} X D^{-1/2}, D = diag(X)."""
+    """Exact-unit-diagonal post treatment D^{-1/2} X D^{-1/2}, D = diag(X);
+    X must be a square matrix, else InputError."""
     x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {x.shape}")
     d = np.diag(x)
     if np.any(d <= 0):
         bad = int(np.argmax(d <= 0))

@@ -165,8 +165,10 @@ class MonomialBasis:
         return len(self.exponents)
 
     def evaluate(self, v) -> np.ndarray:
-        """The monomial vector pi(v)."""
+        """The monomial vector pi(v); v must have ``num_vars`` coordinates."""
         v = np.asarray(v, dtype=float)
+        if v.shape != (self.num_vars,):
+            raise InputError(f"point must have {self.num_vars} coordinates")
         return np.array(
             [float(np.prod(v ** np.array(a))) for a in self.exponents]
         )
@@ -431,14 +433,20 @@ def structured_polymin_instance(num_vars: int) -> Polynomial:
 # certificates
 
 
-def expand_gram(x, basis: MonomialBasis) -> Polynomial:
-    """The polynomial pi(v)' X pi(v) with coefficients collected by monomial:
-    the Gram identification map A of :func:`_sos_system` applied to vec(X),
-    one coefficient per monomial of the degree-2d basis."""
+def _gram_matrix(x, basis: MonomialBasis) -> np.ndarray:
+    """``x`` as a float array; InputError unless it is len(basis) square."""
     x = np.asarray(x, dtype=float)
     n = len(basis)
     if x.shape != (n, n):
         raise InputError(f"Gram matrix shape {x.shape} != ({n}, {n})")
+    return x
+
+
+def expand_gram(x, basis: MonomialBasis) -> Polynomial:
+    """The polynomial pi(v)' X pi(v) with coefficients collected by monomial:
+    the Gram identification map A of :func:`_sos_system` applied to vec(X),
+    one coefficient per monomial of the degree-2d basis."""
+    x = _gram_matrix(x, basis)
     _, _, basis2, mat = _sos_system(basis.num_vars, basis.degree)
     return Polynomial(basis.num_vars, dict(zip(basis2.exponents, mat @ x.ravel())))
 
@@ -448,9 +456,10 @@ def extract_certificate(x, basis: MonomialBasis) -> list:
 
     Spectral factorization X = sum_k lam_k u_k u_k', q_k = sqrt(lam_k) u_k'pi.
     Slightly negative eigenvalues (within 1e-8 ||X||) are clamped with a
-    warning; anything below that raises.
+    warning; anything below that raises, and so does a Gram matrix whose
+    order is not ``len(basis)``.
     """
-    x = np.asarray(x, dtype=float)
+    x = _gram_matrix(x, basis)
     dec = eig_sym(x)
     lam = dec.eigenvalues
     scale = max(float(np.linalg.norm(x)), 1e-300)

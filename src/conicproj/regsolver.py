@@ -533,8 +533,10 @@ def _sweep(problem: LinearConicProblem):
     ``_WarmState.project`` is the one place where the block's route is
     chosen: partial spectrum by the rank of the previous projection, warm
     update from the eigenbasis of the last full decomposition, or full
-    decomposition.  The sweep keeps no buffers: every array a step
-    returns is fresh.
+    decomposition.  ``project`` writes every slot of its state but
+    ``tol``, which ``project_step`` sets before each projection and
+    nothing else writes; ``project_step`` reads ``error`` back.  The
+    sweep keeps no buffers: every array a step returns is fresh.
 
     The sweep is inexact ADMM on the dual, which converges when the error
     of each step is bounded and summable (Eckstein-Bertsekas, Math. Prog.

@@ -509,7 +509,32 @@ class TestWarmRoute:
         assert cones._project_psd_warm(m, state) is None
         monkeypatch.undo()
         assert products[0] == 2 * 2  # R at Z = 0 and after one step
+        # the state's owner counts the failure and sets the back-off
+        state.project(m)
         assert (state.failures, state.wait) == (1, 1)
+
+    def test_the_kernel_only_reads_its_state(self, monkeypatch):
+        # a success and the failures of the inertia test and of the step
+        # cap alike leave every slot as it was: _WarmState.project is the
+        # one writer of the state
+        inputs = _theta_sweep_inputs(400)
+        state = cones._WarmState()
+        self._project(inputs[-2], state)
+        state.tol = 1e-9 * np.linalg.norm(inputs[-1])
+        state.failures, state.error = 2, 0.5
+        state.basis.setflags(write=False)
+        state.riccati.setflags(write=False)
+        before = {name: getattr(state, name) for name in state.__slots__}
+        for m, steps, succeeds in (
+            (inputs[-1], 8, True),
+            (-inputs[-1], 8, False),
+            (inputs[-1], 0, False),
+        ):
+            monkeypatch.setattr(cones, "_WARM_MAX_STEPS", steps)
+            out = cones._project_psd_warm(m, state)
+            assert (out is not None) == succeeds
+            for name, value in before.items():
+                assert getattr(state, name) is value, name
 
 
 def _same_bits(a, b):

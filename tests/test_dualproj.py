@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -237,6 +238,37 @@ class TestSolvers:
             solve_fixed_metric(prob)
         with pytest.raises(InputError):
             solve_ssnewton(prob)
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (1, 3)])
+    @pytest.mark.parametrize(
+        "solve", [solve_fixed_metric, solve_quasi_newton, solve_ssnewton],
+        ids=["solve_fixed_metric", "solve_quasi_newton", "solve_ssnewton"],
+    )
+    def test_start_vector_of_the_wrong_shape_refused(self, solve, shape):
+        # one message from every engine, and no broadcasting of (1, 3)
+        prob = correlation_problem(np.eye(3))
+        with pytest.raises(InputError, match=re.escape(f"{shape} != (3,)")):
+            solve(prob, y0=np.zeros(shape))
+
+    def test_quasi_newton_start_vector_with_inequality_rows(self):
+        # y0 is the y part of the start alone and z starts at zero: one
+        # evaluation at y = 0.5 gives x = P_K(0.5 (1, 1))
+        cone = ConeSpec(nonneg=2)
+        eq = AffineMap(cone, sp.csr_matrix(np.array([[1.0, 1.0]])), [2.0])
+        ineq = AffineMap(cone, sp.csr_matrix(np.array([[1.0, 0.0]])), [1.5])
+        prob = ProjectionProblem(
+            c=BlockPoint.zeros(cone), eq=eq, cone=cone, ineq=ineq
+        )
+        for y0 in ([0.5, 0.0], np.zeros((1, 1))):
+            with pytest.raises(InputError, match=r"vector shape \(.*\) != \(1,\)"):
+                solve_quasi_newton(prob, y0=y0)
+        x, d, rep = solve_quasi_newton(prob, max_iter=0, y0=[0.5])
+        assert np.array_equal(x.blocks[0], [0.5, 0.5])
+        assert (d.y.tolist(), d.z.tolist()) == ([0.5], [0.0])
+        x, d, rep = solve_quasi_newton(prob, tol=1e-10, max_iter=2000, y0=[0.5])
+        assert rep.converged()
+        assert np.allclose(x.blocks[0], [1.5, 0.5], atol=1e-7)
+        assert d.z.shape == (1,) and d.z[0] > 0.0
 
     @pytest.mark.parametrize(
         "solve", [solve_fixed_metric, solve_quasi_newton, solve_ssnewton],
@@ -982,3 +1014,11 @@ class TestRescaleCorrelation:
     def test_nonpositive_diagonal_rejected(self):
         with pytest.raises(InputError):
             rescale_correlation(np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "x", [np.ones(3), np.ones((2, 3)), np.ones((1, 2, 2)), 1.0]
+    )
+    def test_non_square_input_rejected(self, x):
+        shape = np.shape(x)
+        with pytest.raises(InputError, match=re.escape(f"got shape {shape}")):
+            rescale_correlation(x)

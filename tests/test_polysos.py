@@ -90,6 +90,14 @@ class TestMonomials:
             chunk = [a for a in b.exponents if sum(a) == d]
             assert chunk == sorted(chunk)
 
+    @pytest.mark.parametrize("point", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+    def test_monomial_vector_needs_one_coordinate_per_variable(self, point):
+        # pi(v) = (1, v2, v1) in graded lexicographic order
+        basis = monomials_upto(2, 1)
+        with pytest.raises(InputError, match="must have 2 coordinates"):
+            basis.evaluate(point)
+        assert basis.evaluate([2.0, 3.0]).tolist() == [1.0, 3.0, 2.0]
+
     def test_cap_guard(self):
         with pytest.raises(InputError):
             monomials_upto(30, 30)
@@ -434,6 +442,17 @@ class TestCertificates:
         with pytest.warns(UserWarning):
             qs = extract_certificate(x, basis)
         assert len(qs) == 1
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_gram_matrix_of_the_wrong_order_refused(self, order):
+        # the basis of monomials_upto(2, 1) has 3 elements: a smaller Gram
+        # matrix is not truncated into factors, nor a larger one padded
+        basis = monomials_upto(2, 1)
+        for helper in (extract_certificate, expand_gram):
+            with pytest.raises(
+                InputError, match=re.escape(f"({order}, {order}) != (3, 3)")
+            ):
+                helper(np.eye(order), basis)
 
     def test_expand_gram_matches_apply(self):
         r = rng(61)
