@@ -20,8 +20,9 @@ equal to Dykstra's alternating projections), a limited-memory quasi-Newton
 method with weak Wolfe line search, and a semismooth Newton-CG method using
 one element of the Clarke generalized Jacobian of the cone projection, its
 CG preconditioned by [AA^T]^{-1}.  All three run on one loop, ``_ascend``,
-and evaluate theta through one workspace, ``_Workspace.eval``, which also
-counts the evaluations; each engine supplies only its step.
+and one workspace, ``_Workspace``, which stacks A_E over A_I once: its
+``start`` checks every dual vector (y, z) handed in and its ``eval`` is
+the one counted evaluation of theta; each engine supplies only its step.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class DualPoint:
     def __post_init__(self):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
-        if self.z.size and np.min(self.z) < 0:
+        if not (self.z >= 0).all():
             raise InputError("inequality multipliers must be nonnegative")
 
 
@@ -139,41 +140,50 @@ class _Point(NamedTuple):
 class _Workspace:
     """Raw-vector view of a ProjectionProblem for the solver hot paths.
 
-    ``eval`` is the one evaluation of theta for the three engines, and
-    ``evals`` counts its calls.
+    ``rows`` stacks the equality rows over the inequality rows, with their
+    right-hand sides, for the stacked dual vector v = (y, z); without
+    inequality rows it is ``problem.eq`` itself.  ``start`` checks every
+    dual vector handed in, ``eval`` is the one evaluation of theta for the
+    three engines, and ``evals`` counts its calls.
     """
 
     def __init__(self, problem: ProjectionProblem):
         self.cone = problem.cone
         self.c_vec = problem.c.ravel()
         self.c_sq = float(self.c_vec @ self.c_vec)
-        self.eq = problem.eq
-        self.ineq = problem.ineq
-        self.b_eq = problem.eq.rhs
-        self.b_ineq = problem.ineq.rhs if problem.ineq is not None else None
+        self.eq = self.rows = problem.eq
+        if problem.m_ineq:  # both maps were checked when they were built
+            mat = sp.vstack([problem.eq.matrix, problem.ineq.matrix])
+            rhs = np.concatenate([problem.eq.rhs, problem.ineq.rhs])
+            self.rows = AffineMap(problem.cone, mat, rhs, check=False)
         self.default_tol = problem.default_tol()
         self.evals = 0
 
-    def eval(self, v) -> _Point:
-        """theta at the stacked dual vector v = (y, z), z empty without
-        inequality rows; the residual is ``_kkt_residual``'s."""
-        self.evals += 1
+    def start(self, y=None, z=None) -> np.ndarray:
+        """The stacked dual vector (y, z), a part that is None zero; a given
+        part needs the shape (k,) of its k rows and finite entries."""
         me = self.eq.m
-        y, z = v[:me], v[me:]
-        s = self.eq.adjoint_vec(y)
-        if z.size:
-            s = s + self.ineq.adjoint_vec(z)
-        x, infos = _project_ambient(self.cone, self.c_vec + s)
-        theta = float(self.b_eq @ y)
-        if z.size:
-            theta += float(self.b_ineq @ z)
-        theta += (self.c_sq - float(x @ x)) / 2.0
-        gy = self.b_eq - self.eq.apply_vec(x)
-        if not z.size:
-            return _Point(theta, _kkt_residual(gy, None, None), x, gy, infos)
-        gz = self.b_ineq - self.ineq.apply_vec(x)
-        grad = np.concatenate([gy, gz])
-        return _Point(theta, _kkt_residual(gy, gz, z), x, grad, infos)
+        v = np.zeros(self.rows.m)
+        for part, given in ((v[:me], y), (v[me:], z)):
+            given = part if given is None else np.asarray(given, dtype=float)
+            if given.shape != part.shape:
+                raise InputError(f"vector shape {given.shape} != ({part.size},)")
+            if not np.all(np.isfinite(given)):
+                raise InputError("dual point has non-finite entries")
+            part[:] = given
+        return v
+
+    def eval(self, v) -> _Point:
+        """theta at the stacked dual vector v = (y, z): x = P_K(c + rows'v),
+        theta = rows.rhs'v + (||c||^2 - ||x||^2) / 2 and grad = rows.rhs -
+        rows x; the residual is ``_kkt_residual``'s."""
+        self.evals += 1
+        rows, me = self.rows, self.eq.m
+        x, infos = _project_ambient(self.cone, self.c_vec + rows.adjoint_vec(v))
+        theta = float(rows.rhs @ v) + (self.c_sq - float(x @ x)) / 2.0
+        grad = rows.rhs - rows.apply_vec(x)
+        residual = _kkt_residual(grad[:me], grad[me:], v[me:])
+        return _Point(theta, residual, x, grad, infos)
 
 
 def _kkt_residual(gy, gz, z):
@@ -185,18 +195,11 @@ def _kkt_residual(gy, gz, z):
 
 
 def eval_theta(problem: ProjectionProblem, d: DualPoint) -> DualEval:
-    """Evaluate the dual function, its gradient and the primal candidate."""
+    """Evaluate the dual function, its gradient and the primal candidate
+    at d, which ``_Workspace.start`` checks (InputError)."""
     ws = _Workspace(problem)
+    at = ws.eval(ws.start(d.y, d.z))
     me = problem.m_eq
-    y = np.asarray(d.y, dtype=float)
-    z = np.asarray(d.z, dtype=float) if problem.ineq is not None else None
-    if y.size != problem.m_eq:
-        raise InputError(f"y has length {y.size}, expected {problem.m_eq}")
-    if problem.ineq is not None and z.size != problem.m_ineq:
-        raise InputError(f"z has length {z.size}, expected {problem.m_ineq}")
-    if not np.all(np.isfinite(y)) or (z is not None and not np.all(np.isfinite(z))):
-        raise InputError("dual point has non-finite entries")
-    at = ws.eval(np.concatenate([y, z]) if problem.m_ineq else y)
     return DualEval(
         theta=at.theta,
         grad_y=at.grad[:me],
@@ -289,14 +292,13 @@ def _line_search(evaluate, v, d, at):
 
 
 def _ascend(ws, tol, max_iter, y0, step, record_iterates=False):
-    """Maximize theta from v = (y0, 0), y0 None for 0 and else of shape
-    (m_eq,) (InputError otherwise): the loop of every engine here.
+    """Maximize theta from v = ws.start(y0): the loop of every engine here.
 
     ``ws.eval`` evaluates theta and counts the evaluation; ``step(v, at)``,
     with at = ws.eval(v), makes one ascent step and returns the next
-    (v, point), or None when its line search fails.  Stops when the residual is at most
-    ``tol`` (default ``problem.default_tol()``), the start point included,
-    or after ``max_iter >= 0`` steps; 0 evaluates theta at the start only.
+    (v, point), or None when its line search fails.  Stops when the residual
+    is at most ``tol >= 0`` (default ``problem.default_tol()``), the start
+    point included, or after ``max_iter >= 0`` steps (0: the start only).
     Returns (x, dual point, report): the last v's primal candidate as a
     BlockPoint, v as a DualPoint with z clamped to the orthant, and the
     status, iterations, primal residual, objective, wall time and, if
@@ -305,14 +307,10 @@ def _ascend(ws, tol, max_iter, y0, step, record_iterates=False):
     max_iter = _check_cap(
         max_iter, "max_iter", 0, f"max_iter must be nonnegative, got {max_iter}"
     )
-    me = ws.eq.m
-    v = np.zeros(me + (ws.ineq.m if ws.ineq is not None else 0))
-    if y0 is not None:
-        y0 = np.asarray(y0, dtype=float)
-        if y0.shape != (me,):
-            raise InputError(f"vector shape {y0.shape} != ({me},)")
-        v[:me] = y0
     tol = ws.default_tol if tol is None else float(tol)
+    if not tol >= 0:
+        raise InputError(f"tol must be nonnegative, got {tol}")
+    v = ws.start(y0)
     report = SolveReport()
     start = time.perf_counter()
     # on data near the scale bound, theta, the curvature test and the
@@ -340,6 +338,7 @@ def _ascend(ws, tol, max_iter, y0, step, record_iterates=False):
     report.primal_residual = at.residual
     report.objective = at.theta
     report.wall_time = time.perf_counter() - start
+    me = ws.eq.m
     dual = DualPoint(v[:me], np.maximum(v[me:], 0.0))
     return BlockPoint.from_vector(ws.cone, at.x), dual, report
 
@@ -428,7 +427,7 @@ def solve_quasi_newton(
     loop retain curvature pairs between restarts.
     """
     ws = _Workspace(problem)
-    me, mi = problem.m_eq, problem.m_ineq
+    me = problem.m_eq
     model = _Lbfgs(carry_state.get("pairs") if carry_state else None)
 
     def step(v, at):
@@ -444,11 +443,10 @@ def solve_quasi_newton(
         v_new, new, fallback = found
         if fallback:
             model = _Lbfgs()
-        if mi:
-            zc = np.maximum(v_new[me:], 0.0)
-            if np.any(zc != v_new[me:]):
-                v_new = np.concatenate([v_new[:me], zc])
-                return v_new, ws.eval(v_new)
+        zc = np.maximum(v_new[me:], 0.0)
+        if np.any(zc != v_new[me:]):
+            v_new = np.concatenate([v_new[:me], zc])
+            return v_new, ws.eval(v_new)
         model.push(v_new - v, -new.grad - gf)
         return v_new, new
 
@@ -638,13 +636,14 @@ def nearest_correlation(
 
 def rescale_correlation(x) -> np.ndarray:
     """Exact-unit-diagonal post treatment D^{-1/2} X D^{-1/2}, D = diag(X);
-    X must be a square matrix, else InputError."""
+    X must be square with a finite positive diagonal, else InputError."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise InputError(f"expected a square matrix, got shape {x.shape}")
     d = np.diag(x)
-    if np.any(d <= 0):
-        bad = int(np.argmax(d <= 0))
+    ok = np.isfinite(d) & (d > 0)
+    if not ok.all():
+        bad = int(np.argmin(ok))
         raise InputError(f"diagonal entry {bad} is {d[bad]:.3e}, must be > 0")
     scale = 1.0 / np.sqrt(d)
     out = x * np.outer(scale, scale)

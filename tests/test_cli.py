@@ -136,6 +136,11 @@ NEARCORR_1E200 = "1 1e200 0\n1e200 1 0\n0 0 1\n"
 SDPA_INF_F0 = "1\n2\n2 -2\n1.0\n0 2 1 1 inf\n1 1 1 1 1.0\n1 2 2 2 1.0\n"
 JSON_PROBLEM_NONNEG = '{"cone": {"nonneg": 2}, "eq": {"rows": [[[1, 1]]], "rhs": [1]}}'
 JSON_CENTER_1E200 = JSON_PROBLEM_NONNEG[:-1] + ', "center": [[1, 1e200]]}'
+# project (3, 0) onto {x >= 0: x1 + x2 = 1, x2 >= 0.5}: x = (0.5, 0.5),
+# y = -2.5, z = 3 and theta = 3.25
+JSON_PROBLEM_INEQ = JSON_PROBLEM_NONNEG[:-1] + (
+    ', "center": [[3, 0]], "ineq": {"rows": [[[0, 1]]], "rhs": [0.5]}}'
+)
 JSON_INF_CENTER = (
     '{"cone": {"nonneg": 2}, "center": [[1, Infinity]], '
     '"eq": {"rows": [[[1, 1]]], "rhs": [1]}}'
@@ -711,6 +716,33 @@ class TestSolveAndSolutions:
         x = np.array(json.loads(sol.read_text())["x"][0])
         assert abs(x[2] - 2.5) <= 1e-8
         assert np.linalg.norm(x[:2]) <= 2.5 + 1e-8
+
+    def test_project_json_with_inequalities(self, capsys, tmp_path):
+        prob = tmp_path / "p.json"
+        prob.write_text(JSON_PROBLEM_INEQ)
+        sol = tmp_path / "s.json"
+        code, rep = run(
+            capsys,
+            ["project", str(prob), "--method", "quasi_newton",
+             "--tol", "1e-10", "--solution-out", str(sol)],
+        )
+        assert code == 0 and rep["status"] == "converged"
+        assert abs(rep["theta"] - 3.25) <= 1e-9
+        data = json.loads(sol.read_text())
+        assert np.allclose(data["x"][0], [0.5, 0.5], atol=1e-9)
+        assert np.allclose(data["y"], [-2.5], atol=1e-9)
+        assert len(data["z"]) == 1 and data["z"][0] >= 0.0
+        assert np.allclose(data["z"], [3.0], atol=1e-9)
+
+    @pytest.mark.parametrize("method", ["fixed_metric", "ssnewton", "dykstra"])
+    def test_project_json_with_inequalities_equalities_only_method_is_4(
+        self, capsys, tmp_path, method
+    ):
+        err = _run_input_error(
+            capsys, tmp_path, "project", ("p.json", JSON_PROBLEM_INEQ),
+            ["--method", method],
+        )
+        assert "equalit" in err
 
     def test_project_sdpa_default_center_zero(self, capsys):
         code, rep = run(

@@ -20,8 +20,8 @@ from conicproj import (
     solve_quasi_newton,
     solve_ssnewton,
 )
-from conicproj import dualproj
-from conicproj.cones import cone_jacobian_apply
+from conicproj import altschemes, dualproj
+from conicproj.cones import _project_ambient, cone_jacobian_apply
 from conicproj.dualproj import (
     _kkt_residual,
     _Lbfgs,
@@ -62,6 +62,14 @@ def random_problem(r, with_ineq=False, max_psd=5, m_max=4):
     return ProjectionProblem(
         c=random_point(r, cone), eq=eq, cone=cone, ineq=ineq
     )
+
+
+def mixed_problem():
+    """Project 0 onto {x in R+^2: x1 + x2 = 2, x1 >= 1.5}: x = (1.5, 0.5)."""
+    cone = ConeSpec(nonneg=2)
+    eq = AffineMap(cone, sp.csr_matrix(np.array([[1.0, 1.0]])), [2.0])
+    ineq = AffineMap(cone, sp.csr_matrix(np.array([[1.0, 0.0]])), [1.5])
+    return ProjectionProblem(c=BlockPoint.zeros(cone), eq=eq, cone=cone, ineq=ineq)
 
 
 class TestEvalTheta:
@@ -148,6 +156,49 @@ class TestEvalTheta:
             eval_theta(prob, DualPoint(np.zeros(3), np.zeros(0)))
         with pytest.raises(InputError):
             eval_theta(prob, DualPoint(np.array([np.nan, 0.0]), np.zeros(0)))
+        # one start rule for every dual vector: a stray z on a problem
+        # without inequality rows, a z longer than those rows, an infinite y
+        for problem, y, z, message in (
+            (prob, np.zeros(2), np.zeros(2), "vector shape (2,) != (0,)"),
+            (mixed_problem(), np.zeros(1), np.zeros(2), "vector shape (2,) != (1,)"),
+            (prob, [0.0, np.inf], np.zeros(0), "non-finite"),
+        ):
+            with pytest.raises(InputError, match=re.escape(message)):
+                eval_theta(problem, DualPoint(y, z))
+
+    def test_stacked_rows_match_the_two_map_formula(self):
+        r = rng(25)
+        for _ in range(6):
+            prob = random_problem(r, with_ineq=True)
+            eq, ineq = prob.eq, prob.ineq
+            y = r.standard_normal(prob.m_eq)
+            z = np.abs(r.standard_normal(prob.m_ineq))
+            at = _Workspace(prob).eval(np.concatenate([y, z]))
+            c = prob.c.ravel()
+            x, _ = _project_ambient(
+                prob.cone, c + eq.adjoint_vec(y) + ineq.adjoint_vec(z)
+            )
+            theta = eq.rhs @ y + ineq.rhs @ z + (c @ c - x @ x) / 2.0
+            gy, gz = eq.rhs - eq.apply_vec(x), ineq.rhs - ineq.apply_vec(x)
+            scale = 1.0 + abs(theta)
+            assert abs(at.theta - theta) <= 1e-12 * scale
+            assert np.max(np.abs(at.x - x)) <= 1e-12 * scale
+            assert np.max(np.abs(at.grad - np.concatenate([gy, gz]))) <= 1e-12 * scale
+            assert abs(at.residual - _kkt_residual(gy, gz, z)) <= 1e-12 * scale
+
+    def test_equality_rows_are_the_problem_map(self):
+        prob = correlation_problem(C_2X2)
+        assert _Workspace(prob).rows is prob.eq
+        rows = _Workspace(mixed_problem()).rows
+        assert rows.matrix.toarray().tolist() == [[1.0, 1.0], [1.0, 0.0]]
+        assert rows.rhs.tolist() == [2.0, 1.5]
+
+
+class TestDualPoint:
+    @pytest.mark.parametrize("z", [[-1.0], [np.nan], [0.0, np.nan]])
+    def test_negative_or_nan_multiplier_refused(self, z):
+        with pytest.raises(InputError, match="must be nonnegative"):
+            DualPoint(np.zeros(1), np.array(z))
 
 
 class TestSolvers:
@@ -212,6 +263,30 @@ class TestSolvers:
         assert rep.converged()
         assert np.allclose(x.blocks[0], [1.0], atol=1e-8)
         assert np.isclose(d.z[0], 2.0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            solve_fixed_metric,
+            solve_quasi_newton,
+            solve_ssnewton,
+            altschemes.dykstra,
+            altschemes.admm_projection,
+            altschemes.alternating_projections,
+        ],
+        ids=lambda solve: solve.__name__,
+    )
+    def test_tolerance_must_be_nonnegative(self, solve):
+        g = rng(26).standard_normal((6, 6))
+        prob = correlation_problem(g + g.T)
+        if solve.__module__ == altschemes.__name__:
+            prob = altschemes.TwoSetProblem.from_projection(prob)
+        for tol in (np.nan, -1.0):
+            with pytest.raises(InputError, match="^tol must be nonnegative"):
+                solve(prob, tol=tol, max_iter=50)
+        # tol = 0 runs to the cap
+        rep = solve(prob, tol=0.0, max_iter=3)[-1]
+        assert rep.iterations == 3
 
     def test_quasi_newton_mixed_constraints(self):
         # project onto {x: x1 + x2 = 2, x1 >= 1.5, x in R+^2} from (0, 0):
@@ -1012,8 +1087,9 @@ class TestRescaleCorrelation:
         assert np.linalg.eigvalsh(out)[0] >= -1e-12
 
     def test_nonpositive_diagonal_rejected(self):
-        with pytest.raises(InputError):
-            rescale_correlation(np.diag([1.0, 0.0]))
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InputError, match="^diagonal entry 1 is"):
+                rescale_correlation(np.diag([1.0, bad]))
 
     @pytest.mark.parametrize(
         "x", [np.ones(3), np.ones((2, 3)), np.ones((1, 2, 2)), 1.0]
