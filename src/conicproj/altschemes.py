@@ -8,6 +8,7 @@ one loop, ``_iterate``; each scheme supplies only its update.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -57,13 +58,15 @@ def _iterate(cone, first, step, max_iter, tol, record_iterates=False):
 
     ``first`` is (x, primal, dual) before any iteration; ``step()`` makes
     one iteration and returns the same triple.  Stops when both residuals
-    are at most tol >= 0, or after max_iter >= 0 iterations, and returns x
-    as a ``BlockPoint`` with a report of the last residuals.
+    are at most tol, a real number >= 0, or after max_iter >= 0
+    iterations, and returns x as a ``BlockPoint`` with a report of the
+    last residuals.
     """
     max_iter = _check_cap(
         max_iter, "max_iter", 0, f"max_iter must be nonnegative, got {max_iter}"
     )
-    if not tol >= 0:
+    # None or a string would meet the comparison with a bare TypeError
+    if not (isinstance(tol, numbers.Real) and tol >= 0):
         raise InputError(f"tol must be nonnegative, got {tol}")
     start = time.perf_counter()
     report = SolveReport()

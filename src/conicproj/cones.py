@@ -507,36 +507,40 @@ def _project_psd_positive(c) -> tuple[np.ndarray, int]:
 # A PSD block of at least this order whose state holds the eigenbasis of an
 # earlier full decomposition is projected from that basis (the warm route
 # of _project_psd_warm) before any full decomposition is tried.  Measured
-# on a 2-vCPU Intel Xeon virtual machine with one OpenBLAS thread, along
-# whole sweeps (solve_simple; Motzkin SOS of degree d at its benchmark
-# tolerance, theta of G(n, 0.3) with adapt_t; at most 3000 sweeps), with
-# the route forced at every order and each input
-# also projected by project_psd back to back: medians per call in µs, and
-# the time of the routing (failures and back-off included) over that of
-# project_psd on the inputs that the partial route does not take:
+# on a 2-vCPU Intel Xeon (KVM) virtual machine with one OpenBLAS thread,
+# along whole sweeps of solve_simple with the route forced at every order
+# and the Jacobi steps stopped at the error the sweep allows
+# (_WarmState.tol): Motzkin SOS of degree d at the benchmark's outer_tol
+# 1e-5, theta of G(n, 0.3) with adapt_t at 1e-7, at most 3000 sweeps.
+# Each input the partial route does not take is also projected by
+# project_psd back to back.  Medians per call in µs, and the time of the
+# routing (failures and back-off included) over that of project_psd on
+# those inputs:
 #
 #     order  sweeps of      success  failure  project_psd  share
-#     36     Motzkin d=7      179      306       166       1.11
-#     45     Motzkin d=8      286      461       317       0.94
-#     45     theta            198      426       268       0.85
-#     55     Motzkin d=9      289      485       366       0.87
-#     55     theta            347      741       497       0.75
-#     66     Motzkin d=10     447      663       607       0.81
-#     66     theta            513     1112       760       0.72
-#     84     theta            645     1586      1117       0.65
-#     100    theta            770     1950      1419       0.65
-#     120    theta           1050     2544      1831       0.67
+#     21     Motzkin d=5       59        9         48       1.38
+#     28     Motzkin d=6       68       11         74       1.03
+#     36     Motzkin d=7       82       14        119       0.78
+#     45     Motzkin d=8      117       20        192       0.69
+#     45     theta            132       23        248       0.61
+#     55     Motzkin d=9      173       29        293       0.67
+#     55     theta            228       33        383       0.64
+#     66     Motzkin d=10     223       38        412       0.65
+#     66     theta            255       49        521       0.61
+#     84     theta            376       75        790       0.57
+#     100    theta            455      136       1060       0.56
+#     120    theta            630      337       1420       0.55
 #
-# So the route loses at order 36, wins little at 45 (the Motzkin d=8 share
-# read 0.92-0.98 over four runs) and clearly from 55 on.  These figures
-# are for Jacobi steps run to the floor 1e-15 max |diag B|; the sweep now
-# stops them earlier, at the error it allows (_WarmState.tol), which only
-# makes a success cheaper.
+# So the route loses at order 21, does not win at 28 (whole d=6 runs of
+# 10000 sweeps, 4 alternating pairs: 0.94-0.97 s routed against
+# 0.91-0.94 s plain) and wins from 36 on; the threshold is the smallest
+# order measured to win.  Most failures are a change of rank, which the
+# kernel sees at once on diag(B) (66 of the 73 failures of Motzkin d=7).
 # An attempt fails after _WARM_MAX_STEPS Jacobi steps, or as soon as a step
 # fails to lower max |R|: on the benchmark's theta-gnp inputs (order 100)
 # the routing ran 1.47-1.56x faster than project_psd with 6 steps,
 # 1.60-1.64x with 8 and 1.62-1.63x with 10 (steps run to the floor).
-_WARM_MIN_ORDER = 48
+_WARM_MIN_ORDER = 36
 _WARM_MAX_STEPS = 8
 
 
@@ -556,7 +560,12 @@ class _WarmState:
     solution Z relative to V.  ``failures`` counts consecutive failed warm
     attempts and ``wait`` the projections still to pass before the next
     attempt: after f consecutive failures the next attempt waits 2^f - 1
-    projections, and a success clears the count.
+    projections, and a success clears the count.  A change of rank counts
+    as a failure too.  Not counting it took the benchmark's
+    theta-complement (seed 3) from 229 to 277 sweeps and from 0.253 to
+    0.287 s (medians of 4 alternating pairs), and on Motzkin d=7 it cut
+    the full decompositions from 173 to 94 but moved neither the 6269
+    sweeps nor the time.
 
     ``tol`` is set by the owner: the Frobenius error that a warm
     projection of the block may make (0, the default, runs the Jacobi

@@ -197,6 +197,17 @@ def test_loop_bookkeeping(scheme):
         assert np.array_equal(rep.iterate_history[-1].ravel(), x.ravel())
 
 
+@pytest.mark.parametrize(
+    "scheme", [alternating_projections, dykstra, admm_projection]
+)
+def test_non_numeric_tolerance_is_refused(scheme):
+    # the documented default is 1e-8, so None is no default here
+    for tol in (None, "1e-8"):
+        message = f"^tol must be nonnegative, got {tol}$"
+        with pytest.raises(cp.InputError, match=message):
+            scheme(two_set(C_2X2), tol=tol)
+
+
 class TestTwoSetProblem:
     def test_from_projection_rejects_inequalities(self):
         cone = ConeSpec(nonneg=1)

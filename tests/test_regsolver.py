@@ -341,12 +341,12 @@ class TestSweepMatchesReference:
 
     @pytest.mark.parametrize("adapt_t", [False, True])
     def test_blocks_below_the_warm_order_match_bitwise(self, adapt_t):
-        # orders 21 and 36 never take the warm route, so the error that the
+        # orders 21 and 28 never take the warm route, so the error that the
         # sweep allows it changes no bit
         params = RegParams(
             inner="one_iteration", max_outer=300, outer_tol=1e-300, adapt_t=adapt_t
         )
-        for d in (5, 7):
+        for d in (5, 6):
             prob = cp.build_sos_feasibility(cp.motzkin(), d)
             assert max(prob.cone.psd_dims) < cones._WARM_MIN_ORDER
             trip, rep = solve_simple(prob, params)
@@ -487,12 +487,14 @@ class TestWarmRouteSweep:
     def _count_attempts(monkeypatch):
         from conicproj import cones
 
-        calls = [0]
+        calls = [0, 0]  # attempts, successes
         original = cones._project_psd_warm
 
         def counted(m, state):
+            out = original(m, state)
             calls[0] += 1
-            return original(m, state)
+            calls[1] += out is not None
+            return out
 
         monkeypatch.setattr(cones, "_project_psd_warm", counted)
         return calls
@@ -529,15 +531,32 @@ class TestWarmRouteSweep:
         assert 0 < calls[0] <= 20
 
     @pytest.mark.parametrize("adapt_t", [False, True])
-    def test_blocks_of_order_21_and_36_never_attempt(self, monkeypatch, adapt_t):
+    def test_blocks_of_order_21_and_28_never_attempt(self, monkeypatch, adapt_t):
         calls = self._count_attempts(monkeypatch)
-        for d, order in ((5, 21), (7, 36)):
+        for d, order in ((5, 21), (6, 28)):
             prob = cp.build_sos_feasibility(cp.motzkin(), d)
             assert prob.cone.psd_dims == (order,)
             solve_simple(
                 prob, RegParams(inner="one_iteration", max_outer=300, adapt_t=adapt_t)
             )
         assert calls[0] == 0
+
+    def test_motzkin_d7_sweeps_mostly_warm_and_converges(self, monkeypatch):
+        # order 36 is the threshold: once the rank has settled, most sweeps
+        # of Motzkin d=7 project without a decomposition, and the sweep
+        # still reaches criterion 9's tolerance
+        calls = self._count_attempts(monkeypatch)
+        prob = cp.build_sos_feasibility(cp.motzkin(), 7)
+        assert prob.cone.psd_dims == (cones._WARM_MIN_ORDER,)
+        trip, rep = solve_simple(
+            prob, RegParams(inner="one_iteration", max_outer=10000, outer_tol=1e-5)
+        )
+        assert rep.converged()
+        assert rep.primal_residual <= 1e-5
+        assert abs(float(prob.b @ trip.y)) <= 1e-5
+        attempts, successes = calls
+        assert attempts > rep.iterations / 2
+        assert successes > 0.9 * attempts
 
     def test_dykstra_and_the_dual_engines_pass_no_state(self, monkeypatch):
         from conicproj import altschemes
