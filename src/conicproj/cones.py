@@ -972,7 +972,12 @@ class GramFactorization:
             )
 
     def solve(self, r: np.ndarray) -> np.ndarray:
+        """(AA^T)^{-1} r for one vector ``r`` of shape (m,); any other
+        shape raises InputError, as the three paths would otherwise
+        broadcast it, solve it column by column or fail inside LAPACK."""
         r = np.asarray(r, dtype=float)
+        if r.shape != (self.m,):
+            raise InputError(f"vector shape {r.shape} != ({self.m},)")
         if self.is_diagonal:
             return r / self.diagonal
         if self._splu is not None:
@@ -1070,7 +1075,15 @@ def cone_jacobian_apply(cone: ConeSpec, infos, h: np.ndarray) -> np.ndarray:
 
     ``infos`` is the per-block info returned by the projection at the base
     point (SpectralDecomp for PSD blocks, pre-projection vectors otherwise).
+    An ``h`` of another shape than (cone.dim,), or one info too many or too
+    few, raises InputError instead of leaving entries of the output unset.
     """
+    if np.shape(h) != (cone.dim,):
+        raise InputError(f"vector shape {np.shape(h)} != ({cone.dim},)")
+    if len(infos) != len(cone.blocks):
+        raise InputError(
+            f"{len(infos)} block infos for a cone of {len(cone.blocks)} blocks"
+        )
     out = np.empty_like(h)
     for (kind, d, sl), info in zip(cone.blocks, infos):
         if kind == "psd":

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -8,15 +10,53 @@ import numpy as np
 import pytest
 
 import conicproj as cp
-from conicproj.cli import run_cli
+from conicproj.cli import main, run_cli
 from conicproj.io import parse_sdpa
 from conftest import fixture_path
 
+# The CLI contract is stated once, here, and runs two ways.  When the
+# imported conicproj is this checkout's src/ (pytest's own pythonpath), each
+# command runs in-process through run_cli.  Otherwise the tests exercise an
+# installed package, and each command runs through its console script, the
+# `conicproj` beside the interpreter, as a subprocess with the same argv,
+# working directory and environment:
+#     pip install ".[test]" && python -m pytest -o pythonpath= tests/test_cli.py
+IN_PROCESS = (
+    Path(cp.__file__).resolve().parent
+    == Path(__file__).resolve().parents[1] / "src" / "conicproj"
+)
 
-def run(capsys, argv):
-    code = run_cli(argv)
-    out = capsys.readouterr().out
-    return code, json.loads(out) if out.strip() else None
+
+def _no_constant(name):
+    raise AssertionError(f"report holds {name}")
+
+
+def _report(out):
+    """Stdout parsed as the JSON report, None when nothing was printed; JSON
+    has no NaN or Infinity, so a report holding one fails the test."""
+    return json.loads(out, parse_constant=_no_constant) if out else None
+
+
+def _in_process(capsys):
+    def run(argv):
+        code = run_cli(argv)
+        out, err = capsys.readouterr()
+        return code, _report(out), err
+
+    return run
+
+
+def _installed(argv):
+    script = Path(sys.executable).with_name("conicproj")
+    assert script.is_file(), f"no console script {script} beside the interpreter"
+    done = subprocess.run([str(script), *argv], capture_output=True, text=True)
+    return done.returncode, _report(done.stdout), done.stderr
+
+
+@pytest.fixture
+def run(capsys):
+    """Run the CLI on an argv: (exit code, parsed stdout, stderr)."""
+    return _in_process(capsys) if IN_PROCESS else _installed
 
 
 def strip_time(report):
@@ -26,9 +66,8 @@ def strip_time(report):
 
 
 class TestTheta:
-    def test_c5_value_and_exit_code(self, capsys):
-        code, rep = run(
-            capsys,
+    def test_c5_value_and_exit_code(self, run):
+        code, rep, _ = run(
             ["theta", fixture_path("c5.col"), "--solver", "simple", "--tol", "1e-7"],
         )
         assert code == 0
@@ -37,9 +76,8 @@ class TestTheta:
         assert rep["theta"] == rep["objective"]
         assert rep["problem"]["m"] == 6
 
-    def test_regularized_solver_path(self, capsys):
-        code, rep = run(
-            capsys,
+    def test_regularized_solver_path(self, run):
+        code, rep, _ = run(
             [
                 "theta",
                 fixture_path("c5.col"),
@@ -58,7 +96,7 @@ class TestTheta:
 
 
 class TestDeterminism:
-    def test_byte_identical_reports_except_wall_time(self, capsys):
+    def test_byte_identical_reports_except_wall_time(self, run):
         argv = [
             "sos-check",
             fixture_path("motzkin.txt"),
@@ -69,8 +107,8 @@ class TestDeterminism:
             "--seed",
             "5",
         ]
-        code1, rep1 = run(capsys, argv)
-        code2, rep2 = run(capsys, argv)
+        code1, rep1, _ = run(argv)
+        code2, rep2, _ = run(argv)
         assert code1 == code2
         assert strip_time(rep1) == strip_time(rep2)
 
@@ -84,18 +122,17 @@ class TestDeterminism:
         ],
         ids=["anderson_sweep", "carried_lbfgs_pairs"],
     )
-    def test_byte_identical_reports_on_stateful_paths(self, capsys, argv):
-        code1, rep1 = run(capsys, argv)
-        code2, rep2 = run(capsys, argv)
+    def test_byte_identical_reports_on_stateful_paths(self, run, argv):
+        code1, rep1, _ = run(argv)
+        code2, rep2, _ = run(argv)
         assert code1 == code2
         assert strip_time(rep1) == strip_time(rep2)
 
-    def test_gen_deterministic_per_seed(self, capsys, tmp_path):
+    def test_gen_deterministic_per_seed(self, run, tmp_path):
         p1 = tmp_path / "a.dat-s"
         p2 = tmp_path / "b.dat-s"
         for path in (p1, p2):
-            code, _ = run(
-                capsys,
+            code, _, _ = run(
                 [
                     "gen", "sos", "--out", str(path),
                     "--num-vars", "2", "--degree", "2",
@@ -106,7 +143,7 @@ class TestDeterminism:
         assert p1.read_text() == p2.read_text()
 
 
-def _run_input_error(capsys, tmp_path, command, source, flags):
+def _run_input_error(run, tmp_path, command, source, flags):
     """Run a command that must fail on its input: exit 4, nothing on
     stdout, no report or solution file written.  ``source`` names a
     fixture or is a (file name, text) pair written to a temporary file;
@@ -121,15 +158,14 @@ def _run_input_error(capsys, tmp_path, command, source, flags):
         source = fixture_path(source)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    code = run_cli(
+    code, rep, err = run(
         [command, str(source), *flags,
          "--out", str(out_dir / "r.json"),
          "--solution-out", str(out_dir / "s.json")]
     )
-    captured = capsys.readouterr()
     assert code == 4
-    assert captured.out == "" and list(out_dir.iterdir()) == []
-    return captured.err
+    assert rep is None and list(out_dir.iterdir()) == []
+    return err
 
 
 NEARCORR_1E200 = "1 1e200 0\n1e200 1 0\n0 0 1\n"
@@ -161,9 +197,8 @@ def _json_problem(cone: str, rhs: str = "[1]") -> str:
 
 
 class TestExitCodes:
-    def test_motzkin_low_degree_fails(self, capsys):
-        code, rep = run(
-            capsys,
+    def test_motzkin_low_degree_fails(self, run):
+        code, rep, _ = run(
             [
                 "sos-check",
                 fixture_path("motzkin.txt"),
@@ -175,14 +210,40 @@ class TestExitCodes:
         assert code in (2, 3)
         assert rep["status"] != "converged"
 
-    def test_input_error_is_4(self, capsys, tmp_path):
+    def test_input_error_is_4(self, run, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("this is not a polynomial\n")
-        code = run_cli(["sos-check", str(bad), "--degree", "3"])
+        assert run(["sos-check", str(bad), "--degree", "3"])[0] == 4
+        assert run(["theta", str(tmp_path / "missing.col")])[0] == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", fixture_path("theta_c5.dat-s")],
+            ["sos-check", fixture_path("motzkin.txt"), "--degree", "7", "--adapt-t"],
+        ],
+        ids=["solve-theta-c5", "sos-check-motzkin-d7-adapt-t"],
+    )
+    def test_good_input_converges_with_exit_0(self, run, argv):
+        code, rep, err = run(argv)
+        assert code == 0 and rep["status"] == "converged" and err == ""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["theta", fixture_path("c5.col"), "--tol", "1e-6"], 0),
+            (["theta", fixture_path("c5.col"), "--max-outer", "1"], 2),
+            (["theta", "--bogus"], 4),
+        ],
+        ids=["converged", "iteration_limit", "input_error"],
+    )
+    def test_main_exits_with_the_code_of_run_cli(self, capsys, argv, expected):
+        # the console script calls main, so its exit status is this code
+        assert run_cli(argv) == expected
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         capsys.readouterr()
-        assert code == 4
-        assert run_cli(["theta", str(tmp_path / "missing.col")]) == 4
-        capsys.readouterr()
+        assert exc.value.code == expected
 
     @pytest.mark.parametrize(
         "command, source, flags",
@@ -200,9 +261,9 @@ class TestExitCodes:
         ],
     )
     def test_iteration_cap_below_one_is_4(
-        self, capsys, tmp_path, command, source, flags
+        self, run, tmp_path, command, source, flags
     ):
-        err = _run_input_error(capsys, tmp_path, command, source, flags)
+        err = _run_input_error(run, tmp_path, command, source, flags)
         assert "at least 1" in err
 
     @pytest.mark.parametrize(
@@ -225,9 +286,9 @@ class TestExitCodes:
         ],
     )
     def test_bad_tolerance_or_step_is_4(
-        self, capsys, tmp_path, command, source, flags
+        self, run, tmp_path, command, source, flags
     ):
-        err = _run_input_error(capsys, tmp_path, command, source, flags)
+        err = _run_input_error(run, tmp_path, command, source, flags)
         assert "finite and positive" in err
 
     @pytest.mark.parametrize(
@@ -247,12 +308,24 @@ class TestExitCodes:
             ("solve", ("j.json", _json_problem('{"psd": "ab"}')), [], "'cone'"),
             ("solve", ("j.json", _json_problem('{"psd": [2.7]}')), [], "'cone'"),
             ("solve", ("j.json", _json_problem('{"psd": [2]}', '["x"]')), [], "'eq'"),
+            (
+                "solve",
+                ("h.dat-s", "(\n1\n2\n1.0\n"),
+                [],
+                "error: SDPA line 1: expected constraint count, got '('",
+            ),
+            (
+                "solve",
+                ("h.dat-s", "1\n1\n9223372036854775808\n1.0\n"),
+                [],
+                f"error: cone has ambient dimension {2**126},",
+            ),
         ],
     )
     def test_malformed_or_nonfinite_input_is_4(
-        self, capsys, tmp_path, command, source, flags, named
+        self, run, tmp_path, command, source, flags, named
     ):
-        err = _run_input_error(capsys, tmp_path, command, source, flags)
+        err = _run_input_error(run, tmp_path, command, source, flags)
         assert named in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -264,12 +337,12 @@ class TestExitCodes:
         ],
     )
     def test_nonfinite_or_malformed_center_file_is_4(
-        self, capsys, tmp_path, problem, name, center
+        self, run, tmp_path, problem, name, center
     ):
         path = tmp_path / name
         path.write_text(center)
         err = _run_input_error(
-            capsys, tmp_path, "project", problem, ["--center", str(path)]
+            run, tmp_path, "project", problem, ["--center", str(path)]
         )
         assert "--center" in err or "line 1" in err
 
@@ -305,20 +378,20 @@ class TestExitCodes:
         ],
     )
     def test_data_whose_norms_can_overflow_is_4(
-        self, capsys, tmp_path, command, source, flags
+        self, run, tmp_path, command, source, flags
     ):
         # such data used to end in exit 2 with NaN or Infinity in the report
-        err = _run_input_error(capsys, tmp_path, command, source, flags)
+        err = _run_input_error(run, tmp_path, command, source, flags)
         assert err.startswith("error:") and "sqrt(float max)" in err
 
-    def test_prox_center_beyond_the_bound_names_the_point(self, capsys, tmp_path):
+    def test_prox_center_beyond_the_bound_names_the_point(self, run, tmp_path):
         # the data pass their bound; p - t c at t = 1e300 does not, and the
         # error names that internal point, not a center the user gave
         flags = ["--solver", "regularized", "--t0", "1e300", "--max-outer", "1"]
-        err = _run_input_error(capsys, tmp_path, "solve", "theta_c5.dat-s", flags)
+        err = _run_input_error(run, tmp_path, "solve", "theta_c5.dat-s", flags)
         assert err.startswith("error: prox center p - t c at t = 1e+300 has an ")
 
-    def test_rhs_near_the_bound_is_2_without_warnings(self, capsys, tmp_path):
+    def test_rhs_near_the_bound_is_2_without_warnings(self, run, tmp_path):
         # within the scale bound, yet b'y, the curvature test and the slopes
         # of the quasi-Newton inner solves overflow: the run ends at its
         # iteration limit, and numpy's overflow warnings stay quiet
@@ -327,11 +400,11 @@ class TestExitCodes:
         source.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = run_cli(
+            code, _, err = run(
                 ["solve", str(source), "--solver", "regularized", "--max-outer", "50"]
             )
-        capsys.readouterr()
         assert code == 2 and [str(w.message) for w in caught] == []
+        assert "Warning" not in err  # what a subprocess prints for one
 
     def test_input_too_large_for_memory_is_4(self, capsys, tmp_path, monkeypatch):
         # `p edge 400000 0` asks numpy for terabytes; a stand-in raises what
@@ -342,17 +415,18 @@ class TestExitCodes:
             raise MemoryError("Unable to allocate 1.16 TiB for an array")
 
         monkeypatch.setattr(polysos, "build_theta", too_large)
-        err = _run_input_error(capsys, tmp_path, "theta", "c5.col", [])
+        # in-process whichever package is imported: a subprocess would not
+        # see the stand-in
+        err = _run_input_error(_in_process(capsys), tmp_path, "theta", "c5.col", [])
         assert err.startswith("error: Unable to allocate 1.16 TiB")
 
-    def test_solve_json_with_inequalities_is_4(self, capsys, tmp_path):
+    def test_solve_json_with_inequalities_is_4(self, run, tmp_path):
         ineq = JSON_PROBLEM_NONNEG[:-1] + ', "ineq": {"rows": [[[1, 0]]], "rhs": [0]}}'
-        err = _run_input_error(capsys, tmp_path, "solve", ("j.json", ineq), [])
+        err = _run_input_error(run, tmp_path, "solve", ("j.json", ineq), [])
         assert "solve expects equality constraints only" in err
 
-    def test_unknown_flag_is_4(self, capsys):
-        assert run_cli(["theta", "--bogus"]) == 4
-        capsys.readouterr()
+    def test_unknown_flag_is_4(self, run):
+        assert run(["theta", "--bogus"])[0] == 4
 
 
 # The values of the reader x field x value table: beyond the scale bound,
@@ -438,10 +512,6 @@ FLOAT_FIELDS = {
 }
 
 
-def _no_constant(name):
-    raise AssertionError(f"report holds {name}")
-
-
 class TestReaderFieldValueTable:
     """Each numeric field of each reader, set to each value of the table,
     exits 4 with an ``error:`` line, or 0, 2 or 3 with a finite report; a
@@ -449,7 +519,7 @@ class TestReaderFieldValueTable:
 
     @pytest.mark.parametrize("value", TABLE_VALUES)
     @pytest.mark.parametrize("field", sorted(TABLE_FIELDS))
-    def test_cli(self, capsys, tmp_path, field, value):
+    def test_cli(self, run, tmp_path, field, value):
         command, suffix, text, flags = TABLE_FIELDS[field]
         path = tmp_path / f"in{suffix}"
         path.write_text(text(value))
@@ -457,14 +527,12 @@ class TestReaderFieldValueTable:
         if field == "center-matrix":
             argv = [command, fixture_path("trace2.dat-s"), "--center", str(path)]
         cap = "--max-iter" if command in ("project", "nearcorr") else "--max-outer"
-        code = run_cli([*argv, cap, "50"])
-        out, err = capsys.readouterr()
+        code, rep, err = run([*argv, cap, "50"])
         if code == 4:
-            assert out == ""
+            assert rep is None
             assert any(line.startswith("error:") for line in err.splitlines())
         else:
-            assert code in (0, 2, 3)
-            json.loads(out, parse_constant=_no_constant)
+            assert code in (0, 2, 3) and rep is not None
         if field in FLOAT_FIELDS and value in BEYOND_BOUND:
             assert code == 4 and "sqrt(float max)" in err
 
@@ -518,18 +586,18 @@ class TestNoInvalidJson:
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         files = ["--out", str(out_dir / "r.json")] if to_file else []
-        code = run_cli(
+        # in-process whichever package is imported, as the patch is
+        code, rep, err = _in_process(capsys)(
             ["solve", fixture_path("theta_c5.dat-s"), *files,
              "--solution-out", str(out_dir / "s.json")]
         )
-        captured = capsys.readouterr()
         assert code == 2
-        assert captured.out == "" and list(out_dir.iterdir()) == []
-        assert captured.err.startswith("error:") and "non-finite" in captured.err
+        assert rep is None and list(out_dir.iterdir()) == []
+        assert err.startswith("error:") and "non-finite" in err
 
     @pytest.mark.parametrize("method", ["dykstra", "admm", "fixed_metric"])
     def test_rescale_of_a_stopped_iterate_exits_2_without_output(
-        self, capsys, tmp_path, method
+        self, run, tmp_path, method
     ):
         # a valid input whose iterate after one step has a zero diagonal
         # entry, which the rescaling cannot divide by
@@ -537,15 +605,14 @@ class TestNoInvalidJson:
         mat.write_text("-1 0\n0 1\n")
         out_dir = tmp_path / "out"
         out_dir.mkdir()
-        code = run_cli(
+        code, rep, err = run(
             ["nearcorr", str(mat), "--method", method, "--max-iter", "1",
              "--rescale", "--out", str(out_dir / "r.json"),
              "--solution-out", str(out_dir / "s.json")]
         )
-        captured = capsys.readouterr()
         assert code == 2
-        assert captured.out == "" and list(out_dir.iterdir()) == []
-        assert captured.err.startswith("error: --rescale of the iteration_limit")
+        assert rep is None and list(out_dir.iterdir()) == []
+        assert err.startswith("error: --rescale of the iteration_limit")
 
 
 class TestUnwritableOutput:
@@ -561,26 +628,24 @@ class TestUnwritableOutput:
         ],
         ids=["solution-out", "solution-out-beside-out", "out"],
     )
-    def test_missing_directory_is_4_and_writes_nothing(self, capsys, tmp_path, files):
+    def test_missing_directory_is_4_and_writes_nothing(self, run, tmp_path, files):
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         flags = [
             arg for flag, name in files.items() for arg in (flag, str(tmp_path / name))
         ]
-        code = run_cli(["theta", fixture_path("c5.col"), *flags])
-        captured = capsys.readouterr()
+        code, rep, err = run(["theta", fixture_path("c5.col"), *flags])
         assert code == 4
-        assert captured.out == "" and list(out_dir.iterdir()) == []
-        assert captured.err.startswith("error:") and "missing" in captured.err
+        assert rep is None and list(out_dir.iterdir()) == []
+        assert err.startswith("error:") and "missing" in err
 
-    def test_existing_report_file_is_left_as_it_was(self, capsys, tmp_path):
+    def test_existing_report_file_is_left_as_it_was(self, run, tmp_path):
         report = tmp_path / "r.json"
         report.write_text("old\n")
-        code = run_cli(
+        code, _, _ = run(
             ["theta", fixture_path("c5.col"), "--out", str(report),
              "--solution-out", str(tmp_path / "missing" / "s.json")]
         )
-        capsys.readouterr()
         assert code == 4 and report.read_text() == "old\n"
 
 
@@ -595,40 +660,37 @@ class TestUnwritableOutput:
         ids=["equal", "dot-slash", "symlink-second", "symlink-first"],
     )
     def test_two_outputs_naming_one_file_is_4(
-        self, capsys, tmp_path, monkeypatch, out, solution_out
+        self, run, tmp_path, monkeypatch, out, solution_out
     ):
         monkeypatch.chdir(tmp_path)
         os.symlink("same.json", "link.json")  # dangling until same.json exists
-        code = run_cli(
+        code, rep, err = run(
             ["theta", fixture_path("c5.col"), "--out", out,
              "--solution-out", solution_out]
         )
-        captured = capsys.readouterr()
-        assert code == 4 and captured.out == ""
-        assert captured.err.startswith("error:") and "same file" in captured.err
+        assert code == 4 and rep is None
+        assert err.startswith("error:") and "same file" in err
         assert os.listdir(tmp_path) == ["link.json"]
         assert os.readlink("link.json") == "same.json"
 
     @pytest.mark.parametrize("solution_out", ["same.json", "./same.json", "link.json"])
     def test_existing_file_named_twice_is_left_as_it_was(
-        self, capsys, tmp_path, monkeypatch, solution_out
+        self, run, tmp_path, monkeypatch, solution_out
     ):
         monkeypatch.chdir(tmp_path)
         Path("same.json").write_bytes(b"old\n")
         os.symlink("same.json", "link.json")
-        code = run_cli(
+        code, _, _ = run(
             ["theta", fixture_path("c5.col"), "--out", "same.json",
              "--solution-out", solution_out]
         )
-        capsys.readouterr()
         assert code == 4 and Path("same.json").read_bytes() == b"old\n"
 
 
 class TestSolveAndSolutions:
-    def test_solve_sdpa_with_solution_residual_match(self, capsys, tmp_path):
+    def test_solve_sdpa_with_solution_residual_match(self, run, tmp_path):
         sol = tmp_path / "sol.json"
-        code, rep = run(
-            capsys,
+        code, rep, _ = run(
             [
                 "solve",
                 fixture_path("sos_n3_d2.dat-s"),
@@ -651,15 +713,14 @@ class TestSolveAndSolutions:
         assert abs(rp - rep["primal_residual"]) <= 1e-12
         assert abs(rd - rep["dual_residual"]) <= 1e-12
 
-    def test_solve_json_problem(self, capsys, tmp_path):
+    def test_solve_json_problem(self, run, tmp_path):
         # min x1 + 2 x2 over x >= 0, x1 + x2 = 1: optimum x = (1, 0); the
         # same problem without an objective is a feasibility problem
         prob = tmp_path / "p.json"
         sol = tmp_path / "sol.json"
         for objective, value in ((', "objective": [[1, 2]]}', 1.0), ("}", 0.0)):
             prob.write_text(JSON_PROBLEM_NONNEG[:-1] + objective)
-            code, rep = run(
-                capsys,
+            code, rep, _ = run(
                 ["solve", str(prob), "--tol", "1e-9", "--solution-out", str(sol)],
             )
             assert code == 0 and rep["status"] == "converged"
@@ -667,12 +728,11 @@ class TestSolveAndSolutions:
         p = np.array(json.loads(sol.read_text())["p"][0])
         assert abs(p.sum() - 1.0) <= 1e-8 and p.min() >= 0.0
 
-    def test_nearcorr_command(self, capsys, tmp_path):
+    def test_nearcorr_command(self, run, tmp_path):
         mat = tmp_path / "c.txt"
         mat.write_text("1.0 2.0\n2.0 1.0\n")
         sol = tmp_path / "x.json"
-        code, rep = run(
-            capsys,
+        code, rep, _ = run(
             [
                 "nearcorr", str(mat),
                 "--method", "quasi_newton",
@@ -686,16 +746,14 @@ class TestSolveAndSolutions:
         # half the squared distance from [[1,2],[2,1]] to all-ones
         assert abs(rep["objective"] - 1.0) <= 1e-6
 
-    def test_nearcorr_rescale_flag(self, capsys, tmp_path):
+    def test_nearcorr_rescale_flag(self, run, tmp_path):
         mat = tmp_path / "c.txt"
         mat.write_text("1.0 0.9\n0.9 1.0\n")
-        code, rep = run(
-            capsys, ["nearcorr", str(mat), "--rescale", "--tol", "1e-8"]
-        )
+        code, rep, _ = run(["nearcorr", str(mat), "--rescale", "--tol", "1e-8"])
         assert code == 0
         assert rep["max_diag_error"] == 0.0
 
-    def test_project_json_with_soc(self, capsys, tmp_path):
+    def test_project_json_with_soc(self, run, tmp_path):
         prob = tmp_path / "p.json"
         prob.write_text(
             json.dumps(
@@ -707,8 +765,7 @@ class TestSolveAndSolutions:
             )
         )
         sol = tmp_path / "x.json"
-        code, rep = run(
-            capsys,
+        code, rep, _ = run(
             ["project", str(prob), "--method", "quasi_newton",
              "--tol", "1e-10", "--solution-out", str(sol)],
         )
@@ -717,12 +774,11 @@ class TestSolveAndSolutions:
         assert abs(x[2] - 2.5) <= 1e-8
         assert np.linalg.norm(x[:2]) <= 2.5 + 1e-8
 
-    def test_project_json_with_inequalities(self, capsys, tmp_path):
+    def test_project_json_with_inequalities(self, run, tmp_path):
         prob = tmp_path / "p.json"
         prob.write_text(JSON_PROBLEM_INEQ)
         sol = tmp_path / "s.json"
-        code, rep = run(
-            capsys,
+        code, rep, _ = run(
             ["project", str(prob), "--method", "quasi_newton",
              "--tol", "1e-10", "--solution-out", str(sol)],
         )
@@ -736,30 +792,28 @@ class TestSolveAndSolutions:
 
     @pytest.mark.parametrize("method", ["fixed_metric", "ssnewton", "dykstra"])
     def test_project_json_with_inequalities_equalities_only_method_is_4(
-        self, capsys, tmp_path, method
+        self, run, tmp_path, method
     ):
         err = _run_input_error(
-            capsys, tmp_path, "project", ("p.json", JSON_PROBLEM_INEQ),
+            run, tmp_path, "project", ("p.json", JSON_PROBLEM_INEQ),
             ["--method", method],
         )
         assert "equalit" in err
 
-    def test_project_sdpa_default_center_zero(self, capsys):
-        code, rep = run(
-            capsys,
+    def test_project_sdpa_default_center_zero(self, run):
+        code, rep, _ = run(
             ["project", fixture_path("trace2.dat-s"), "--method", "dykstra",
              "--tol", "1e-9"],
         )
         assert code == 0
         assert rep["status"] == "converged"
 
-    def test_project_sdpa_with_center_matrix(self, capsys, tmp_path):
+    def test_project_sdpa_with_center_matrix(self, run, tmp_path):
         # project [[1,2],[2,1]] onto {trace X = 1} cap PSD
         center = tmp_path / "center.txt"
         center.write_text("1.0 2.0\n2.0 1.0\n")
         sol = tmp_path / "x.json"
-        code, rep = run(
-            capsys,
+        code, rep, _ = run(
             ["project", fixture_path("trace2.dat-s"),
              "--center", str(center), "--method", "ssnewton",
              "--tol", "1e-10", "--solution-out", str(sol)],
@@ -769,21 +823,20 @@ class TestSolveAndSolutions:
         assert abs(np.trace(x) - 1.0) <= 1e-9
         assert np.linalg.eigvalsh(x)[0] >= -1e-10
 
-    def test_polymin_bound(self, capsys, tmp_path):
+    def test_polymin_bound(self, run, tmp_path):
         poly = tmp_path / "sq.txt"
         poly.write_text("nvars 1\n1 2\n-2 1\n1 0\n")  # (v-1)^2
-        code, rep = run(capsys, ["polymin", str(poly), "--tol", "1e-9"])
+        code, rep, _ = run(["polymin", str(poly), "--tol", "1e-9"])
         assert code == 0
         assert abs(rep["objective"]) <= 1e-7  # certified lower bound 0
         assert rep["gram_min_eigenvalue"] <= 1e-6
 
-    def test_report_written_to_out_file(self, capsys, tmp_path):
+    def test_report_written_to_out_file(self, run, tmp_path):
         out = tmp_path / "rep.json"
-        code = run_cli(
+        code, rep, _ = run(
             ["theta", fixture_path("c5.col"), "--tol", "1e-6", "--out", str(out)]
         )
-        captured = capsys.readouterr()
-        assert captured.out == ""
+        assert rep is None
         rep = json.loads(out.read_text())
         assert abs(rep["objective"] - np.sqrt(5.0)) <= 1e-3
         assert code == 0
@@ -791,21 +844,19 @@ class TestSolveAndSolutions:
 
 class TestGen:
     @pytest.mark.parametrize("threads", ["2", "abc", "0", "-3"])
-    def test_batch_with_thread_env(self, capsys, tmp_path, monkeypatch, threads):
+    def test_batch_with_thread_env(self, run, tmp_path, monkeypatch, threads):
         monkeypatch.setenv("CONIC_PROJ_THREADS", threads)
         out = tmp_path / "inst.dat-s"
-        code = run_cli(
+        code, rep, err = run(
             ["gen", "sos", "--out", str(out), "--num-vars", "2",
              "--degree", "2", "--seed", "10", "--count", "3"],
         )
-        captured = capsys.readouterr()
         if threads != "2":  # not an integer >= 1: an input error
             assert code == 4
-            assert "CONIC_PROJ_THREADS" in captured.err
-            assert captured.out == "" and list(tmp_path.iterdir()) == []
+            assert "CONIC_PROJ_THREADS" in err
+            assert rep is None and list(tmp_path.iterdir()) == []
             return
         assert code == 0
-        rep = json.loads(captured.out)
         assert len(rep["instances"]) == 3
         seeds = [i["seed"] for i in rep["instances"]]
         assert seeds == [10, 11, 12]  # split rule: seed + index
@@ -814,10 +865,10 @@ class TestGen:
             parsed = parse_sdpa(Path(info["path"]).read_text())
             assert parsed.cone.psd_dims == (6,)
 
-    @pytest.mark.parametrize("threads", [None, "3"])
+    @pytest.mark.parametrize("threads", [None, "1", "3"])
     @pytest.mark.parametrize("kind", ["sos", "polymin"])
     def test_unwritable_instance_is_4_and_writes_nothing(
-        self, capsys, tmp_path, monkeypatch, kind, threads
+        self, run, tmp_path, monkeypatch, kind, threads
     ):
         # instance 1 cannot be opened, so neither instance 0 nor 2 is written
         if threads is None:
@@ -825,53 +876,47 @@ class TestGen:
         else:
             monkeypatch.setenv("CONIC_PROJ_THREADS", threads)
         (tmp_path / "inst-001.txt").mkdir()
-        code = run_cli(
+        code, rep, err = run(
             ["gen", kind, "--out", str(tmp_path / "inst.txt"), "--num-vars", "2",
              "--degree", "2", "--seed", "1", "--count", "3"]
         )
-        captured = capsys.readouterr()
-        assert code == 4 and captured.out == ""
-        assert captured.err.startswith("error:") and "inst-001.txt" in captured.err
+        assert code == 4 and rep is None
+        assert err.startswith("error:") and "inst-001.txt" in err
         assert os.listdir(tmp_path) == ["inst-001.txt"]
 
-    def test_gen_motzkin_and_structured(self, capsys, tmp_path):
+    def test_gen_motzkin_and_structured(self, run, tmp_path):
         out = tmp_path / "m.txt"
-        code, rep = run(capsys, ["gen", "motzkin", "--out", str(out)])
+        code, rep, _ = run(["gen", "motzkin", "--out", str(out)])
         assert code == 0
         from conicproj.io import parse_polynomial
 
         assert parse_polynomial(out.read_text()) == cp.motzkin()
         out2 = tmp_path / "s.txt"
-        code, rep = run(
-            capsys,
+        code, rep, _ = run(
             ["gen", "structured", "--out", str(out2), "--num-vars", "3"],
         )
         assert code == 0
         p = parse_polynomial(out2.read_text())
         assert p == cp.structured_polymin_instance(3)
 
-    def test_gen_structured_without_variables_is_4(self, capsys, tmp_path):
+    def test_gen_structured_without_variables_is_4(self, run, tmp_path):
         # the polynomial reader rejects nvars 0, so gen must not write it
         out = tmp_path / "s.txt"
-        code = run_cli(["gen", "structured", "--out", str(out), "--num-vars", "0"])
-        captured = capsys.readouterr()
-        assert code == 4 and "nvars must be >= 1" in captured.err
-        assert captured.out == "" and not out.exists()
+        code, rep, err = run(["gen", "structured", "--out", str(out), "--num-vars", "0"])
+        assert code == 4 and "nvars must be >= 1" in err
+        assert rep is None and not out.exists()
 
-    def test_gen_polymin_degree_zero_names_the_bound(self, capsys, tmp_path):
+    def test_gen_polymin_degree_zero_names_the_bound(self, run, tmp_path):
         out = tmp_path / "f"
-        code = run_cli(
+        code, rep, err = run(
             ["gen", "polymin", "--num-vars", "2", "--degree", "0",
              "--seed", "1", "--out", str(out)]
         )
-        captured = capsys.readouterr()
-        assert code == 4 and "degree >= 1" in captured.err
-        assert captured.out == "" and not out.exists()
+        assert code == 4 and "degree >= 1" in err
+        assert rep is None and not out.exists()
 
-    def test_gen_requires_seed(self, capsys, tmp_path):
-        code = run_cli(["gen", "sos", "--out", str(tmp_path / "x.dat-s")])
-        capsys.readouterr()
-        assert code == 4
+    def test_gen_requires_seed(self, run, tmp_path):
+        assert run(["gen", "sos", "--out", str(tmp_path / "x.dat-s")])[0] == 4
 
 
 class TestVerbose:
@@ -889,14 +934,13 @@ class TestVerbose:
         ],
     )
     def test_one_status_line_only_with_verbose(
-        self, capsys, tmp_path, command, args, verbose
+        self, run, tmp_path, command, args, verbose
     ):
         matrix = tmp_path / "c.txt"
         matrix.write_text("2 1\n1 2\n")
         subs = {"MATRIX": str(matrix), "OUT": str(tmp_path / "m.txt")}
         argv = [command] + [subs.get(a, a) for a in args] + ["-v"] * verbose
-        code = run_cli(argv)
-        err = capsys.readouterr().err
+        code, _, err = run(argv)
         assert code in (0, 2)
         if verbose:
             assert err.startswith(f"{command}:") and err.count("\n") == 1

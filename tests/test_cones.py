@@ -1057,6 +1057,24 @@ class TestProjectAffine:
             cones.GramFactorization(amap)
         assert exc.value.pivot == 5
 
+    @pytest.mark.parametrize("path", ["diagonal", "cholesky", "sparse_lu"])
+    def test_solve_refuses_a_vector_not_of_shape_m(self, path, monkeypatch):
+        # AA^T of the rows [1 0 0], [0 1 1] is diagonal, of [1 1 0], [0 1 1]
+        # it is not, and DENSE_LIMIT 0 sends the latter to SuperLU
+        if path == "sparse_lu":
+            monkeypatch.setattr(cones.GramFactorization, "DENSE_LIMIT", 0)
+        first = [1.0, 0.0, 0.0] if path == "diagonal" else [1.0, 1.0, 0.0]
+        rows = sp.csr_matrix(np.array([first, [0.0, 1.0, 1.0]]))
+        gram = cones.GramFactorization(AffineMap(ConeSpec(nonneg=3), rows, [1.0, 1.0]))
+        assert gram.is_diagonal == (path == "diagonal")
+        assert (gram._splu is not None) == (path == "sparse_lu")
+        x = gram.solve(np.array([1.0, 2.0]))
+        assert np.allclose((rows @ rows.T) @ x, [1.0, 2.0], atol=1e-14)
+        for bad in (np.ones(1), np.array(1.0), np.ones(3), np.ones((2, 1)), np.ones((2, 2))):
+            with pytest.raises(InputError) as exc:
+                gram.solve(bad)
+            assert str(exc.value) == f"vector shape {bad.shape} != (2,)"
+
     def test_asymmetric_row_rejected(self):
         cone = ConeSpec(psd_dims=(2,))
         row = np.array([[0.0, 1.0, 0.0, 0.0]])  # only (0,1), not (1,0)
@@ -1306,6 +1324,32 @@ class TestPsdJacobian:
                 assert _same_bits(
                     psd_jacobian_apply(dec, h), self._per_call(dec, h)
                 )
+
+
+class TestConeJacobian:
+    @pytest.mark.parametrize(
+        "size, count, message",
+        [
+            (6, 2, "vector shape (6,) != (5,)"),
+            (4, 2, "vector shape (4,) != (5,)"),
+            (5, 1, "1 block infos for a cone of 2 blocks"),
+            (5, 3, "3 block infos for a cone of 2 blocks"),
+        ],
+        ids=["h-too-long", "h-too-short", "one-info", "three-infos"],
+    )
+    def test_input_not_conforming_to_the_cone_is_refused(self, size, count, message):
+        # on PSD(2) + R+, a 6-vector used to return a last entry read from
+        # np.empty_like, a 4-vector to drop the nonneg block, and one info to
+        # leave that block of the output unset
+        cone = ConeSpec(psd_dims=(2,), nonneg=1)
+        _, infos = cones._project_ambient(cone, np.array([2.0, 1.0, 1.0, -1.0, 3.0]))
+        _, dec = project_psd(np.array([[2.0, 1.0], [1.0, -1.0]]))
+        h = np.array([1.0, 0.0, 0.0, 1.0, 2.0])
+        expected = np.append(psd_jacobian_apply(dec, np.eye(2)).ravel(), 2.0)
+        assert np.array_equal(cones.cone_jacobian_apply(cone, infos, h), expected)
+        with pytest.raises(InputError) as exc:
+            cones.cone_jacobian_apply(cone, (infos * 2)[:count], np.ones(size))
+        assert str(exc.value) == message
 
 
 class TestSocJacobian:
