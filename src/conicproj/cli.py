@@ -439,26 +439,11 @@ def _cmd_theta(args) -> int:
     )
 
 
-def _thread_count() -> int:
-    """Worker threads for ``gen --count``: CONIC_PROJ_THREADS, default 1."""
-    raw = os.environ.get("CONIC_PROJ_THREADS", "1") or "1"
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0  # reported below, as any value under 1
-    if workers < 1:
-        raise InputError(
-            f"CONIC_PROJ_THREADS must be an integer >= 1, got {raw!r}"
-        )
-    return workers
-
-
 def _cmd_gen(args) -> int:
     if args.kind in ("sos", "polymin") and args.seed is None:
         raise InputError("gen sos/polymin requires --seed")
     if args.count < 1:
         raise InputError("--count must be >= 1")
-    workers = _thread_count()
 
     def one(index: int) -> tuple:
         """The path, text and summary entry of instance ``index``."""
@@ -493,13 +478,7 @@ def _cmd_gen(args) -> int:
             info = {"terms": 4}
         return path, text, {"path": path, **info}
 
-    if args.count > 1 and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            formed = list(pool.map(one, range(args.count)))
-    else:
-        formed = [one(i) for i in range(args.count)]
+    formed = [one(i) for i in range(args.count)]
     infos = [info for _, _, info in formed]
     summary = {"command": "gen", "kind": args.kind, "instances": infos}
     _write_outputs(

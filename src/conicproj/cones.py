@@ -791,9 +791,12 @@ def _project_ambient(cone: ConeSpec, v: np.ndarray, states=None):
 
 
 def project_cone(cone: ConeSpec, x: BlockPoint) -> BlockPoint:
-    """Projection onto the product cone, block by block."""
+    """Projection onto the product cone, block by block.  Non-finite entries
+    raise InputError in every block."""
     if x.cone != cone:
         raise InputError("point does not conform to the cone spec")
+    if cone.nonneg and not np.all(np.isfinite(x.blocks[-1])):
+        raise InputError("nonnegative block has non-finite entries")
     v, _ = _project_ambient(cone, x.ravel())
     return BlockPoint.from_vector(cone, v)
 

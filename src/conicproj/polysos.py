@@ -9,8 +9,8 @@ A_alpha has a one in entry (beta, gamma) iff beta + gamma = alpha.  The
 rows of distinct alpha have disjoint supports, so AA^T is diagonal with
 positive integer entries (the number of such (beta, gamma) splits).
 
-Random generators use numpy's PCG64 bit generator; seeds are mandatory and
-streams are deterministic per seed.
+Random generators use numpy's PCG64 bit generator; seeds are mandatory
+nonnegative integers and streams are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -352,7 +352,10 @@ def motzkin() -> Polynomial:
 def _rng(seed) -> np.random.Generator:
     if seed is None:
         raise InputError("a seed is mandatory for the random generators")
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    (seed,) = _integers((seed,), "seeds")
+    if seed < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def random_sos_instance(num_vars: int, d: int, rank: str = "full", seed=None):

@@ -219,11 +219,13 @@ class RegParams:
         """Scaled inner tolerance of prox step k (1-based), given the
         worst scaled residual max(rp, rd) of the previous outer iterate;
         the default ``inf`` gives the plain schedule.  Never above the
-        schedule, so the tolerances stay summable."""
-        return max(
-            self.outer_tol / 10.0,
-            min(self.eps0 / k**self.decay, _INNER_KAPPA * residual),
-        )
+        schedule, so the tolerances stay summable.  A k^decay beyond the
+        float range makes the schedule 0, so the floor applies."""
+        try:
+            schedule = self.eps0 / k**self.decay
+        except OverflowError:
+            schedule = 0.0
+        return max(self.outer_tol / 10.0, min(schedule, _INNER_KAPPA * residual))
 
 
 @dataclass(frozen=True)

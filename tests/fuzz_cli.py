@@ -1,14 +1,14 @@
 """Seeded mutation fuzzer of the command-line readers (opt-in, not tier-1).
 
-Each case takes one input, either a file of tests/fixtures or a small native
-JSON problem, replaces one to three of its numeric tokens with values from a
-fixed pool (beyond the scale bound, subnormal, negative zero, past int64,
-non-finite, malformed), and runs the matching command through
-``cli.run_cli`` in this process with short iteration caps.  A case fails on
-an exception that escapes ``run_cli``, an exit code outside {0, 2, 3, 4},
-``NaN`` or ``Infinity`` on stdout, or a ``RuntimeWarning``.  The run is
-deterministic per seed; it prints one line per failure and a summary, and
-exits 1 when any case failed.
+Each case takes one input, either a file of tests/fixtures, a small native
+JSON problem or a 4x4 matrix for ``nearcorr``, replaces one to three of its
+numeric tokens with values from a fixed pool (beyond the scale bound,
+subnormal, negative zero, past int64, non-finite, malformed), and runs
+the matching command through ``cli.run_cli`` in this process with short
+iteration caps.  A case fails on an exception that escapes ``run_cli``, an
+exit code outside {0, 2, 3, 4}, ``NaN`` or ``Infinity`` on stdout, or a
+``RuntimeWarning``.  The run is deterministic per seed; it prints one line
+per failure and a summary, and exits 1 when any case failed.
 
     PYTHONPATH=src python tests/fuzz_cli.py --seed 1 --cases 700
 """
@@ -40,6 +40,8 @@ JSON_PROBLEM = (
     '                 [[[0, 1], [1, 0]], [0, 1, 0], [0]]],\n'
     '        "rhs": [3, 0.5]}}\n'
 )
+# symmetric with a unit diagonal but indefinite: not a correlation matrix
+MATRIX = "1 0.9 0.7 -0.3\n0.9 1 0.4 0.5\n0.7 0.4 1 0.8\n-0.3 0.5 0.8 1\n"
 
 # input -> the argument lists it runs with (the input path comes first)
 COMMANDS = {
@@ -47,6 +49,8 @@ COMMANDS = {
     ".col": [["theta"], ["theta", "--solver", "regularized"]],
     ".txt": [["sos-check", "--degree", "3"], ["polymin"]],
     ".json": [["solve"], ["project"], ["project", "--method", "dykstra"]],
+    ".mat": [["nearcorr"], ["nearcorr", "--method", "quasi_newton"],
+             ["nearcorr", "--method", "dykstra", "--rescale"]],
 }
 CAPS = {
     "solve": ["--max-outer", "50"],
@@ -54,6 +58,7 @@ CAPS = {
     "sos-check": ["--max-outer", "50"],
     "polymin": ["--max-outer", "50"],
     "project": ["--max-iter", "50"],
+    "nearcorr": ["--max-iter", "50"],
 }
 
 # a signed decimal number, as the readers write integers and floats
@@ -70,6 +75,7 @@ POOL = (
 def inputs() -> dict[str, str]:
     found = {p.name: p.read_text() for p in sorted(FIXTURES.iterdir())}
     found["problem.json"] = JSON_PROBLEM
+    found["matrix.mat"] = MATRIX
     return found
 
 

@@ -94,6 +94,16 @@ class TestTheta:
         assert code == 0
         assert abs(rep["objective"] - np.sqrt(5.0)) <= 1e-4
 
+    @pytest.mark.parametrize("decay", ["2000", "1e308"])
+    def test_decay_past_the_float_range_runs(self, run, decay):
+        # k^decay overflows from the second prox step on
+        code, rep, err = run(
+            ["theta", fixture_path("c5.col"), "--solver", "regularized",
+             "--decay", decay, "--max-outer", "50"],
+        )
+        assert code in (0, 2) and rep["status"] in ("converged", "iteration_limit")
+        assert err == ""
+
 
 class TestDeterminism:
     def test_byte_identical_reports_except_wall_time(self, run):
@@ -843,19 +853,12 @@ class TestSolveAndSolutions:
 
 
 class TestGen:
-    @pytest.mark.parametrize("threads", ["2", "abc", "0", "-3"])
-    def test_batch_with_thread_env(self, run, tmp_path, monkeypatch, threads):
-        monkeypatch.setenv("CONIC_PROJ_THREADS", threads)
+    def test_batch_seeds_follow_the_split_rule(self, run, tmp_path):
         out = tmp_path / "inst.dat-s"
-        code, rep, err = run(
+        code, rep, _ = run(
             ["gen", "sos", "--out", str(out), "--num-vars", "2",
              "--degree", "2", "--seed", "10", "--count", "3"],
         )
-        if threads != "2":  # not an integer >= 1: an input error
-            assert code == 4
-            assert "CONIC_PROJ_THREADS" in err
-            assert rep is None and list(tmp_path.iterdir()) == []
-            return
         assert code == 0
         assert len(rep["instances"]) == 3
         seeds = [i["seed"] for i in rep["instances"]]
@@ -865,16 +868,9 @@ class TestGen:
             parsed = parse_sdpa(Path(info["path"]).read_text())
             assert parsed.cone.psd_dims == (6,)
 
-    @pytest.mark.parametrize("threads", [None, "1", "3"])
     @pytest.mark.parametrize("kind", ["sos", "polymin"])
-    def test_unwritable_instance_is_4_and_writes_nothing(
-        self, run, tmp_path, monkeypatch, kind, threads
-    ):
+    def test_unwritable_instance_is_4_and_writes_nothing(self, run, tmp_path, kind):
         # instance 1 cannot be opened, so neither instance 0 nor 2 is written
-        if threads is None:
-            monkeypatch.delenv("CONIC_PROJ_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("CONIC_PROJ_THREADS", threads)
         (tmp_path / "inst-001.txt").mkdir()
         code, rep, err = run(
             ["gen", kind, "--out", str(tmp_path / "inst.txt"), "--num-vars", "2",
@@ -883,6 +879,18 @@ class TestGen:
         assert code == 4 and rep is None
         assert err.startswith("error:") and "inst-001.txt" in err
         assert os.listdir(tmp_path) == ["inst-001.txt"]
+
+    @pytest.mark.parametrize("kind", ["sos", "polymin"])
+    @pytest.mark.parametrize("count", ["1", "3"])
+    def test_negative_seed_is_4_and_writes_nothing(self, run, tmp_path, kind, count):
+        # with --count 3 the seeds are -1, 0, 1: only the first is refused
+        code, rep, err = run(
+            ["gen", kind, "--out", str(tmp_path / "inst.txt"), "--num-vars", "2",
+             "--degree", "2", "--seed", "-1", "--count", count]
+        )
+        assert code == 4 and rep is None
+        assert err.startswith("error:") and "nonnegative" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_gen_motzkin_and_structured(self, run, tmp_path):
         out = tmp_path / "m.txt"

@@ -950,6 +950,17 @@ class TestProjectCone:
         with pytest.raises(InputError):
             project_cone(other, BlockPoint(cone, [np.eye(2)]))
 
+    @pytest.mark.parametrize("project", [project_cone, project_polar])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_nonneg_entry_raises(self, project, bad):
+        # as the PSD and second-order blocks do, with no RuntimeWarning
+        cone = ConeSpec(psd_dims=(2,), nonneg=2)
+        x = BlockPoint(cone, [np.eye(2), np.array([bad, 1.0])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="nonnegative block has non-finite"):
+                project(cone, x)
+
 
 class TestMoreauAndVariational:
     def test_moreau_decomposition(self):

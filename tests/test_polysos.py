@@ -361,6 +361,19 @@ class TestRandomGenerators:
         with pytest.raises(InputError):
             random_polymin_instance(2, 2)
 
+    @pytest.mark.parametrize("seed", [1.5, -1, "1", np.inf])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # 1.5 is not truncated to 1, and -1 is refused before numpy sees it
+        with pytest.raises(InputError, match="seed"):
+            random_sos_instance(2, 1, seed=seed)
+        with pytest.raises(InputError, match="seed"):
+            random_polymin_instance(2, 1, seed=seed)
+
+    def test_integral_seed_keeps_its_stream(self):
+        _, x = random_sos_instance(2, 1, seed=np.int64(3))
+        assert np.array_equal(x, random_sos_instance(2, 1, seed=3.0)[1])
+        assert np.array_equal(x, random_sos_instance(2, 1, seed=3)[1])
+
     @pytest.mark.parametrize("d", [0, -1])
     def test_polymin_instance_needs_degree_one(self, d):
         # the lower part has degree 2d - 1, so d = 0 must not reach the basis

@@ -1267,6 +1267,14 @@ class TestRegParams:
         partial = sum(p.inner_tol(k) for k in range(1, 20001))
         assert partial <= 1.0 * zeta(1.5) < np.inf
 
+    @pytest.mark.parametrize("decay", [2000.0, 1e308])
+    def test_overflowing_schedule_gives_the_floor(self, decay):
+        # 2.0 ** decay overflows a float: the schedule is taken as 0
+        p = RegParams(decay=decay)
+        assert p.inner_tol(1) == p.eps0
+        assert p.inner_tol(2) == p.outer_tol / 10
+        assert p.inner_tol(3, 1e-3) == p.outer_tol / 10
+
     def test_infinite_residual_gives_the_schedule(self):
         p = RegParams(outer_tol=1e-6, eps0=1e-2, decay=2.0)
         for k in (1, 2, 7, 100, 10**6):
