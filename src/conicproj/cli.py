@@ -174,7 +174,10 @@ def _solver_flags(sp, tol, max_outer):
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    """The text of an input file; a leading UTF-8 byte-order mark, which
+    some editors write, is dropped rather than read as part of the first
+    field."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 

@@ -26,6 +26,7 @@ cone block in layout order (PSD blocks, then SOC blocks, then nonneg).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -106,24 +107,24 @@ def _entry_message(code: int, s: str, m: int, sizes: list[int]) -> str:
 
 def _read_column(tokens: list[str], read) -> tuple[np.ndarray, np.ndarray]:
     """The tokens as an array, each read by ``read`` (int or float), and a
-    mask of those it rejects (read as 0).  Integers beyond int64 are
-    clipped to its range, which every range check rejects."""
+    mask of those it rejects (read as 0).  Integers are exact: the array
+    holds Python ints when one is beyond the int64 range."""
     dtype = np.int64 if read is int else np.float64
-    rejected = np.zeros(len(tokens), dtype=bool)
     try:
-        return np.array(tokens, dtype=dtype), rejected
+        return np.array(tokens, dtype=dtype), np.zeros(len(tokens), dtype=bool)
     except (ValueError, OverflowError):  # a rare token: read one at a time
         pass
-    values = np.zeros(len(tokens), dtype=dtype)
-    big = np.iinfo(np.int64).max
+    values, rejected = [], np.zeros(len(tokens), dtype=bool)
     for k, tok in enumerate(tokens):
         try:
-            v = read(tok)
+            values.append(read(tok))
         except ValueError:
+            values.append(0)
             rejected[k] = True
-        else:
-            values[k] = min(max(v, -big - 1), big) if read is int else v
-    return values, rejected
+    try:
+        return np.array(values, dtype=dtype), rejected
+    except OverflowError:
+        return np.array(values, dtype=object), rejected
 
 
 def _entry_columns(entries: list[str]):
@@ -144,9 +145,13 @@ def _entry_columns(entries: list[str]):
     columns = [tokens[k:6 * n:6] for k in range(5)]
     del tokens
     rejected = np.zeros(n, dtype=bool)
+    big = np.iinfo(np.int64).max
     for k, read in enumerate((int, int, int, int, float)):
         columns[k], bad = _read_column(columns[k], read)
         rejected |= bad
+        if columns[k].dtype == object:
+            # clipped to the int64 range, which every range check rejects
+            columns[k] = np.clip(columns[k], -big - 1, big).astype(np.int64)
     return n, columns, rejected
 
 
@@ -325,48 +330,113 @@ def write_sdpa(problem: LinearConicProblem, comment: str | None = None) -> str:
 # ---------------------------------------------------------------------------
 # DIMACS edge lists
 
+# As in the SDPA entry section, the lines are joined with " \n " and
+# translated in one pass: each "\n" becomes the end-of-line token "\1" and a
+# "\1" inside a line "\2", which int() rejects just as it rejects "\1".  The
+# token is not NUL, as there: numpy reads the string "\0" as "".
+_LINE_ENDS = str.maketrans("\1\n", "\2\1")
+
+# the rules of an 'e' line in the order each line is checked, as message
+# templates
+_EDGE_RULES = (
+    "edge before the p-line",
+    "malformed edge {s!r}",
+    "edge endpoints must be integers, got {s!r}",
+    "edge ({i},{j}) out of range 1..{n}",
+)
+
 
 def parse_dimacs(text: str) -> Graph:
-    """Parse a DIMACS .col edge file: 'p edge n m' then 'e i j' lines."""
-    n = None
-    edges = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if not s or s.startswith("c"):
-            continue
+    """Parse a DIMACS .col edge file: a 'p edge n m' line, then 'e i j' lines.
+
+    Lines are split as ``str.splitlines`` splits them and fields at
+    whitespace.  A line whose first field starts with ``c`` is a comment;
+    blank lines and records other than ``p`` and ``e`` are ignored.  The
+    p-line has at least four fields, the second ``edge``, ``edges`` or
+    ``col`` and the third the vertex count n as ``int()`` reads it (m is
+    not checked); a later p-line replaces n.  An e-line has exactly three
+    fields, its endpoints integers in 1..n for the n of the last p-line
+    before it.  Self-loops are dropped, and reversed and repeated edges are
+    one edge.  An error raises InputError naming the first offending line.
+    """
+    lines = text.splitlines()
+    words = np.array(
+        " \n ".join([*lines, ""]).translate(_LINE_ENDS).split(), dtype=object
+    )
+    ends = np.flatnonzero(words == "\1")  # one per line
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    first = words[starts]  # "\1" on a blank line
+
+    def bad(k, msg):
+        return InputError(f"DIMACS line {k + 1}: {msg}")
+
+    # the p-lines in line order, up to the first malformed one at `stop`
+    p_at, sizes = np.flatnonzero(first == "p").tolist(), []
+    stop, failed = len(lines), None
+    for k in p_at:
+        s = lines[k].strip()
         fields = s.split()
-        if fields[0] == "p":
-            if len(fields) < 4 or fields[1] not in ("edge", "edges", "col"):
-                raise InputError(f"DIMACS line {lineno}: malformed problem line {s!r}")
-            try:
-                n = int(fields[2])
-            except ValueError:
-                raise InputError(
-                    f"DIMACS line {lineno}: vertex count must be an integer, "
-                    f"got {s!r}"
-                ) from None
-        elif fields[0] == "e":
-            if n is None:
-                raise InputError(f"DIMACS line {lineno}: edge before the p-line")
-            if len(fields) != 3:
-                raise InputError(f"DIMACS line {lineno}: malformed edge {s!r}")
-            try:
-                i, j = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise InputError(
-                    f"DIMACS line {lineno}: edge endpoints must be integers, "
-                    f"got {s!r}"
-                ) from None
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise InputError(
-                    f"DIMACS line {lineno}: edge ({i},{j}) out of range 1..{n}"
-                )
-            if i != j:
-                edges.add((min(i, j) - 1, max(i, j) - 1))
-        # other record types are ignored
-    if n is None:
+        if len(fields) < 4 or fields[1] not in ("edge", "edges", "col"):
+            stop, failed = k, f"malformed problem line {s!r}"
+            break
+        try:
+            sizes.append(int(fields[2]))
+        except ValueError:
+            stop, failed = k, f"vertex count must be an integer, got {s!r}"
+            break
+    p_at = np.array(p_at[: len(sizes)], dtype=np.int64)
+
+    # the e-lines before `stop`, the p-line in force on each (-1 for none)
+    # and its n (0 for none), and their second and third fields, read even
+    # where a line has fewer or more: the field-count rule comes first
+    e_at = np.flatnonzero(first == "e")
+    e_at = e_at[e_at < stop]
+    owner = np.searchsorted(p_at, e_at) - 1
+    n_of = np.array([*sizes, 0])[owner]
+    at = np.concatenate((starts[e_at] + 1, starts[e_at] + 2))
+    fields = words[np.minimum(at, words.size - 1)].tolist()
+    ij, rejected = _read_column(fields, int)
+    i, j = ij[: e_at.size], ij[e_at.size :]
+    # each rule as a mask; np.select keeps the first that fails on each
+    # line, numbered as in _EDGE_RULES
+    rule = np.select(
+        [
+            owner < 0,
+            ends[e_at] - starts[e_at] != 3,
+            rejected[: e_at.size] | rejected[e_at.size :],
+            ((i < 1) | (i > n_of) | (j < 1) | (j > n_of)).astype(bool),
+        ],
+        list(range(len(_EDGE_RULES))),
+        -1,
+    )
+    wrong = np.flatnonzero(rule >= 0)
+    if wrong.size:
+        k = int(e_at[wrong[0]])
+        s = lines[k].strip()
+        names = {"s": s}
+        if rule[wrong[0]] == 3:
+            i, j = map(int, s.split()[1:])
+            names.update(i=i, j=j, n=sizes[owner[wrong[0]]])
+        raise bad(k, _EDGE_RULES[rule[wrong[0]]].format(**names))
+    if failed is not None:
+        raise bad(stop, failed)
+    if not sizes:
         raise InputError("DIMACS file has no 'p edge' line")
-    return Graph(n, frozenset(edges))
+
+    n = sizes[-1]
+    lo, hi = np.minimum(i, j) - 1, np.maximum(i, j) - 1
+    loop = lo == hi
+    lo, hi = lo[~loop], hi[~loop]
+    if n < 1 or (hi.size and hi.max() >= n):
+        # an earlier p-line allowed an edge that n does not: Graph raises
+        # on the set of edges in line order, as it always has
+        return Graph(n, frozenset(set(zip(lo.tolist(), hi.tolist()))))
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    new = np.ones(lo.size, dtype=bool)
+    new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    return Graph._checked(n, lo[new], hi[new])
 
 
 # ---------------------------------------------------------------------------
@@ -439,28 +509,41 @@ def write_polynomial(p: Polynomial) -> str:
 
 
 def read_matrix(text: str) -> np.ndarray:
-    """Whitespace-separated dense rows; symmetrized on read (warns when the
-    asymmetry exceeds the 1e-12 relative tolerance).  An n x n matrix with
-    an entry beyond sqrt(float max) / n^2 in magnitude raises InputError:
-    its norms could overflow."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        s = raw.split("#", 1)[0].strip()
-        if not s:
-            continue
-        try:
-            row = [float(v) for v in s.split()]
-        except ValueError:
-            raise InputError(f"matrix line {lineno}: non-numeric entry") from None
-        if not all(map(math.isfinite, row)):
-            raise InputError(f"matrix line {lineno}: non-finite entry")
-        rows.append(row)
-    if not rows:
+    """Read a dense square matrix, one row per line.
+
+    Entries are separated by whitespace and read as ``float()`` reads them;
+    ``#`` starts a comment that runs to the end of the line, and blank
+    lines are skipped.  Every row has as many entries as the first, and
+    there are as many rows as entries in a row.  The matrix is symmetrized
+    on read (warns when the asymmetry exceeds the 1e-12 relative
+    tolerance).  An n x n matrix with an entry beyond sqrt(float max) / n^2
+    in magnitude raises InputError: its norms could overflow.  Any other
+    error raises InputError naming the first offending line, except for a
+    matrix that is empty or not square.
+    """
+    fields = [raw.split("#", 1)[0].split() for raw in text.splitlines()]
+    counts = np.fromiter(map(len, fields), np.int64, len(fields))
+    values, rejected = _read_column(list(itertools.chain.from_iterable(fields)), float)
+    # the first line with a non-numeric or non-finite entry; a non-numeric
+    # one names the line first
+    wrong = np.flatnonzero(rejected | ~np.isfinite(values))
+    if wrong.size:
+        last = np.cumsum(counts)
+        k = int(np.searchsorted(last, wrong[0], side="right"))
+        what = "numeric" if rejected[last[k] - counts[k] : last[k]].any() else "finite"
+        raise InputError(f"matrix line {k + 1}: non-{what} entry")
+    rows = np.flatnonzero(counts)
+    if not rows.size:
         raise InputError("matrix file is empty")
-    lens = {len(r) for r in rows}
-    if len(lens) != 1:
-        raise InputError("matrix rows have inconsistent lengths")
-    m = np.array(rows)
+    width = int(counts[rows[0]])
+    ragged = rows[counts[rows] != width]
+    if ragged.size:
+        k = int(ragged[0])
+        raise InputError(
+            f"matrix line {k + 1}: expected {width} entries as in the first "
+            f"row, got {counts[k]}"
+        )
+    m = values.reshape(rows.size, width)
     if m.shape[0] != m.shape[1]:
         raise InputError(f"matrix is {m.shape[0]}x{m.shape[1]}, expected square")
     _check_scale(m, m.size, "matrix")

@@ -219,6 +219,24 @@ class Graph:
             norm.add((min(i, j), max(i, j)))
         object.__setattr__(self, "edges", frozenset(norm))
 
+    @classmethod
+    def _checked(cls, num_vertices: int, lo: np.ndarray, hi: np.ndarray):
+        """The graph of the edges (lo[k], hi[k]), which the caller has
+        checked: distinct, sorted by (lo, hi), 0 <= lo < hi < num_vertices.
+        No check is repeated, and the arrays become :attr:`_ends`."""
+        graph = cls.__new__(cls)
+        object.__setattr__(graph, "num_vertices", num_vertices)
+        object.__setattr__(graph, "edges", frozenset(zip(lo.tolist(), hi.tolist())))
+        graph.__dict__["_ends"] = (lo, hi)
+        return graph
+
+    @cached_property
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges as two integer arrays (lo, hi), lo < hi, sorted by
+        (lo, hi): the order of :meth:`sorted_edges`."""
+        ends = np.array(self.sorted_edges(), dtype=np.int64).reshape(-1, 2)
+        return ends[:, 0], ends[:, 1]
+
     @property
     def num_edges(self) -> int:
         return len(self.edges)
@@ -231,21 +249,35 @@ class Graph:
 # SOS Gram assembly
 
 
+def _graded_keys(basis: MonomialBasis, radix: int) -> np.ndarray:
+    """One integer per exponent of ``basis``, increasing in its graded
+    lexicographic order: the total degree and then the exponents, read as
+    the digits of a number in base ``radix``, which must exceed each digit.
+    The key of a sum of exponents is the sum of their keys as long as no
+    digit of the sum reaches ``radix``.  The keys are int64, or Python ints
+    when radix^(N+1) is beyond the int64 range."""
+    e = np.array(basis.exponents, dtype=np.int64).reshape(len(basis), -1)
+    digits = np.column_stack((e.sum(axis=1), e))
+    places = [radix**k for k in range(basis.num_vars, -1, -1)]
+    dtype = np.int64 if radix * places[0] <= 2**63 else object
+    return digits.astype(dtype) @ np.array(places, dtype=dtype)
+
+
 def _sos_system(num_vars: int, d: int):
     """Cone, bases and the constraint matrix A of the Gram identification
     p_alpha = <A_alpha, X>; one row per |alpha| <= 2d, columns indexing the
-    full-square vectorization of the n x n Gram matrix."""
+    full-square vectorization of the n x n Gram matrix.  The row of entry
+    (beta, gamma) is the position of beta + gamma in the degree-2d basis,
+    found by one search over graded keys in base 2d + 1."""
     basis = monomials_upto(num_vars, d)
     basis2 = monomials_upto(num_vars, 2 * d)
     n = len(basis)
-    idx = basis2.index
-    rows = np.empty(n * n, dtype=np.int64)
+    # no digit of beta + gamma exceeds 2d: its key is the sum of theirs
+    keys = _graded_keys(basis, 2 * d + 1)
+    rows = np.searchsorted(
+        _graded_keys(basis2, 2 * d + 1), (keys[:, None] + keys[None, :]).ravel()
+    )
     cols = np.arange(n * n, dtype=np.int64)
-    pos = 0
-    for i, beta in enumerate(basis.exponents):
-        for gamma in basis.exponents:
-            rows[pos] = idx[tuple(b + g for b, g in zip(beta, gamma))]
-            pos += 1
     mat = sp.csr_matrix(
         (np.ones(n * n), (rows, cols)), shape=(len(basis2), n * n)
     )
@@ -313,18 +345,16 @@ def build_theta(graph: Graph) -> LinearConicProblem:
     """
     n = graph.num_vertices
     cone = ConeSpec(psd_dims=(n,))
-    edges = graph.sorted_edges()
-    m = len(edges) + 1
-    rows, cols, vals = [], [], []
-    for j in range(n):
-        rows.append(0)
-        cols.append(j * n + j)
-        vals.append(1.0)
-    for k, (i, j) in enumerate(edges, start=1):
-        rows.extend([k, k])
-        cols.extend([i * n + j, j * n + i])
-        vals.extend([1.0, 1.0])
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(m, n * n))
+    lo, hi = graph._ends
+    m = lo.size + 1
+    # CSR rows: the trace row holds the n diagonal entries, and the row of
+    # the k-th edge (i, j), i < j, the entries i*n + j and j*n + i
+    cols = np.empty(n + 2 * lo.size, dtype=np.int64)
+    cols[:n] = np.arange(n) * (n + 1)
+    cols[n::2] = lo * n + hi
+    cols[n + 1 :: 2] = hi * n + lo
+    indptr = np.concatenate(([0], np.arange(n, n + 2 * m - 1, 2)))
+    mat = sp.csr_matrix((np.ones(cols.size), cols, indptr), shape=(m, n * n))
     b = np.zeros(m)
     b[0] = 1.0
     amap = AffineMap(cone, mat, b, check=False)

@@ -334,6 +334,12 @@ class _Step(NamedTuple):
     polar: float = 0.0
 
 
+class _Diverged(Exception):
+    """Raised by an outer step whose iterate has left the range that the
+    data were checked for: :func:`_outer_loop` ends in numerical_failure
+    with this message, keeping the previous iterate."""
+
+
 def _outer_loop(problem, params, step):
     """The proximal outer loop shared by both solvers.
 
@@ -344,7 +350,8 @@ def _outer_loop(problem, params, step):
     cone projection.  The residuals are scaled as in :func:`residuals`.
     The loop starts from the record of p = y = u = 0 (k = 1 sees the
     residuals of that start) and stops on convergence (both residuals and
-    ``polar`` at most ``params.outer_tol``), a non-finite residual, the
+    ``polar`` at most ``params.outer_tol``), a non-finite residual or a step
+    that raises :class:`_Diverged` (both numerical failures), the
     divergence rule of the ``_DIVERGE_*`` constants, or ``params.max_outer``.
     """
     cone = problem.cone
@@ -363,7 +370,12 @@ def _outer_loop(problem, params, step):
     last_adapt = 0
     adapt_wait = _T_PERIOD
     for k in range(1, params.max_outer + 1):
-        at = step(k, t, at, worst)
+        try:
+            at = step(k, t, at, worst)
+        except _Diverged as exc:
+            status = NUMERICAL_FAILURE
+            report.message = str(exc)
+            break
         report.inner_iterations += at.inner
         report.gradient_fallbacks += at.fallbacks
         rp, rd = _residuals_vec(problem, at.ap, at.aty, at.u, c_vec, b_scale, c_scale)
@@ -608,13 +620,17 @@ def solve_regularized(problem: LinearConicProblem, params: RegParams | None = No
     already meets its tolerance.  The inner dual vector (and the
     quasi-Newton curvature pairs) restart from the previous outer
     iteration.  Stops when both scaled residuals fall below
-    ``params.outer_tol``.
+    ``params.outer_tol``.  A prox center p - t c beyond the bound of
+    :func:`prox_eval` is an InputError at the first outer iteration, where
+    p = 0, and later, p being the solver's own iterate, ends the solve in
+    numerical_failure at the previous iterate.
     """
     params = RegParams() if params is None else params
     if params.inner == "one_iteration":
         return solve_simple(problem, params)
     cone = problem.cone
     a = problem.a
+    c_vec = problem.c.ravel()
     b_scale, _ = _scales(problem)
     carry: dict = {}
 
@@ -653,6 +669,14 @@ def solve_regularized(problem: LinearConicProblem, params: RegParams | None = No
         if swept == k - 1 and worst > _PHASE1_TOL and k <= budget:
             swept = k
             return sweep(k, t, at, worst)
+        if k > 1:
+            # p is the solver's own iterate: a prox center beyond the bound
+            # that the data passed is a divergence, not bad input
+            center = at.p - t * c_vec
+            try:
+                _check_scale(center, cone.dim, f"prox center p - t c at t = {t:g}")
+            except InputError as exc:
+                raise _Diverged(f"iterates diverged: {exc}") from None
         # the schedule counts prox steps only: indexed by k, it would start
         # phase 2 at its floor (4x the CG iterations of polymin N=3)
         return prox_step(k - swept, t, at, worst)

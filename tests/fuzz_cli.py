@@ -1,7 +1,8 @@
 """Seeded mutation fuzzer of the command-line readers (opt-in, not tier-1).
 
 Each case takes one input, either a file of tests/fixtures, a small native
-JSON problem or a 4x4 matrix for ``nearcorr``, replaces one to three of its
+JSON problem, a 4x4 matrix for ``nearcorr``, a 40-vertex graph or an SDPA
+fixture behind a UTF-8 byte-order mark, replaces one to three of its
 numeric tokens with values from a fixed pool (beyond the scale bound,
 subnormal, negative zero, past int64, non-finite, malformed), and runs
 the matching command through ``cli.run_cli`` in this process with short
@@ -42,6 +43,11 @@ JSON_PROBLEM = (
 )
 # symmetric with a unit diagonal but indefinite: not a correlation matrix
 MATRIX = "1 0.9 0.7 -0.3\n0.9 1 0.4 0.5\n0.7 0.4 1 0.8\n-0.3 0.5 0.8 1\n"
+# a circulant graph on 40 vertices (i ~ i + s mod 40, s in 1, 3, 7, 12),
+# large enough that the mutations land all over the edge list
+GRAPH = "p edge 40 160\n" + "".join(
+    f"e {i + 1} {(i + s) % 40 + 1}\n" for i in range(40) for s in (1, 3, 7, 12)
+)
 
 # input -> the argument lists it runs with (the input path comes first)
 COMMANDS = {
@@ -76,6 +82,9 @@ def inputs() -> dict[str, str]:
     found = {p.name: p.read_text() for p in sorted(FIXTURES.iterdir())}
     found["problem.json"] = JSON_PROBLEM
     found["matrix.mat"] = MATRIX
+    found["circulant40.col"] = GRAPH
+    # the byte-order mark some editors write: the readers drop it
+    found["bom.dat-s"] = "\ufeff" + found["mixed_blocks.dat-s"]
     return found
 
 
@@ -134,7 +143,7 @@ def main(argv=None) -> int:
             mutated, notes = mutate(r, texts[name])
             suffix = Path(name).suffix
             path = Path(tmp) / f"case{suffix}"
-            path.write_text(mutated)
+            path.write_text(mutated, encoding="utf-8")
             variants = COMMANDS[suffix]
             command = variants[int(r.integers(len(variants)))]
             failure, code = run_case(

@@ -401,6 +401,20 @@ class TestExitCodes:
         err = _run_input_error(run, tmp_path, "solve", "theta_c5.dat-s", flags)
         assert err.startswith("error: prox center p - t c at t = 1e+300 has an ")
 
+    def test_prox_center_grown_by_the_solver_is_numerical_failure(self, run, tmp_path):
+        # fuzzer case 430: the data pass their bound, then the solver's own
+        # iterate p grows until p - t c at t = 1 does not, a divergence
+        # rather than bad input
+        text = Path(fixture_path("mixed_blocks.dat-s")).read_text()
+        assert text.count("\n1 1 1\n") == 1
+        source = tmp_path / "m.dat-s"
+        source.write_text(text.replace("\n1 1 1\n", "\n2.5 1 -5e152\n"))
+        code, rep, err = run(
+            ["solve", str(source), "--solver", "regularized", "--max-outer", "50"]
+        )
+        assert (code, rep["status"], err) == (2, "numerical_failure", "")
+        assert 1 < rep["iterations"] < 50
+
     def test_rhs_near_the_bound_is_2_without_warnings(self, run, tmp_path):
         # within the scale bound, yet b'y, the curvature test and the slopes
         # of the quasi-Newton inner solves overflow: the run ends at its
@@ -437,6 +451,43 @@ class TestExitCodes:
 
     def test_unknown_flag_is_4(self, run):
         assert run(["theta", "--bogus"])[0] == 4
+
+
+# one command per reader, each run on a plain input and on the same input
+# behind a UTF-8 byte-order mark: (command and flags, fixture or a (file
+# name, text) pair)
+BOM_CASES = {
+    "dimacs": (["theta", "--max-outer", "50"], "c5.col"),
+    "sdpa": (["solve", "--max-outer", "50"], "mixed_blocks.dat-s"),
+    "polynomial": (
+        ["sos-check", "--degree", "3", "--max-outer", "50"], "motzkin.txt"
+    ),
+    "matrix": (
+        ["nearcorr", "--max-iter", "50"],
+        ("c.mat", "1 0.9 0.7\n0.9 1 -0.9\n0.7 -0.9 1\n"),
+    ),
+    "json": (["solve", "--max-outer", "50"], ("p.json", JSON_PROBLEM_NONNEG)),
+}
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("kind", sorted(BOM_CASES))
+    def test_same_report_as_the_plain_file(self, run, tmp_path, kind):
+        argv, source = BOM_CASES[kind]
+        if isinstance(source, tuple):
+            name, text = source
+        else:
+            name, text = source, Path(fixture_path(source)).read_text()
+        outcomes = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            path = tmp_path / encoding / name
+            path.parent.mkdir()
+            path.write_text(text, encoding=encoding)
+            code, rep, err = run([argv[0], str(path), *argv[1:]])
+            outcomes.append((code, strip_time(rep), err))
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert outcomes[0][0] in (0, 2)
+        assert outcomes[1] == outcomes[0]
 
 
 # The values of the reader x field x value table: beyond the scale bound,

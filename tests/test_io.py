@@ -12,10 +12,13 @@ from conicproj import (
     AffineMap,
     BlockPoint,
     ConeSpec,
+    Graph,
     InputError,
     LinearConicProblem,
+    build_theta,
 )
 from conicproj.cli import run_cli
+from conicproj.cones import _check_scale, symmetrize
 from conicproj.io import (
     _fmt,
     blockpoint_from_json,
@@ -620,6 +623,347 @@ class TestParseSdpaErrors:
             _assert_same_problem(parse_sdpa(text), want)
 
 
+def _reference_parse_dimacs(text: str) -> Graph:
+    """The per-line parser that ``parse_dimacs`` replaced, kept verbatim as
+    the edge-for-edge and message-for-message reference."""
+    n = None
+    edges = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        s = raw.strip()
+        if not s or s.startswith("c"):
+            continue
+        fields = s.split()
+        if fields[0] == "p":
+            if len(fields) < 4 or fields[1] not in ("edge", "edges", "col"):
+                raise InputError(f"DIMACS line {lineno}: malformed problem line {s!r}")
+            try:
+                n = int(fields[2])
+            except ValueError:
+                raise InputError(
+                    f"DIMACS line {lineno}: vertex count must be an integer, "
+                    f"got {s!r}"
+                ) from None
+        elif fields[0] == "e":
+            if n is None:
+                raise InputError(f"DIMACS line {lineno}: edge before the p-line")
+            if len(fields) != 3:
+                raise InputError(f"DIMACS line {lineno}: malformed edge {s!r}")
+            try:
+                i, j = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise InputError(
+                    f"DIMACS line {lineno}: edge endpoints must be integers, "
+                    f"got {s!r}"
+                ) from None
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise InputError(
+                    f"DIMACS line {lineno}: edge ({i},{j}) out of range 1..{n}"
+                )
+            if i != j:
+                edges.add((min(i, j) - 1, max(i, j) - 1))
+        # other record types are ignored
+    if n is None:
+        raise InputError("DIMACS file has no 'p edge' line")
+    return Graph(n, frozenset(edges))
+
+
+def _reference_build_theta(graph: Graph) -> LinearConicProblem:
+    """The list-building ``build_theta`` that the CSR arrays replaced, kept
+    verbatim as the bit-for-bit reference."""
+    n = graph.num_vertices
+    cone = ConeSpec(psd_dims=(n,))
+    edges = graph.sorted_edges()
+    m = len(edges) + 1
+    rows, cols, vals = [], [], []
+    for j in range(n):
+        rows.append(0)
+        cols.append(j * n + j)
+        vals.append(1.0)
+    for k, (i, j) in enumerate(edges, start=1):
+        rows.extend([k, k])
+        cols.extend([i * n + j, j * n + i])
+        vals.extend([1.0, 1.0])
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(m, n * n))
+    b = np.zeros(m)
+    b[0] = 1.0
+    amap = AffineMap(cone, mat, b, check=False)
+    c = BlockPoint(cone, [-np.ones((n, n))])
+    return LinearConicProblem(c=c, a=amap, cone=cone)
+
+
+def _reference_read_matrix(text: str) -> np.ndarray:
+    """The per-line reader that ``read_matrix`` replaced, kept verbatim as
+    the bit-for-bit and message-for-message reference (a ragged matrix
+    aside: its message now names the line)."""
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        s = raw.split("#", 1)[0].strip()
+        if not s:
+            continue
+        try:
+            row = [float(v) for v in s.split()]
+        except ValueError:
+            raise InputError(f"matrix line {lineno}: non-numeric entry") from None
+        if not all(map(math.isfinite, row)):
+            raise InputError(f"matrix line {lineno}: non-finite entry")
+        rows.append(row)
+    if not rows:
+        raise InputError("matrix file is empty")
+    lens = {len(r) for r in rows}
+    if len(lens) != 1:
+        raise InputError("matrix rows have inconsistent lengths")
+    m = np.array(rows)
+    if m.shape[0] != m.shape[1]:
+        raise InputError(f"matrix is {m.shape[0]}x{m.shape[1]}, expected square")
+    _check_scale(m, m.size, "matrix")
+    return symmetrize(m)
+
+
+def _same_outcome(new, reference, text):
+    """``new(text)`` and ``reference(text)`` both return (the pair of
+    results), or both raise InputError with one message (None)."""
+    try:
+        want = reference(text)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            new(text)
+        assert str(got.value) == str(exc)
+        return None
+    return new(text), want
+
+
+def _assert_same_graph(got, want):
+    """Equal graphs, and bit-equal theta problems from both builders."""
+    assert got.num_vertices == want.num_vertices
+    assert got.edges == want.edges
+    assert all(type(v) is int for e in got.edges for v in e)
+    _assert_same_problem(build_theta(got), _reference_build_theta(want))
+
+
+def _random_dimacs(r) -> str:
+    """A random DIMACS file: comments, blank lines and ignored records
+    anywhere, fields split by tabs and runs of spaces, reversed, repeated
+    and self-loop edges, CRLF or LF line ends, and sometimes a second
+    p-line whose n is at least the first's (a smaller n is in
+    DIMACS_ERRORS)."""
+    n = int(r.integers(1, 40))
+    p_lines = [int(r.integers(0, 4))]  # where in the edge list p-lines go
+    if r.random() < 0.3:
+        p_lines.append(int(r.integers(p_lines[0], 10)))
+    sizes = [n, n + int(r.integers(0, 5))]
+    noise = ["c comment 1 2", "", "   ", "\tc indented", "x 1 2", "n 1 5",
+             "edge 1 2", "ee 1 2", "pp edge 3 1", "c"]
+    out, size = [], None
+    for k in range(int(r.integers(0, 3 * n + 2))):
+        while p_lines and p_lines[0] <= k:
+            p_lines.pop(0)
+            size = sizes.pop(0)
+            word = ("edge", "edges", "col")[int(r.integers(3))]
+            out.append(f"p {word} {size} {int(r.integers(0, 99))}")
+        if r.random() < 0.15:
+            out.append(noise[int(r.integers(len(noise)))])
+        if size is None:
+            continue
+        i, j = (int(v) for v in r.integers(1, size + 1, size=2))
+        if r.random() < 0.1:
+            j = i
+        sep = (" ", "\t", "  ", " \t ")[int(r.integers(4))]
+        out.append(f"e{sep}{i}{sep}{j}" + ("  " if r.random() < 0.1 else ""))
+        if r.random() < 0.2:
+            out.append(f"e {j} {i}")
+    if size is None:
+        out.append(f"p edge {sizes[0]} 0")
+    end = "\r\n" if r.random() < 0.3 else "\n"
+    return end.join(out) + (end if r.random() < 0.8 else "")
+
+
+# each text raises InputError; the message of parse_dimacs must be the
+# reference's
+DIMACS_ERRORS = {
+    "edge-before-p": "e 1 2\n",
+    "bad-edge-before-p": "e 1 x\np edge 3 1\n",
+    "no-p-line": "c only comments\n",
+    "empty": "",
+    "blank-lines-only": "\n  \n\t\n",
+    "fractional-n": "p edge 2.5 1\n",
+    "p-two-fields": "p edge\n",
+    "p-three-fields": "p edge 3\n",
+    "p-wrong-format": "p graph 3 1\n",
+    "zero-vertices": "p edge 0 0\n",
+    "negative-vertices": "p edge -3 0\n",
+    "edge-one-field": "p edge 3 1\ne 1\n",
+    "edge-bare": "p edge 3 1\ne\n",
+    "edge-four-fields": "p edge 3 1\ne 1 2 3\n",
+    "endpoint-text": "p edge 3 1\ne 1 x\n",
+    "endpoint-float": "p edge 3 1\ne 1.0 2\n",
+    "endpoint-nul": "p edge 3 1\ne 1 2\0\n",
+    "endpoint-line-end-token": "p edge 3 1\ne 1 2\1\n",
+    "endpoint-zero": "p edge 3 1\ne 0 1\n",
+    "endpoint-negative": "p edge 3 1\ne -1 2\n",
+    "endpoint-high": "p edge 3 1\ne 1 9\n",
+    "first-endpoint-one-past-n": "p edge 3 1\ne 4 1\n",
+    "second-endpoint-one-past-n": "p edge 3 1\ne 1 4\n",
+    "text-before-range": "p edge 3 1\ne 4 x\n",
+    "endpoint-past-int64": "p edge 3 1\ne 1 9223372036854775808\n",
+    "endpoint-one-past-n-int64": (
+        "p edge 9223372036854775807 1\ne 1 9223372036854775808\n"
+    ),
+    "both-past-int64": (
+        "p edge 99999999999999999999 1\ne 1 99999999999999999999999\n"
+    ),
+    "first-bad-line-named": "p edge 3 1\ne 1 2\ne 1\ne 1 x\n",
+    "edge-error-before-p-error": "p edge 3 1\ne 1 x\np bad\n",
+    "p-error-before-edge-error": "p edge 3 1\np bad\ne 1 x\n",
+    "second-p-line-malformed": "p edge 3 1\ne 1 2\np edge x 1\n",
+    "second-p-line-shrinks": "p edge 5 1\ne 1 5\np edge 3 1\n",
+    "second-p-line-shrinks-two-edges": (
+        "p edge 9 3\ne 1 5\ne 9 2\ne 4 7\np edge 3 1\ne 1 2\n"
+    ),
+    "second-p-line-zero": "p edge 5 1\ne 1 2\np edge 0 0\n",
+    "edge-checked-against-its-p-line": "p edge 2 1\ne 1 3\np edge 5 1\n",
+    "crlf-line-number": "p edge 3 1\r\ne 1 4\r\n",
+    "vertical-tab-breaks-line": "p edge 3 1\n\x0be 1 4\n",
+    "unicode-space-splits": "p edge 3 1\ne\u20031 4\n",
+}
+
+
+class TestDimacsReference:
+    """``parse_dimacs`` and ``build_theta`` against the per-line parser and
+    the list-building builder they replaced: equal graphs, bit-equal theta
+    problems and equal error messages."""
+
+    def test_fixture(self):
+        text = fixture_text("c5.col")
+        _assert_same_graph(parse_dimacs(text), _reference_parse_dimacs(text))
+
+    def test_random_files(self):
+        r = np.random.default_rng(35)
+        compared = 0
+        for _ in range(300):
+            text = _random_dimacs(r)
+            pair = _same_outcome(parse_dimacs, _reference_parse_dimacs, text)
+            if pair is not None:
+                _assert_same_graph(*pair)
+                compared += 1
+        assert compared > 250
+
+    def test_large_graph_and_complement(self):
+        r = np.random.default_rng(5)
+        iu = np.triu_indices(100, 1)
+        keep = r.uniform(size=iu[0].size) < 0.3
+        perm = r.permutation(100) + 1
+        for mask in (keep, ~keep):
+            lines = ["p edge 100 0"] + [
+                f"e {perm[i]} {perm[j]}" for i, j in zip(iu[0][mask], iu[1][mask])
+            ]
+            text = "\n".join(lines) + "\n"
+            _assert_same_graph(parse_dimacs(text), _reference_parse_dimacs(text))
+
+    def test_vertex_count_beyond_int64(self):
+        # endpoints past int64 are kept exact, not clipped
+        big = 10**20
+        text = f"p edge {big} 1\ne 1 {big - 1}\ne {big} {big}\ne 2 1\n"
+        got, want = parse_dimacs(text), _reference_parse_dimacs(text)
+        assert got.num_vertices == want.num_vertices == big
+        assert got.edges == want.edges == frozenset({(0, big - 2), (0, 1)})
+
+    @pytest.mark.parametrize("name", sorted(DIMACS_ERRORS))
+    def test_same_message_as_reference(self, name):
+        text = DIMACS_ERRORS[name]
+        with pytest.raises(InputError) as want:
+            _reference_parse_dimacs(text)
+        with pytest.raises(InputError) as got:
+            parse_dimacs(text)
+        assert str(got.value) == str(want.value)
+
+    def test_graphs_built_directly(self):
+        # build_theta on graphs from the public constructor, whose edges
+        # come in any order and orientation
+        r = np.random.default_rng(8)
+        for n in (1, 2, 5, 17, 40):
+            pairs = r.integers(0, n, size=(3 * n, 2)).tolist()
+            edges = frozenset((i, j) for i, j in pairs if i != j)
+            g = Graph(n, edges)
+            _assert_same_problem(build_theta(g), _reference_build_theta(g))
+
+
+def _random_matrix_text(r) -> str:
+    """A random square matrix file: values over many magnitudes, signed
+    zeros, comments, blank lines, tabs and CRLF line ends."""
+    n = int(r.integers(1, 12))
+    x = r.standard_normal((n, n)) * 10.0 ** r.integers(-30, 30, size=(n, n))
+    x[r.random((n, n)) < 0.1] = -0.0
+    out = []
+    for row in x:
+        if r.random() < 0.2:
+            out.append(("# comment 1 2", "", "  \t")[int(r.integers(3))])
+        sep = (" ", "\t", "   ")[int(r.integers(3))]
+        line = sep.join(repr(float(v)) for v in row)
+        out.append(line + (" # tail 5" if r.random() < 0.2 else ""))
+    end = "\r\n" if r.random() < 0.3 else "\n"
+    return end.join(out) + end
+
+
+# each text raises InputError; read_matrix's message must be the reference's
+MATRIX_ERRORS = {
+    "not-square": "1.0 2.0\n",
+    "tall": "1 0\n0 1\n0 0\n",
+    "non-numeric": "1.0 a\n2.0 1.0\n",
+    "non-numeric-before-non-finite": "nan x\n1 1\n",
+    "non-finite-line-before-non-numeric": "1 nan\n1 x\n",
+    "nan": "1.0 0.0\n0.0 nan\n",
+    "first-entry-of-a-line": "1 0\nnan 1\n",
+    "first-entry-after-a-blank-line": "1 0\n\nx 1\n",
+    "overflow-to-inf": "1e400 0\n0 1\n",
+    "nul-in-entry": "1 0\n0 1\0\n",
+    "empty": "",
+    "comments-only": "# only a comment\n\n  # another\n",
+    "beyond-scale-bound": "1e200 0\n0 1\n",
+    "numbered-after-blank-and-comment": "\n# c\n1 0\n0 x\n",
+}
+
+
+class TestMatrixReference:
+    """``read_matrix`` against the per-line reader it replaced."""
+
+    def test_random_matrices(self):
+        r = np.random.default_rng(12)
+        for _ in range(200):
+            text = _random_matrix_text(r)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # symmetrized
+                got, want = read_matrix(text), _reference_read_matrix(text)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(MATRIX_ERRORS))
+    def test_same_message_as_reference(self, name):
+        text = MATRIX_ERRORS[name]
+        with pytest.raises(InputError) as want:
+            _reference_read_matrix(text)
+        with pytest.raises(InputError) as got:
+            read_matrix(text)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "text, line, counts",
+        [
+            ("1 2\n3\n", 2, (2, 1)),
+            ("1 0 # c\n\n0 1 2\n", 3, (2, 3)),
+            ("# c\n1\n1 2\n1 2\n", 3, (1, 2)),
+        ],
+    )
+    def test_ragged_rows_name_the_line(self, text, line, counts):
+        with pytest.raises(InputError, match="inconsistent lengths"):
+            _reference_read_matrix(text)
+        with pytest.raises(InputError) as got:
+            read_matrix(text)
+        assert str(got.value) == (
+            f"matrix line {line}: expected {counts[0]} entries as in the "
+            f"first row, got {counts[1]}"
+        )
+
+
 class TestDimacs:
     def test_five_cycle_fixture(self):
         g = parse_dimacs(fixture_text("c5.col"))
@@ -763,6 +1107,7 @@ class TestMalformedInput:
             (parse_polynomial, "nvars 1\n1 0\nnan 2\n", "line 3"),
             (parse_dimacs, "p edge 2.5 1\n", "line 1"),
             (read_matrix, "1.0 0.0\n0.0 nan\n", "line 2"),
+            (read_matrix, "1.0 0.0\n\n0.0\n", "line 3"),
             (parse_problem_json, "[1, 2]", "'cone' and 'eq'"),
             (parse_problem_json, _json_with(cone={"nonneg": 1.5}), "'cone'"),
             (parse_problem_json, _json_with(cone=[2]), "'cone'"),
@@ -779,7 +1124,7 @@ class TestMalformedInput:
         ],
         ids=[
             "sdpa-rhs-nan", "sdpa-lp-entry-inf", "poly-coeff-inf",
-            "poly-coeff-nan", "dimacs-fractional-n", "matrix-nan",
+            "poly-coeff-nan", "dimacs-fractional-n", "matrix-nan", "matrix-ragged",
             "json-not-object", "json-fractional-nonneg", "json-cone-list",
             "json-objective-inf", "json-ragged-center", "json-center-number",
             "json-row-inf", "json-rhs-number", "json-eq-list",

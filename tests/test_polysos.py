@@ -4,9 +4,11 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import conicproj as cp
 from conicproj import (
+    ConeSpec,
     Graph,
     InputError,
     Polynomial,
@@ -21,7 +23,7 @@ from conicproj import (
     random_sos_instance,
     structured_polymin_instance,
 )
-from conicproj.polysos import expand_gram
+from conicproj.polysos import _sos_system, expand_gram
 from conftest import rng
 
 
@@ -178,6 +180,44 @@ class TestSosFeasibility:
             expected = np.array([counts[a] for a in basis2.exponents], dtype=float)
             assert np.array_equal(f.diagonal, expected)
             assert np.all(expected > 0)
+
+
+def _reference_sos_system(num_vars: int, d: int):
+    """The per-entry assembly that ``_sos_system`` replaced, kept verbatim
+    as the bit-for-bit reference."""
+    basis = monomials_upto(num_vars, d)
+    basis2 = monomials_upto(num_vars, 2 * d)
+    n = len(basis)
+    idx = basis2.index
+    rows = np.empty(n * n, dtype=np.int64)
+    cols = np.arange(n * n, dtype=np.int64)
+    pos = 0
+    for i, beta in enumerate(basis.exponents):
+        for gamma in basis.exponents:
+            rows[pos] = idx[tuple(b + g for b, g in zip(beta, gamma))]
+            pos += 1
+    mat = sp.csr_matrix(
+        (np.ones(n * n), (rows, cols)), shape=(len(basis2), n * n)
+    )
+    cone = ConeSpec(psd_dims=(n,))
+    return cone, basis, basis2, mat
+
+
+class TestSosSystemReference:
+    # every (N, d) from (1, 0) to (7, 3), one high degree, and N = 40 with
+    # d = 1, whose keys reach 3^41, beyond int64, and are Python ints
+    @pytest.mark.parametrize(
+        "num_vars, d",
+        [(nv, d) for nv in range(1, 8) for d in range(4)] + [(40, 1), (1, 40)],
+    )
+    def test_bit_equal_to_reference(self, num_vars, d):
+        got = _sos_system(num_vars, d)
+        want = _reference_sos_system(num_vars, d)
+        assert got[:3] == want[:3]
+        assert got[3].shape == want[3].shape
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(got[3], name), getattr(want[3], name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 class TestPolymin:

@@ -21,8 +21,8 @@ from conicproj import (
     solve_regularized,
     solve_simple,
 )
-from conicproj import cones, dualproj, regsolver
-from conftest import gnp_theta, random_affine, random_point, rng
+from conicproj import cones, dualproj, io, regsolver
+from conftest import fixture_text, gnp_theta, random_affine, random_point, rng
 
 
 def scalar_problem():
@@ -885,6 +885,21 @@ class TestNonFiniteResidual:
         assert rep.status == "numerical_failure"
         assert rep.message == "non-finite residual"
         assert rep.iterations == 3
+
+    def test_prox_center_grown_by_the_iterates_is_numerical_failure(self):
+        # the data pass their bound; after the sweeps the iterate p grows
+        # until p - t c does not, and the loop keeps the last iterate
+        text = fixture_text("mixed_blocks.dat-s").replace(
+            "\n1 1 1\n", "\n2.5 1 -5e152\n"
+        )
+        prob = io.parse_sdpa(text)
+        _, rep = cp.solve_regularized(prob, RegParams(max_outer=50))
+        assert rep.status == "numerical_failure"
+        assert rep.message.startswith(
+            "iterates diverged: prox center p - t c at t = 1 has an entry of "
+        )
+        assert 25 < rep.iterations < 50
+        assert math.isfinite(rep.primal_residual)
 
 
 class TestNewtonStepCost:
